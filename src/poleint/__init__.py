@@ -20,14 +20,11 @@ from .integrate import (
     MomentIdentityRow,
     PartialFractions,
     RootConfig,
-    ValuationCheck,
     check_moment_identities,
-    closed_form_coefficient,
     integrate_via_expansion,
     integrate_via_partial_fractions,
     moment,
     partial_fractions,
-    valuation_check,
 )
 from .parser import (
     PolyParseError,
@@ -36,15 +33,12 @@ from .parser import (
     parse_poly,
     parse_rational,
 )
-from .polynomial import Poly, Rat, gcd, is_squarefree
+from .polynomial import Poly, Rat
 from .series import INFINITY, InvZSeries, NotIntegrableInRing
 from .symmetric import (
     SymmetricTable,
     complete_homogeneous,
-    complete_homogeneous_direct,
     determinant,
-    determinant_bareiss,
-    determinant_cofactor,
     elementary_symmetric,
     generalized_vandermonde,
     vandermonde_matrix,
@@ -69,21 +63,14 @@ __all__ = [
     "ScaleRow",
     "ScalingReport",
     "SymmetricTable",
-    "ValuationCheck",
     "check_moment_identities",
-    "closed_form_coefficient",
     "complete_homogeneous",
-    "complete_homogeneous_direct",
     "determinant",
-    "determinant_bareiss",
-    "determinant_cofactor",
     "elementary_symmetric",
     "format_rational",
-    "gcd",
     "generalized_vandermonde",
     "integrate_via_expansion",
     "integrate_via_partial_fractions",
-    "is_squarefree",
     "moment",
     "parse_factored_denominator",
     "parse_poly",
@@ -93,5 +80,4 @@ __all__ = [
     "scaling_limit_table",
     "vandermonde_matrix",
     "vandermonde_product",
-    "valuation_check",
 ]

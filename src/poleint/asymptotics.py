@@ -19,6 +19,7 @@ The exact coefficient checks stay exact.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,12 +34,13 @@ RATIO_BAND = (0.3, 0.7)
 class ChargeSystem:
     """Point charges (location, magnitude) with zero total charge."""
 
-    charges: tuple[tuple[Fraction | complex, Fraction | float], ...]
+    charges: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        total = sum(mag for _, mag in self.charges)
-        if total != 0:
-            raise ValueError(f"total charge must be zero, got {total}")
+        charges = tuple((as_rat(loc), as_rat(mag)) for loc, mag in self.charges)
+        object.__setattr__(self, "charges", charges)
+        if self.total_charge != 0:
+            raise ValueError(f"total charge must be zero, got {self.total_charge}")
 
     @classmethod
     def from_roots(cls, cfg: RootConfig) -> ChargeSystem:
@@ -47,8 +49,8 @@ class ChargeSystem:
         return cls(tuple(pf.terms))
 
     @property
-    def total_charge(self) -> Fraction | float:
-        return sum(mag for _, mag in self.charges)
+    def total_charge(self) -> Fraction:
+        return sum((mag for _, mag in self.charges), Fraction(0))
 
 
 def potential(system: ChargeSystem, z: complex) -> complex:
@@ -114,6 +116,8 @@ def scaling_limit_table(
         raise ValueError("scales must be positive")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if max_l is not None and max_l < 0:
+        raise ValueError("max_l must be nonnegative")
     q = cfg.q
     largest = max(abs(t * a) for t in t_scales for a in cfg.roots)
     if not radius > float(largest):
@@ -121,6 +125,8 @@ def scaling_limit_table(
             "radius must exceed every scaled root magnitude "
             f"(need > {float(largest)})"
         )
+    if not math.isfinite(radius):
+        raise ValueError("radius must be finite")
 
     depth = truncation - q
     if max_l is not None:

@@ -92,12 +92,6 @@ class PartialFractions:
             total = total + Poly.from_roots(others) * c
         return total
 
-    def as_series(self, truncation: int) -> InvZSeries:
-        out = InvZSeries.zero(truncation)
-        for pole, c in self.terms:
-            out = out + InvZSeries.inverse_linear(pole, truncation) * c
-        return out
-
 
 def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
     """Exact decomposition of numerator/Q over the poles 0, a_1, ..., a_q.
@@ -113,16 +107,14 @@ def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
 
 
 def moment(cfg: RootConfig, k: int) -> Fraction:
-    """The weighted power sum m_k (the pole at 0 contributes only at k = 0)."""
+    """The weighted power sum m_k = sum_p p^k / Q'(p) over the residues of 1/Q.
+
+    The pole at 0 contributes only at k = 0, through 0**0 == 1.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    dq = cfg.polynomial().derivative()
-    total = Fraction(0)
-    if k == 0:
-        total += 1 / dq(Fraction(0))
-        total += sum((1 / dq(a) for a in cfg.roots), Fraction(0))
-        return total
-    return sum((a**k / dq(a) for a in cfg.roots), Fraction(0))
+    terms = partial_fractions(Poly.one(), cfg).terms
+    return sum((p**k * c for p, c in terms), Fraction(0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,29 +162,10 @@ def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport
 
 @dataclass(frozen=True, slots=True)
 class IntegralResult:
-    """A computed antiderivative of 1/Q: the series itself, its valuation,
-    and the closed-form coefficients -h_l(a)/(q+l) for l = 0..N-q."""
+    """A computed antiderivative of 1/Q: the series itself and its valuation."""
 
     series: InvZSeries
     valuation: int | float
-    closed_form: tuple[Fraction, ...]
-
-
-def closed_form_coefficient(cfg: RootConfig, l: int) -> Fraction:
-    """The coefficient of z^-(q+l) in the antiderivative: -h_l(a)/(q+l)."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    h = SymmetricTable.build(cfg.roots, l).h[l]
-    return -h / (cfg.q + l)
-
-
-def _result(cfg: RootConfig, series: InvZSeries) -> IntegralResult:
-    depth = series.truncation - cfg.q
-    table = SymmetricTable.build(cfg.roots, depth)
-    closed = tuple(-table.h[l] / (cfg.q + l) for l in range(depth + 1))
-    return IntegralResult(
-        series=series, valuation=series.valuation(), closed_form=closed
-    )
 
 
 def _check_truncation(cfg: RootConfig, truncation: int) -> None:
@@ -208,7 +181,8 @@ def integrate_via_expansion(cfg: RootConfig, truncation: int) -> IntegralResult:
     symmetric dependence on the roots is structural."""
     _check_truncation(cfg, truncation)
     f = InvZSeries.from_rational(Poly.one(), cfg.polynomial(), truncation + 1)
-    return _result(cfg, f.antiderivative())
+    g = f.antiderivative()
+    return IntegralResult(series=g, valuation=g.valuation())
 
 
 def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> IntegralResult:
@@ -231,38 +205,4 @@ def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> Integra
         if pole == 0:
             continue
         total = total + InvZSeries.log_factor(pole, truncation) * c
-    return _result(cfg, total)
-
-
-@dataclass(frozen=True, slots=True)
-class ValuationCheck:
-    q: int
-    truncation: int
-    valuation: int | float
-    leading_coefficient: Fraction
-    expected_leading: Fraction
-    paths_agree: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.valuation == self.q
-            and self.leading_coefficient == self.expected_leading
-            and self.paths_agree
-        )
-
-
-def valuation_check(cfg: RootConfig, truncation: int) -> ValuationCheck:
-    """Compute the antiderivative by both routes and report whether its
-    valuation is q with leading coefficient -1/q."""
-    _check_truncation(cfg, truncation)
-    ref = integrate_via_expansion(cfg, truncation)
-    chk = integrate_via_partial_fractions(cfg, truncation)
-    return ValuationCheck(
-        q=cfg.q,
-        truncation=truncation,
-        valuation=ref.valuation,
-        leading_coefficient=ref.series.coefficient(cfg.q),
-        expected_leading=Fraction(-1, cfg.q),
-        paths_agree=ref.series.agrees_with(chk.series),
-    )
+    return IntegralResult(series=total, valuation=total.valuation())

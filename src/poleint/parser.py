@@ -9,16 +9,22 @@ Grammar (whitespace allowed between tokens, offsets are 0-based):
     rational := int ('/' posint)?
 
 There is no division operator: rationals are single literals like 3/4, and
-exponents are literal nonnegative integers.  Note that '^' binds to a whole
-atom, so "-z^2" is (-z)^2; write "-1*z^2" or use a binary minus for the
-negated square.  Every parse error carries the byte offset it occurred at.
+exponents are literal nonnegative integers.  Digits are ASCII 0-9 only.
+Note that '^' binds to a whole atom, so "-z^2" is (-z)^2; write "-1*z^2" or
+use a binary minus for the negated square.  Every parse error carries the
+byte offset it occurred at.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .polynomial import Poly
+
+# str.isdigit also accepts non-ASCII digits such as '²' or '١', which int()
+# then rejects or silently reads; the grammar's digits are ASCII only.
+_DIGITS = frozenset("0123456789")
 
 
 class PolyParseError(ValueError):
@@ -37,7 +43,7 @@ def parse_rational(text: str) -> Fraction:
         sign = -1 if text[i] == "-" else 1
         i += 1
     start = i
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and text[i] in _DIGITS:
         i += 1
     if i == start:
         raise PolyParseError("expected digits", i)
@@ -46,7 +52,7 @@ def parse_rational(text: str) -> Fraction:
     if i < len(text) and text[i] == "/":
         i += 1
         dstart = i
-        while i < len(text) and text[i].isdigit():
+        while i < len(text) and text[i] in _DIGITS:
             i += 1
         if i == dstart:
             raise PolyParseError("expected digits after '/'", i)
@@ -59,8 +65,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical reduced form: "p/q", or just "p" when the denominator is 1."""
-    return str(Fraction(value))
+    """Canonical reduced form: "p/q", or just "p" when the denominator is 1.
+
+    Integers are printed through Decimal, which is exact and, unlike str(int),
+    not bound by the interpreter's int-to-str digit limit.
+    """
+    value = Fraction(value)
+    numerator = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{Decimal(value.denominator)}"
 
 
 _Token = tuple[str, object, int]  # kind, value, offset
@@ -74,9 +88,9 @@ def _tokenize(text: str) -> list[_Token]:
         if c in " \t":
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j

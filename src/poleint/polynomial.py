@@ -131,29 +131,6 @@ class Poly:
             n >>= 1
         return result
 
-    def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        """Exact quotient and remainder with deg(remainder) < deg(divisor)."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        quot: list[Fraction] = [Fraction(0)] * max(self.degree - other.degree + 1, 0)
-        rem = list(self.coefficients)
-        d = other.degree
-        lead = other.leading_coefficient
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quot[shift] = factor
-            for i, c in enumerate(other.coefficients):
-                rem[shift + i] -= factor * c
-        return Poly(quot), Poly(rem)
-
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
-
     def derivative(self) -> Poly:
         """Formal derivative: z maps to 1, constants map to zero."""
         return Poly(tuple(i * c for i, c in enumerate(self.coefficients) if i > 0))
@@ -164,11 +141,6 @@ class Poly:
         for c in reversed(self.coefficients):
             acc = acc * xr + c
         return acc
-
-    def monic(self) -> Poly:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no monic form")
-        return self * (1 / self.leading_coefficient)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -195,20 +167,3 @@ class Poly:
             else:
                 parts.append(f" {'-' if c < 0 else '+'} {body}")
         return "".join(parts)
-
-
-def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def is_squarefree(p: Poly) -> bool:
-    """True iff p has no repeated roots, i.e. gcd(p, p') is a nonzero constant."""
-    if p.is_zero:
-        raise ValueError("square-freeness of the zero polynomial is undefined")
-    return gcd(p, p.derivative()).degree == 0

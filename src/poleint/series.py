@@ -75,28 +75,13 @@ class InvZSeries:
         return cls(truncation, tuple(coeffs))
 
     @classmethod
-    def inverse_linear(cls, a: Rat | int | str, truncation: int) -> InvZSeries:
-        """The expansion 1/(z - a) = sum_{n>=0} a^n z^-(n+1).
-
-        Defining contract: multiplying by the series of (1 - a/z) gives z^-1
-        on the shared window, so the z-shifted product recovers 1.
-        """
-        ar = as_rat(a)
-        coeffs = [Fraction(0)] * (truncation + 1)
-        power = Fraction(1)
-        for n in range(1, truncation + 1):
-            coeffs[n] = power
-            power *= ar
-        return cls(truncation, tuple(coeffs))
-
-    @classmethod
     def log_factor(cls, a: Rat | int | str, truncation: int) -> InvZSeries:
         """The series of log(1 - a/z) with zero constant term:
 
             L(a) = - sum_{n>=1} (a^n / n) z^-n.
 
-        Defining contract: L(a)' equals a/(z(z-a)), i.e. a * inverse_linear(a)
-        shifted down one power.  The sign and index range here are forced by
+        Defining contract: L(a)' equals a/(z(z-a)), the series
+        sum_{n>=1} a^n z^-(n+1).  The sign and index range here are forced by
         that derivative identity.
         """
         ar = as_rat(a)
@@ -152,16 +137,6 @@ class InvZSeries:
                 return n
         return INFINITY
 
-    def _first_possible_nonzero(self) -> int:
-        """Lower bound on the true valuation (window valuation, else N+1)."""
-        v = self.valuation()
-        return self.truncation + 1 if v == INFINITY else int(v)
-
-    def truncate(self, truncation: int) -> InvZSeries:
-        if truncation > self.truncation:
-            raise ValueError("cannot extend a series beyond its known window")
-        return InvZSeries(truncation, self.coefficients[: truncation + 1])
-
     def agrees_with(self, other: InvZSeries) -> bool:
         """Equality up to the smaller of the two truncations."""
         n = min(self.truncation, other.truncation)
@@ -180,52 +155,12 @@ class InvZSeries:
             ),
         )
 
-    def __neg__(self) -> InvZSeries:
-        return InvZSeries(self.truncation, tuple(-c for c in self.coefficients))
+    def __mul__(self, other: Rat | int | str) -> InvZSeries:
+        """Scale every coefficient by an exact rational."""
+        c = as_rat(other)
+        return InvZSeries(self.truncation, tuple(c * b for b in self.coefficients))
 
-    def __sub__(self, other: InvZSeries) -> InvZSeries:
-        if not isinstance(other, InvZSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: InvZSeries | Rat | int | str) -> InvZSeries:
-        if not isinstance(other, InvZSeries):
-            c = as_rat(other)
-            return InvZSeries(
-                self.truncation, tuple(c * b for b in self.coefficients)
-            )
-        # The unknown tail of one factor first pollutes the product at the
-        # tail index plus the other factor's first possibly-nonzero index.
-        nf, ng = self.truncation, other.truncation
-        window = min(nf + other._first_possible_nonzero(), ng + self._first_possible_nonzero())
-        out = []
-        for n in range(window + 1):
-            acc = Fraction(0)
-            for i in range(max(0, n - ng), min(n, nf) + 1):
-                a = self.coefficients[i]
-                if a != 0:
-                    acc += a * other.coefficients[n - i]
-            out.append(acc)
-        return InvZSeries(window, tuple(out))
-
-    def __rmul__(self, other: Rat | int | str) -> InvZSeries:
-        return self.__mul__(other)
-
-    def mul_z_power(self, k: int) -> InvZSeries:
-        """Multiply by z^k.  For k > 0 the first k coefficients must vanish,
-        otherwise the result would have positive powers of z."""
-        if k == 0:
-            return self
-        if k < 0:
-            pad = (Fraction(0),) * (-k)
-            return InvZSeries(self.truncation - k, pad + self.coefficients)
-        if k > self.truncation:
-            raise ValueError("multiplying by z^k exhausts the known window")
-        if any(c != 0 for c in self.coefficients[:k]):
-            raise ValueError(
-                "multiplying by z^k would create positive powers of z"
-            )
-        return InvZSeries(self.truncation - k, self.coefficients[k:])
+    __rmul__ = __mul__
 
     # -- calculus ---------------------------------------------------------
 
@@ -265,11 +200,27 @@ class InvZSeries:
     # -- numerics -----------------------------------------------------------
 
     def evaluate(self, z: complex) -> complex:
-        """Sum the truncated series at a nonzero point, in double precision."""
-        w = 1 / complex(z)
+        """Sum the truncated series at a nonzero point, in double precision.
+
+        Horner runs in v = 2^e / z, where 2^(e-1) <= |z| < 2^e, on the scaled
+        coefficients b_n 2^(-e n), each rounded once from its exact value.  A
+        coefficient beyond the float range therefore does not overflow when
+        its term b_n z^-n is small.  Scaling by powers of two is exact, so
+        away from underflow and overflow the sum is bit-identical to plain
+        Horner in 1/z.
+        """
+        zc = complex(z)
+        e = math.frexp(abs(zc))[1]
+        v = math.ldexp(1.0, e) / zc
         acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * w + float(c)
+        for n in range(self.truncation, -1, -1):
+            c = self.coefficients[n]
+            shift = e * n
+            if shift >= 0:
+                scaled = c.numerator / (c.denominator << shift)
+            else:
+                scaled = (c.numerator << -shift) / c.denominator
+            acc = acc * v + scaled
         return acc
 
     def __str__(self) -> str:

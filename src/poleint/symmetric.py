@@ -1,29 +1,22 @@
 """Symmetric polynomial evaluation and exact Vandermonde determinants.
 
-Two routes are provided for the complete homogeneous value h_l: a
-polynomial-time recurrence through the elementary symmetric values, and a
-direct monomial enumeration kept as an independent in-repo oracle.  The
-recurrence is the classical one obtained from
+The complete homogeneous values h_l come from the classical recurrence
+through the elementary symmetric values, obtained from
 
     prod_j (1 - a_j x) * sum_l h_l x^l = 1
     =>  sum_{i=0..min(l,q)} (-1)^i e_i h_{l-i} = 0   for l >= 1.
 
-Determinants are likewise computed two ways (cofactor expansion for small
-matrices, fraction-free Bareiss elimination above that) so the code paths
-cross-check each other.
+Determinants use fraction-free Bareiss elimination (Bareiss 1968) at every
+size.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .polynomial import Rat, as_rat
-
-DIRECT_ENUMERATION_BUDGET = 10**6
 
 
 def elementary_symmetric(values: Sequence[Rat | int | str]) -> tuple[Fraction, ...]:
@@ -70,34 +63,6 @@ def complete_homogeneous(values: Sequence[Rat | int | str], degree: int) -> Frac
     return SymmetricTable.build(values, degree).h[degree]
 
 
-def complete_homogeneous_direct(
-    values: Sequence[Rat | int | str],
-    degree: int,
-    budget: int = DIRECT_ENUMERATION_BUDGET,
-) -> Fraction:
-    """h_degree by direct enumeration of weakly increasing index tuples.
-
-    This is the oracle for `complete_homogeneous`; it is exponential in the
-    degree and refuses to enumerate more than `budget` monomials.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    vals = [as_rat(v) for v in values]
-    if degree == 0:
-        return Fraction(1)
-    if not vals:
-        return Fraction(0)
-    count = math.comb(len(vals) + degree - 1, degree)
-    if count > budget:
-        raise ValueError(
-            f"enumeration budget exceeded: {count} monomials > {budget}"
-        )
-    total = Fraction(0)
-    for combo in combinations_with_replacement(vals, degree):
-        total += math.prod(combo)
-    return total
-
-
 def vandermonde_matrix(points: Sequence[Rat | int | str]) -> list[list[Fraction]]:
     """Rows (1, x_i, x_i^2, ..., x_i^(n-1))."""
     pts = [as_rat(p) for p in points]
@@ -133,46 +98,16 @@ def generalized_vandermonde(points: Sequence[Rat | int | str], degree: int) -> F
     return determinant(generalized_vandermonde_matrix(points, degree))
 
 
-def _checked(matrix: Sequence[Sequence[Rat | int | str]]) -> list[list[Fraction]]:
-    rows = [[as_rat(x) for x in row] for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    return rows
-
-
-def determinant_cofactor(matrix: Sequence[Sequence[Rat | int | str]]) -> Fraction:
-    """Exact determinant by recursive expansion along the first row."""
-    rows = _checked(matrix)
-
-    def expand(m: list[list[Fraction]]) -> Fraction:
-        n = len(m)
-        if n == 0:
-            return Fraction(1)
-        if n == 1:
-            return m[0][0]
-        if n == 2:
-            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        total = Fraction(0)
-        for j, c in enumerate(m[0]):
-            if c == 0:
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = c * expand(minor)
-            total += term if j % 2 == 0 else -term
-        return total
-
-    return expand(rows)
-
-
-def determinant_bareiss(matrix: Sequence[Sequence[Rat | int | str]]) -> Fraction:
+def determinant(matrix: Sequence[Sequence[Rat | int | str]]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Every division below is exact by the Sylvester identity, which keeps
     intermediate entries from exploding the way plain elimination can.
     """
-    m = _checked(matrix)
+    m = [[as_rat(x) for x in row] for row in matrix]
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
     if n == 0:
         return Fraction(1)
     sign = 1
@@ -192,11 +127,3 @@ def determinant_bareiss(matrix: Sequence[Sequence[Rat | int | str]]) -> Fraction
             m[i][k] = Fraction(0)
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def determinant(matrix: Sequence[Sequence[Rat | int | str]]) -> Fraction:
-    """Exact determinant: cofactor expansion up to 4x4, Bareiss above."""
-    rows = _checked(matrix)
-    if len(rows) <= 4:
-        return determinant_cofactor(rows)
-    return determinant_bareiss(rows)

@@ -1,0 +1,217 @@
+"""Reference implementations that the tests compare the package against.
+
+None of these is needed at run time.  Each computes, by a separate and
+usually slower route, something the package computes or relies on, so the
+tests can compare the two.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from typing import Sequence
+
+from poleint import (
+    INFINITY,
+    InvZSeries,
+    PartialFractions,
+    Poly,
+    Rat,
+    RootConfig,
+    SymmetricTable,
+)
+from poleint.polynomial import as_rat
+
+DIRECT_ENUMERATION_BUDGET = 10**6
+
+
+# -- symmetric functions and determinants ------------------------------------
+
+
+def complete_homogeneous_direct(
+    values: Sequence[Rat | int | str],
+    degree: int,
+    budget: int = DIRECT_ENUMERATION_BUDGET,
+) -> Fraction:
+    """h_degree by direct enumeration of weakly increasing index tuples.
+
+    This is the oracle for `complete_homogeneous`; it is exponential in the
+    degree and refuses to enumerate more than `budget` monomials.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    vals = [as_rat(v) for v in values]
+    if degree == 0:
+        return Fraction(1)
+    if not vals:
+        return Fraction(0)
+    count = math.comb(len(vals) + degree - 1, degree)
+    if count > budget:
+        raise ValueError(
+            f"enumeration budget exceeded: {count} monomials > {budget}"
+        )
+    total = Fraction(0)
+    for combo in combinations_with_replacement(vals, degree):
+        total += math.prod(combo)
+    return total
+
+
+def determinant_cofactor(matrix: Sequence[Sequence[Rat | int | str]]) -> Fraction:
+    """Exact determinant by recursive expansion along the first row."""
+    rows = [[as_rat(x) for x in row] for row in matrix]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+
+    def expand(m: list[list[Fraction]]) -> Fraction:
+        n = len(m)
+        if n == 0:
+            return Fraction(1)
+        if n == 1:
+            return m[0][0]
+        if n == 2:
+            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        total = Fraction(0)
+        for j, c in enumerate(m[0]):
+            if c == 0:
+                continue
+            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+            term = c * expand(minor)
+            total += term if j % 2 == 0 else -term
+        return total
+
+    return expand(rows)
+
+
+def closed_form(cfg: RootConfig, depth: int) -> tuple[Fraction, ...]:
+    """The coefficients -h_l(a)/(q+l) of z^-(q+l) in the antiderivative of
+    1/Q, for l = 0..depth."""
+    h = SymmetricTable.build(cfg.roots, depth).h
+    return tuple(-h[l] / (cfg.q + l) for l in range(depth + 1))
+
+
+def closed_form_coefficient(cfg: RootConfig, l: int) -> Fraction:
+    """The coefficient of z^-(q+l) in the antiderivative: -h_l(a)/(q+l)."""
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    return closed_form(cfg, l)[l]
+
+
+# -- polynomial division --------------------------------------------------------
+
+
+def poly_divmod(p: Poly, d: Poly) -> tuple[Poly, Poly]:
+    """Exact quotient and remainder with deg(remainder) < deg(divisor)."""
+    if d.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(p.degree - d.degree + 1, 0)
+    rem = list(p.coefficients)
+    lead = d.leading_coefficient
+    while len(rem) - 1 >= d.degree and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < d.degree:
+            break
+        shift = len(rem) - 1 - d.degree
+        factor = rem[-1] / lead
+        quot[shift] = factor
+        for i, c in enumerate(d.coefficients):
+            rem[shift + i] -= factor * c
+    return Poly(quot), Poly(rem)
+
+
+def poly_mod(p: Poly, d: Poly) -> Poly:
+    return poly_divmod(p, d)[1]
+
+
+def monic(p: Poly) -> Poly:
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no monic form")
+    return p * (1 / p.leading_coefficient)
+
+
+def gcd(p: Poly, q: Poly) -> Poly:
+    """Monic greatest common divisor by the Euclidean algorithm."""
+    if p.is_zero and q.is_zero:
+        raise ValueError("gcd of two zero polynomials is undefined")
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, poly_mod(a, b)
+    return monic(a)
+
+
+def is_squarefree(p: Poly) -> bool:
+    """True iff p has no repeated roots, i.e. gcd(p, p') is a nonzero constant."""
+    if p.is_zero:
+        raise ValueError("square-freeness of the zero polynomial is undefined")
+    return gcd(p, p.derivative()).degree == 0
+
+
+# -- series in 1/z ---------------------------------------------------------------
+
+
+def inverse_linear(a: Rat | int | str, truncation: int) -> InvZSeries:
+    """The expansion 1/(z - a) = sum_{n>=0} a^n z^-(n+1).
+
+    Defining contract: multiplying by the series of (1 - a/z) gives z^-1
+    on the shared window, so the z-shifted product recovers 1.
+    """
+    ar = as_rat(a)
+    coeffs = [Fraction(0)] * (truncation + 1)
+    power = Fraction(1)
+    for n in range(1, truncation + 1):
+        coeffs[n] = power
+        power *= ar
+    return InvZSeries(truncation, tuple(coeffs))
+
+
+def truncate(f: InvZSeries, truncation: int) -> InvZSeries:
+    if truncation > f.truncation:
+        raise ValueError("cannot extend a series beyond its known window")
+    return InvZSeries(truncation, f.coefficients[: truncation + 1])
+
+
+def _first_possible_nonzero(f: InvZSeries) -> int:
+    """Lower bound on the true valuation (window valuation, else N+1)."""
+    v = f.valuation()
+    return f.truncation + 1 if v == INFINITY else int(v)
+
+
+def series_mul(f: InvZSeries, g: InvZSeries) -> InvZSeries:
+    """Cauchy product on the largest window the two factors support."""
+    # The unknown tail of one factor first pollutes the product at the
+    # tail index plus the other factor's first possibly-nonzero index.
+    nf, ng = f.truncation, g.truncation
+    window = min(nf + _first_possible_nonzero(g), ng + _first_possible_nonzero(f))
+    out = []
+    for n in range(window + 1):
+        acc = Fraction(0)
+        for i in range(max(0, n - ng), min(n, nf) + 1):
+            a = f.coefficients[i]
+            if a != 0:
+                acc += a * g.coefficients[n - i]
+        out.append(acc)
+    return InvZSeries(window, tuple(out))
+
+
+def mul_z_power(f: InvZSeries, k: int) -> InvZSeries:
+    """Multiply by z^k.  For k > 0 the first k coefficients must vanish,
+    otherwise the result would have positive powers of z."""
+    if k == 0:
+        return f
+    if k < 0:
+        pad = (Fraction(0),) * (-k)
+        return InvZSeries(f.truncation - k, pad + f.coefficients)
+    if k > f.truncation:
+        raise ValueError("multiplying by z^k exhausts the known window")
+    if any(c != 0 for c in f.coefficients[:k]):
+        raise ValueError("multiplying by z^k would create positive powers of z")
+    return InvZSeries(f.truncation - k, f.coefficients[k:])
+
+
+def as_series(pf: PartialFractions, truncation: int) -> InvZSeries:
+    """sum_j c_j / (z - pole_j) expanded at infinity."""
+    out = InvZSeries.zero(truncation)
+    for pole, c in pf.terms:
+        out = out + inverse_linear(pole, truncation) * c
+    return out

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +36,16 @@ EXPECTED_IDENTITIES_TEXT = (
     "k=6 lhs=31 rhs=31 pass=true\n"
     "7/7 identities hold\n"
 )
+
+
+def _int_from_digits(text: str) -> int:
+    """int(text) for digit strings of any length, in chunks below the
+    interpreter's int-from-str digit limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +96,20 @@ class TestIntegrateCommand:
         )
         assert code == 2
         assert "parse error" in err
+
+    def test_values_beyond_int_str_digit_limit(self, capsys):
+        # b_500 = -a^499/500 has a denominator of about 4490 digits, past the
+        # interpreter's default 4300-digit limit on str(int).
+        a = Fraction(1, 1000000007)
+        code, out, err = run_cli(
+            capsys, "integrate", "--roots", "1/1000000007", "--terms", "500"
+        )
+        assert code == 0 and err == ""
+        value = json.loads(out)["coefficients"][500]["value"]
+        numerator, denominator = value.split("/")
+        assert numerator == "-1"
+        assert len(denominator) > 4300
+        assert _int_from_digits(denominator) == (-a**499 / 500).denominator
 
     def test_den_with_zero_root_is_domain_error(self, capsys):
         code, _, err = run_cli(
@@ -184,6 +210,36 @@ class TestLimitCommand:
         assert code == 1
         assert "radius" in err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--radius", "inf"), "radius"),
+            (("--radius", "1e400"), "radius"),
+            (("--max-l", "-1"), "max_l"),
+        ],
+    )
+    def test_nonfinite_radius_and_negative_max_l_are_domain_errors(
+        self, capsys, flags, message
+    ):
+        code, out, err = run_cli(
+            capsys, "limit", "--roots", "1,2", "--scales", "1", *flags
+        )
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_coefficients_beyond_float_range(self, capsys):
+        # b_n = -1000^(n-1)/n passes 1e308 near n = 104, while the scaled
+        # term b_n 2000^-n stays tiny.
+        code, out, err = run_cli(
+            capsys, "limit", "--roots", "1000", "--scales", "1",
+            "--radius", "2000", "--terms", "140", "--max-l", "1",
+        )
+        assert code == 0 and err == ""
+        rows = out.splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert math.isfinite(float(row.split(",")[3]))
+
     def test_deterministic(self, capsys):
         args = ("limit", "--roots", "1,2", "--scales", "1,1/2", "--samples", "8",
                 "--terms", "6")
@@ -205,6 +261,18 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert run_cli(capsys, "integrate", "--roots", "1,2")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv,offset",
+        [
+            (("pfd", "--roots", "1,2", "--num", "z\u00b2"), 1),  # superscript two
+            (("pfd", "--roots", "\u0661,2"), 0),  # Arabic-Indic digit one
+        ],
+    )
+    def test_non_ascii_digit_is_parse_error(self, capsys, argv, offset):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error at offset {offset}:")
 
 
 def test_module_entry_point_subprocess():

@@ -10,16 +10,15 @@ from poleint import (
     Poly,
     RootConfig,
     check_moment_identities,
-    closed_form_coefficient,
     complete_homogeneous,
     integrate_via_expansion,
     integrate_via_partial_fractions,
     moment,
     partial_fractions,
-    valuation_check,
 )
 
 from conftest import nonzero_rationals, root_configs, random_root_config
+from oracles import closed_form, closed_form_coefficient, is_squarefree
 
 
 class TestRootConfig:
@@ -46,8 +45,6 @@ class TestRootConfig:
 
     @given(root_configs)
     def test_polynomial_is_squarefree(self, cfg):
-        from poleint import is_squarefree
-
         assert is_squarefree(cfg.polynomial())
 
 
@@ -183,7 +180,8 @@ class TestClosedForm:
     def test_result_carries_closed_form(self):
         cfg = RootConfig((1, 2))
         res = integrate_via_expansion(cfg, 5)
-        assert res.closed_form == (F(-1, 2), -1, F(-7, 4), -3)
+        assert closed_form(cfg, 3) == (F(-1, 2), -1, F(-7, 4), -3)
+        assert res.series.coefficients[2:] == closed_form(cfg, 3)
 
     @given(root_configs, st.integers(0, 6))
     @settings(max_examples=50)
@@ -208,30 +206,37 @@ class TestClosedForm:
 
 
 class TestValuationCheck:
+    # The valuation theorem on both routes: valuation q, leading coefficient
+    # -1/q, and the two series agree.
+    @staticmethod
+    def routes(cfg, truncation):
+        ref = integrate_via_expansion(cfg, truncation)
+        chk = integrate_via_partial_fractions(cfg, truncation)
+        assert ref.series.agrees_with(chk.series)
+        assert ref.valuation == chk.valuation
+        return ref
+
     def test_pair(self):
-        chk = valuation_check(RootConfig((1, 2)), 6)
-        assert chk.valuation == 2
-        assert chk.leading_coefficient == F(-1, 2)
-        assert chk.paths_agree and chk.ok
+        ref = self.routes(RootConfig((1, 2)), 6)
+        assert ref.valuation == 2
+        assert ref.series.coefficient(2) == F(-1, 2)
 
     def test_single_root(self):
-        chk = valuation_check(RootConfig((F(7, 2),)), 4)
-        assert chk.valuation == 1
-        assert chk.leading_coefficient == -1
+        ref = self.routes(RootConfig((F(7, 2),)), 4)
+        assert ref.valuation == 1
+        assert ref.series.coefficient(1) == -1
 
     def test_three_roots(self):
-        chk = valuation_check(RootConfig((1, 2, 3)), 8)
-        assert chk.valuation == 3
-        assert chk.leading_coefficient == F(-1, 3)
-        assert chk.ok
+        ref = self.routes(RootConfig((1, 2, 3)), 8)
+        assert ref.valuation == 3
+        assert ref.series.coefficient(3) == F(-1, 3)
 
     @given(root_configs)
     @settings(max_examples=40)
     def test_valuation_is_q(self, cfg):
-        chk = valuation_check(cfg, cfg.q + 3)
-        assert chk.ok
-        assert chk.valuation == cfg.q
-        assert chk.expected_leading == F(-1, cfg.q)
+        ref = self.routes(cfg, cfg.q + 3)
+        assert ref.valuation == cfg.q
+        assert ref.series.coefficient(cfg.q) == F(-1, cfg.q)
 
 
 def test_large_random_config_consistency():

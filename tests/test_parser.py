@@ -40,7 +40,17 @@ class TestParseRational:
 
     @pytest.mark.parametrize(
         "text,position",
-        [("", 0), ("-", 1), ("1/", 2), ("/2", 0), ("1.5", 1), ("2/-3", 2), ("1 2", 1)],
+        [
+            ("", 0),
+            ("-", 1),
+            ("1/", 2),
+            ("/2", 0),
+            ("1.5", 1),
+            ("2/-3", 2),
+            ("1 2", 1),
+            ("\u0661", 0),  # non-ASCII digit
+            ("1/\u0662", 2),
+        ],
     )
     def test_malformed(self, text, position):
         with pytest.raises(PolyParseError) as exc:
@@ -100,6 +110,8 @@ class TestParsePoly:
             ("z^(2)", 2),       # exponent must be a literal, not a group
             ("1/0", 2),         # zero denominator
             ("z^2.5", 3),       # unexpected character
+            ("z\u00b2", 1),     # superscript two is not an ASCII digit
+            ("\u0661+z", 0),    # nor is an Arabic-Indic digit
         ],
     )
     def test_negative_corpus_with_positions(self, text, position):
