@@ -15,7 +15,6 @@ from .asymptotics import (
     scaling_limit_table,
 )
 from .integrate import (
-    IntegralResult,
     MomentIdentityReport,
     MomentIdentityRow,
     PartialFractions,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChargeSystem",
     "INFINITY",
-    "IntegralResult",
     "InvZSeries",
     "MomentIdentityReport",
     "MomentIdentityRow",

@@ -107,7 +107,11 @@ def scaling_limit_table(
     reports consecutive sup-error ratios and flags those outside
     RATIO_BAND (once the l = 1 term dominates the ratio tends to 1/2 when
     scales halve); give the scales in decreasing order to read
-    `strictly_decreasing` as convergence.
+    `strictly_decreasing` as convergence.  A ratio after a sup error that
+    underflowed to 0 is nan, which is out of band and not decreasing.
+
+    The radius must be finite, exceed every scaled root, and have a q-th
+    power within the double range; anything else raises ValueError.
     """
     t_scales = [as_rat(t) for t in scales]
     if not t_scales:
@@ -135,32 +139,33 @@ def scaling_limit_table(
     points = [
         radius * cmath.exp(2j * cmath.pi * k / samples) for k in range(samples)
     ]
+    try:
+        limits = [(z, 1 / (q * z**q)) for z in points]
+    except OverflowError:
+        raise ValueError(f"radius**q must not overflow a double (q = {q})") from None
 
     rows = []
     for t in t_scales:
         res = integrate_via_expansion(cfg.scaled(t), truncation)
-        if res.series.coefficient(q) != Fraction(-1, q):
+        if res.coefficient(q) != Fraction(-1, q):
             raise ArithmeticError("leading coefficient drifted from -1/q")
         t_power = Fraction(1)
         for l in range(truncation - q + 1):
-            if res.series.coefficient(q + l) != t_power * base.series.coefficient(q + l):
+            if res.coefficient(q + l) != t_power * base.coefficient(q + l):
                 raise ArithmeticError(f"t^l scaling law failed at l = {l}")
             t_power *= t
-        sup = max(
-            abs(res.series.evaluate(z) + 1 / (q * z**q)) for z in points
-        )
+        sup = max(abs(res.evaluate(z) + limit) for z, limit in limits)
         rows.append(
             ScaleRow(
                 scale=t,
-                coefficients=tuple(
-                    res.series.coefficient(q + l) for l in range(depth + 1)
-                ),
+                coefficients=tuple(res.coefficient(q + l) for l in range(depth + 1)),
                 sup_error=sup,
             )
         )
 
     sups = [row.sup_error for row in rows]
-    ratios = tuple(sups[i + 1] / sups[i] for i in range(len(sups) - 1))
+    # a sup error that underflowed to 0 leaves the next ratio undefined
+    ratios = tuple(b / a if a else math.nan for a, b in zip(sups, sups[1:]))
     return ScalingReport(
         q=q,
         radius=radius,

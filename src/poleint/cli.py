@@ -139,17 +139,17 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     ref = integrate_via_expansion(cfg, args.terms)
     chk = integrate_via_partial_fractions(cfg, args.terms)
-    agree = ref.series.agrees_with(chk.series)
+    agree = ref.agrees_with(chk)
     doc = {
         "q": cfg.q,
         "roots": [format_rational(r) for r in cfg.roots],
         "truncation": args.terms,
         "b0_convention": "zero",
         "coefficients": [
-            {"n": n, "value": format_rational(ref.series.coefficient(n))}
+            {"n": n, "value": format_rational(ref.coefficient(n))}
             for n in range(args.terms + 1)
         ],
-        "valuation": int(ref.valuation),
+        "valuation": int(ref.valuation()),
         "paths_agree": agree,
     }
     print(json.dumps(doc, indent=2))

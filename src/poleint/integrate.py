@@ -106,6 +106,11 @@ def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
     return PartialFractions(tuple((p, numerator(p) / dq(p)) for p in poles))
 
 
+def _power_sum(terms: tuple[tuple[Fraction, Fraction], ...], k: int) -> Fraction:
+    """sum_p p^k * c over (pole, residue) pairs."""
+    return sum((p**k * c for p, c in terms), Fraction(0))
+
+
 def moment(cfg: RootConfig, k: int) -> Fraction:
     """The weighted power sum m_k = sum_p p^k / Q'(p) over the residues of 1/Q.
 
@@ -113,8 +118,7 @@ def moment(cfg: RootConfig, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    terms = partial_fractions(Poly.one(), cfg).terms
-    return sum((p**k * c for p, c in terms), Fraction(0))
+    return _power_sum(partial_fractions(Poly.one(), cfg).terms, k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,12 +146,14 @@ def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport
     """Compare every m_k for 0 <= k <= max_k against its closed form:
     0 below k = q, then 1, then the complete homogeneous values h_l.
 
-    Failures are reported, not raised.
+    The residues are computed once and shared by every row.  Failures are
+    reported, not raised.
     """
     q = cfg.q
     if max_k < q:
         raise ValueError("max_k must be at least q")
     table = SymmetricTable.build(cfg.roots, max_k - q)
+    terms = partial_fractions(Poly.one(), cfg).terms
     rows = []
     for k in range(max_k + 1):
         if k < q:
@@ -156,16 +162,8 @@ def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport
             rhs = Fraction(1)
         else:
             rhs = table.h[k - q]
-        rows.append(MomentIdentityRow(k=k, lhs=moment(cfg, k), rhs=rhs))
+        rows.append(MomentIdentityRow(k=k, lhs=_power_sum(terms, k), rhs=rhs))
     return MomentIdentityReport(q=q, rows=tuple(rows))
-
-
-@dataclass(frozen=True, slots=True)
-class IntegralResult:
-    """A computed antiderivative of 1/Q: the series itself and its valuation."""
-
-    series: InvZSeries
-    valuation: int | float
 
 
 def _check_truncation(cfg: RootConfig, truncation: int) -> None:
@@ -175,17 +173,16 @@ def _check_truncation(cfg: RootConfig, truncation: int) -> None:
         )
 
 
-def integrate_via_expansion(cfg: RootConfig, truncation: int) -> IntegralResult:
+def integrate_via_expansion(cfg: RootConfig, truncation: int) -> InvZSeries:
     """Reference route: expand 1/Q at infinity root-free, then antidifferentiate
     term by term.  Never evaluates anything at an individual root, so the
     symmetric dependence on the roots is structural."""
     _check_truncation(cfg, truncation)
     f = InvZSeries.from_rational(Poly.one(), cfg.polynomial(), truncation + 1)
-    g = f.antiderivative()
-    return IntegralResult(series=g, valuation=g.valuation())
+    return f.antiderivative()
 
 
-def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> IntegralResult:
+def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> InvZSeries:
     """Checking route: integrate each partial fraction to a logarithm and sum
     the log series.
 
@@ -205,4 +202,4 @@ def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> Integra
         if pole == 0:
             continue
         total = total + InvZSeries.log_factor(pole, truncation) * c
-    return IntegralResult(series=total, valuation=total.valuation())
+    return total

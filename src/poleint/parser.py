@@ -11,20 +11,25 @@ Grammar (whitespace allowed between tokens, offsets are 0-based):
 There is no division operator: rationals are single literals like 3/4, and
 exponents are literal nonnegative integers.  Digits are ASCII 0-9 only.
 Note that '^' binds to a whole atom, so "-z^2" is (-z)^2; write "-1*z^2" or
-use a binary minus for the negated square.  Every parse error carries the
-byte offset it occurred at.
+use a binary minus for the negated square.  The parser recurses once per
+'(' or unary '-', so together they may nest at most MAX_NESTING deep; the
+token that opens one more level is a parse error.  Every parse error carries
+the byte offset it occurred at.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 
-from .polynomial import Poly
+# format_rational, the inverse of parse_rational, lives with Poly, which
+# prints through it; it is offered here with the other text conversions.
+from .polynomial import Poly, format_rational
 
 # str.isdigit also accepts non-ASCII digits such as '²' or '١', which int()
 # then rejects or silently reads; the grammar's digits are ASCII only.
 _DIGITS = frozenset("0123456789")
+
+MAX_NESTING = 100
 
 
 class PolyParseError(ValueError):
@@ -62,19 +67,6 @@ def parse_rational(text: str) -> Fraction:
     if i != len(text):
         raise PolyParseError(f"unexpected character {text[i]!r}", i)
     return Fraction(sign * numerator, denominator)
-
-
-def format_rational(value: Fraction) -> str:
-    """Canonical reduced form: "p/q", or just "p" when the denominator is 1.
-
-    Integers are printed through Decimal, which is exact and, unlike str(int),
-    not bound by the interpreter's int-to-str digit limit.
-    """
-    value = Fraction(value)
-    numerator = str(Decimal(value.numerator))
-    if value.denominator == 1:
-        return numerator
-    return f"{numerator}/{Decimal(value.denominator)}"
 
 
 _Token = tuple[str, object, int]  # kind, value, offset
@@ -118,6 +110,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -165,15 +158,20 @@ class _Parser:
     def atom(self) -> Poly:
         tok = self._next()
         kind, value, offset = tok
-        if kind == "sym" and value == "-":
-            return -self.atom()
-        if kind == "sym" and value == "(":
-            inner = self.expr()
-            closing = self._peek()
-            if closing is None or closing[0] != "sym" or closing[1] != ")":
-                where = closing[2] if closing else len(self.text)
-                raise PolyParseError("expected ')'", where)
-            self._next()
+        if kind == "sym" and value in "-(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError(f"nested deeper than {MAX_NESTING} levels", offset)
+            self.depth += 1
+            if value == "-":
+                inner = -self.atom()
+            else:
+                inner = self.expr()
+                closing = self._peek()
+                if closing is None or closing[0] != "sym" or closing[1] != ")":
+                    where = closing[2] if closing else len(self.text)
+                    raise PolyParseError("expected ')'", where)
+                self._next()
+            self.depth -= 1
             return inner
         if kind == "z":
             return Poly.z()

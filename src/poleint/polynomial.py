@@ -13,6 +13,7 @@ empty tuple and has degree -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
 
@@ -24,6 +25,19 @@ def as_rat(value: Rat | int | str) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction, int, or string")
     return Fraction(value)
+
+
+def format_rational(value: Fraction) -> str:
+    """Canonical reduced form: "p/q", or just "p" when the denominator is 1.
+
+    Integers are printed through Decimal, which is exact and, unlike str(int),
+    not bound by the interpreter's int-to-str digit limit.
+    """
+    value = Fraction(value)
+    numerator = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{Decimal(value.denominator)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,10 +166,10 @@ class Poly:
                 continue
             mag = abs(c)
             if i == 0:
-                body = str(mag)
+                body = format_rational(mag)
             else:
                 zpart = "z" if i == 1 else f"z^{i}"
-                body = zpart if mag == 1 else f"{mag}*{zpart}"
+                body = zpart if mag == 1 else f"{format_rational(mag)}*{zpart}"
             if not parts:
                 if c < 0:
                     # a leading "-z^k" would parse as (-z)^k; spell the unit out

@@ -207,10 +207,11 @@ class InvZSeries:
         coefficient beyond the float range therefore does not overflow when
         its term b_n z^-n is small.  Scaling by powers of two is exact, so
         away from underflow and overflow the sum is bit-identical to plain
-        Horner in 1/z.
+        Horner in 1/z.  The exponent is capped at 1023, where 2^e itself
+        would overflow; |v| <= 1 still holds there.
         """
         zc = complex(z)
-        e = math.frexp(abs(zc))[1]
+        e = min(math.frexp(abs(zc))[1], 1023)
         v = math.ldexp(1.0, e) / zc
         acc = 0j
         for n in range(self.truncation, -1, -1):
@@ -222,12 +223,3 @@ class InvZSeries:
                 scaled = (c.numerator << -shift) / c.denominator
             acc = acc * v + scaled
         return acc
-
-    def __str__(self) -> str:
-        parts = []
-        for n, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            parts.append(f"{c}*z^-{n}" if n else f"{c}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(z^-{self.truncation + 1})"

@@ -1,10 +1,13 @@
 """Symmetric polynomial evaluation and exact Vandermonde determinants.
 
-The complete homogeneous values h_l come from the classical recurrence
-through the elementary symmetric values, obtained from
+The elementary and complete homogeneous values have no recurrence of their
+own: they are read off P(z) = z * prod_j (z - a_j) and its expansion at
+infinity,
 
-    prod_j (1 - a_j x) * sum_l h_l x^l = 1
-    =>  sum_{i=0..min(l,q)} (-1)^i e_i h_{l-i} = 0   for l >= 1.
+    P(z)   = sum_i (-1)^i e_i z^(q+1-i),
+    1/P(z) = sum_l h_l z^-(q+1+l),
+
+the second by the same root-free long division that expands 1/Q.
 
 Determinants use fraction-free Bareiss elimination (Bareiss 1968) at every
 size.
@@ -16,18 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomial import Rat, as_rat
+from .polynomial import Poly, Rat, as_rat
+from .series import InvZSeries
 
 
 def elementary_symmetric(values: Sequence[Rat | int | str]) -> tuple[Fraction, ...]:
     """All elementary symmetric values e_0..e_n of the inputs (e_0 = 1)."""
-    vals = [as_rat(v) for v in values]
-    e = [Fraction(0)] * (len(vals) + 1)
-    e[0] = Fraction(1)
-    for k, v in enumerate(vals, start=1):
-        for j in range(k, 0, -1):
-            e[j] += v * e[j - 1]
-    return tuple(e)
+    return SymmetricTable.build(values, 0).e
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,21 +41,16 @@ class SymmetricTable:
     def build(cls, values: Sequence[Rat | int | str], depth: int) -> SymmetricTable:
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        e = elementary_symmetric(values)
-        q = len(e) - 1
-        h = [Fraction(0)] * (depth + 1)
-        h[0] = Fraction(1)
-        for l in range(1, depth + 1):
-            acc = Fraction(0)
-            for i in range(1, min(l, q) + 1):
-                term = e[i] * h[l - i]
-                acc += term if i % 2 == 1 else -term
-            h[l] = acc
-        return cls(q=q, depth=depth, e=e, h=tuple(h))
+        # p = z * prod (z - v) has degree q + 1 >= 1, even with no values
+        p = Poly.from_roots(values, include_zero_root=True)
+        q = p.degree - 1
+        e = tuple((-1) ** i * p.coefficient(q + 1 - i) for i in range(q + 1))
+        h = InvZSeries.from_rational(Poly.one(), p, q + 1 + depth).coefficients[q + 1 :]
+        return cls(q=q, depth=depth, e=e, h=h)
 
 
 def complete_homogeneous(values: Sequence[Rat | int | str], degree: int) -> Fraction:
-    """h_degree of the inputs, via the e/h recurrence."""
+    """h_degree of the inputs, the z^-(q+1+degree) coefficient of 1/P."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return SymmetricTable.build(values, degree).h[degree]

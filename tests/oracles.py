@@ -19,7 +19,6 @@ from poleint import (
     Poly,
     Rat,
     RootConfig,
-    SymmetricTable,
 )
 from poleint.polynomial import as_rat
 
@@ -83,10 +82,42 @@ def determinant_cofactor(matrix: Sequence[Sequence[Rat | int | str]]) -> Fractio
     return expand(rows)
 
 
+def symmetric_recurrence(
+    values: Sequence[Rat | int | str], depth: int
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """e_0..e_q and h_0..h_depth by the classical recurrences.
+
+    The e_k come from multiplying out prod_j (1 + a_j x) one factor at a
+    time; the h_l from
+
+        prod_j (1 - a_j x) * sum_l h_l x^l = 1
+        =>  sum_{i=0..min(l,q)} (-1)^i e_i h_{l-i} = 0   for l >= 1.
+
+    This is the oracle for `SymmetricTable`, which reads the same values off
+    z * prod_j (z - a_j) and its expansion at infinity instead.
+    """
+    vals = [as_rat(v) for v in values]
+    q = len(vals)
+    e = [Fraction(0)] * (q + 1)
+    e[0] = Fraction(1)
+    for k, v in enumerate(vals, start=1):
+        for j in range(k, 0, -1):
+            e[j] += v * e[j - 1]
+    h = [Fraction(0)] * (depth + 1)
+    h[0] = Fraction(1)
+    for l in range(1, depth + 1):
+        acc = Fraction(0)
+        for i in range(1, min(l, q) + 1):
+            term = e[i] * h[l - i]
+            acc += term if i % 2 == 1 else -term
+        h[l] = acc
+    return tuple(e), tuple(h)
+
+
 def closed_form(cfg: RootConfig, depth: int) -> tuple[Fraction, ...]:
     """The coefficients -h_l(a)/(q+l) of z^-(q+l) in the antiderivative of
-    1/Q, for l = 0..depth."""
-    h = SymmetricTable.build(cfg.roots, depth).h
+    1/Q, for l = 0..depth, with h_l from the e/h recurrence."""
+    h = symmetric_recurrence(cfg.roots, depth)[1]
     return tuple(-h[l] / (cfg.q + l) for l in range(depth + 1))
 
 

@@ -92,7 +92,7 @@ class TestDerivativeConsistency:
         cfg = RootConfig(roots)
         q_poly = cfg.polynomial()
         system = ChargeSystem.from_roots(cfg)
-        g = integrate_via_expansion(cfg, 64).series
+        g = integrate_via_expansion(cfg, 64)
         for degrees in self.ANGLES:
             z = radius * cmath.exp(1j * math.radians(degrees))
             h = 1e-5 * abs(z)
@@ -174,3 +174,13 @@ class TestScalingLimit:
         sup = report.rows[0].sup_error
         leading = (1 / 8) * 3 / 3 / 10**3
         assert leading < sup < 1.1 * leading
+
+    def test_sup_error_underflow_gives_nan_ratio(self):
+        # at |z| = 1e200 every sup error is below the smallest double
+        report = scaling_limit_table(
+            RootConfig((1,)), [F(1), F(1, 2)], radius=1e200, samples=4, truncation=6
+        )
+        assert [row.sup_error for row in report.rows] == [0.0, 0.0]
+        assert len(report.ratios) == 1 and math.isnan(report.ratios[0])
+        assert report.ratio_in_band == (False,)
+        assert not report.strictly_decreasing

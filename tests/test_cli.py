@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from poleint.cli import main
+from poleint.parser import MAX_NESTING
 
 EXPECTED_INTEGRATE_DOC = {
     "q": 2,
@@ -162,6 +167,23 @@ class TestPfdCommand:
         assert "degree" in err
 
 
+    def test_numerator_beyond_int_str_digit_limit(self, capsys):
+        code, out, err = run_cli(capsys, "pfd", "--roots", "1,2", "--num", "7^6000")
+        assert code == 0 and err == ""
+        numerator = json.loads(out)["numerator"]
+        assert len(numerator) > 4300
+        assert _int_from_digits(numerator) == 7**6000
+
+    @pytest.mark.parametrize("opener", ["(", "-"])
+    def test_deep_nesting_is_parse_error(self, capsys, opener):
+        closer = ")" if opener == "(" else ""
+        text = opener * 3000 + "z" + closer * 3000
+        code, out, err = run_cli(capsys, "pfd", "--roots", "1,2", f"--num={text}")
+        assert code == 2 and out == ""
+        # the token that opens level MAX_NESTING + 1 sits at that offset
+        assert err.startswith(f"parse error at offset {MAX_NESTING}:")
+
+
 class TestVandermondeCommand:
     def test_classic_check(self, capsys):
         code, out, _ = run_cli(capsys, "vandermonde", "--points", "0,1,2")
@@ -216,6 +238,7 @@ class TestLimitCommand:
             (("--radius", "inf"), "radius"),
             (("--radius", "1e400"), "radius"),
             (("--max-l", "-1"), "max_l"),
+            (("--radius", "1e200", "--samples", "4", "--terms", "6"), "radius"),
         ],
     )
     def test_nonfinite_radius_and_negative_max_l_are_domain_errors(
@@ -239,6 +262,25 @@ class TestLimitCommand:
         assert len(rows) == 2
         for row in rows:
             assert math.isfinite(float(row.split(",")[3]))
+
+    @pytest.mark.parametrize(
+        "root_flags,scales,radius,samples,terms",
+        [
+            (("--roots", "1"), "1,1/2", "1e200", "4", "6"),
+            (("--den", "z*(z-1)"), "1,2", "1e150", "1", "2"),
+        ],
+    )
+    def test_sup_error_underflow_to_zero(
+        self, capsys, root_flags, scales, radius, samples, terms
+    ):
+        code, out, err = run_cli(
+            capsys, "limit", *root_flags, "--scales", scales, "--radius", radius,
+            "--samples", samples, "--terms", terms,
+        )
+        assert code == 0 and err == ""
+        rows = out.splitlines()[1:]
+        assert len(rows) == 2 * int(terms)  # q = 1: l = 0..terms-1 per scale
+        assert {row.split(",")[3] for row in rows} == {"0"}
 
     def test_deterministic(self, capsys):
         args = ("limit", "--roots", "1,2", "--scales", "1,1/2", "--samples", "8",
@@ -283,3 +325,74 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == EXPECTED_IDENTITIES_TEXT
+
+
+# Texts of at most 10 characters over those the CLI's inputs are made of,
+# plus two non-ASCII digits.  Each is either a well-formed string (a list of
+# numbers, a monomial, a factored denominator), so that the fuzz reaches the
+# computation behind the parser, or a free one.  Flag values are passed as
+# --flag=value, so that a text starting with '-' reaches the program instead
+# of argparse's option matcher.
+_FUZZ_FREE = st.text(alphabet="0123456789/+-*^() z,\u00b2\u0661", max_size=10)
+_FUZZ_POSITIVE = st.builds(
+    "{}{}".format, st.integers(1, 9), st.sampled_from(["", "/2", "/3", "/7"])
+)
+_FUZZ_NUMBER = _FUZZ_POSITIVE | _FUZZ_POSITIVE.map("-{}".format)
+_FUZZ_LIST = st.lists(_FUZZ_NUMBER, min_size=1, max_size=4, unique=True).map(",".join)
+_FUZZ_SCALES = st.lists(_FUZZ_POSITIVE, min_size=1, max_size=4).map(",".join)
+_FUZZ_TERM = st.builds("{}*z^{}".format, _FUZZ_NUMBER, st.integers(0, 3))
+_FUZZ_DEN = st.lists(_FUZZ_NUMBER, min_size=1, max_size=2).map(
+    lambda roots: "*".join(["z"] + [f"(z-{r})".replace("--", "+") for r in roots])
+)
+
+
+def _fuzz_text(well_formed):
+    return well_formed.filter(lambda text: len(text) <= 10) | _FUZZ_FREE
+
+
+_FUZZ_INT = st.integers(-2, 30)
+_FUZZ_RADIUS = st.sampled_from(
+    ["10", "1e150", "1e200", "1e300", "3", "0", "-5", "inf", "nan", "1e-300"]
+)
+_FUZZ_ROOTS = {"--roots": _fuzz_text(_FUZZ_LIST), "--den": _fuzz_text(_FUZZ_DEN)}
+_FUZZ_FLAGS = {
+    "integrate": (("--terms", _FUZZ_INT),),
+    "pfd": (("--num", _fuzz_text(_FUZZ_TERM)),),
+    "identities": (("--max-k", _FUZZ_INT),),
+    "vandermonde": (("--degree", _FUZZ_INT),),
+    "limit": (
+        ("--scales", _fuzz_text(_FUZZ_SCALES)),
+        ("--radius", _FUZZ_RADIUS),
+        ("--samples", _FUZZ_INT),
+        ("--terms", _FUZZ_INT),
+        ("--max-l", _FUZZ_INT),
+    ),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    if command == "vandermonde":
+        argv = [command, f"--points={draw(_FUZZ_ROOTS['--roots'])}"]
+    else:
+        root_flag = draw(st.sampled_from(sorted(_FUZZ_ROOTS)))
+        argv = [command, f"{root_flag}={draw(_FUZZ_ROOTS[root_flag])}"]
+    for flag, values in _FUZZ_FLAGS[command]:
+        # --radius is always drawn: its default, 10, is one of its values
+        value = draw(values if flag == "--radius" else st.none() | values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+# Derandomized and without an example database, so every run of the suite
+# tries the same 300 argument lists.
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_cli_argv())
+def test_fuzz_main_exits_with_a_documented_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        code = main(argv)
+    assert code in {0, 1, 2, 3}

@@ -123,6 +123,10 @@ class TestParsePoly:
     def test_str_round_trip(self, p):
         assert parse_poly(str(p)) == p
 
+    def test_nesting_50_deep_parses(self):
+        # 50 parentheses around 50 unary minuses: 100 levels, the most allowed
+        assert parse_poly("(" * 50 + "-" * 50 + "z" + ")" * 50) == Poly.z()
+
 
 class TestFactoredDenominator:
     def test_two_roots(self):

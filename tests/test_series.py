@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction as F
 
@@ -260,6 +261,12 @@ class TestEvaluate:
         z = 4 + 1j
         expected = -0.5 * z**-2 - z**-3
         assert abs(f.evaluate(z) - expected) < 1e-15
+
+    @pytest.mark.parametrize("z", [1.5e308, -1.7e308j, 1.2e308 * cmath.exp(1j)])
+    def test_point_beyond_two_to_the_1023(self, z):
+        # 2^e would overflow at |z| >= 2^1023, so the exponent is capped there
+        value = S(0, 1).evaluate(z)
+        assert cmath.isclose(value, 1 / z, rel_tol=1e-12)
 
     def test_equality_only_on_shared_window(self):
         assert S(1, 2).agrees_with(S(1, 2, 3))

@@ -15,7 +15,11 @@ from poleint import (
 )
 
 from conftest import rationals
-from oracles import complete_homogeneous_direct, determinant_cofactor
+from oracles import (
+    complete_homogeneous_direct,
+    determinant_cofactor,
+    symmetric_recurrence,
+)
 
 distinct_points = st.lists(rationals, min_size=1, max_size=6, unique=True)
 small_matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -81,6 +85,12 @@ class TestCompleteHomogeneous:
     def test_permutation_invariance(self, values, l):
         rotated = values[1:] + values[:1]
         assert complete_homogeneous(values, l) == complete_homogeneous(rotated, l)
+
+    @given(st.lists(rationals, max_size=6), st.integers(0, 10))
+    def test_table_matches_recurrence(self, values, depth):
+        table = SymmetricTable.build(values, depth)
+        assert (table.e, table.h) == symmetric_recurrence(values, depth)
+        assert table.q == len(values) and table.depth == depth
 
     @given(st.lists(rationals, max_size=5), st.integers(1, 8))
     def test_newton_type_relation(self, values, depth):
