@@ -22,12 +22,13 @@ Central facts, all verified by the test suite:
 
 The antiderivative is computed by two independent routes that must agree
 coefficient for coefficient: expanding 1/Q at infinity root-free and
-antidifferentiating term by term, and summing residue-weighted log series
-over the partial fraction decomposition.
+antidifferentiating term by term, and summing the residue-weighted log
+series of the partial fractions, whose coefficients are b_n = -m_n/n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,24 +72,15 @@ class PartialFractions:
 
     terms: tuple[tuple[Fraction, Fraction], ...]
 
-    @property
-    def poles(self) -> tuple[Fraction, ...]:
-        return tuple(p for p, _ in self.terms)
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(c for _, c in self.terms)
-
     def coefficient_sum(self) -> Fraction:
-        return sum(self.coefficients, Fraction(0))
+        return sum((c for _, c in self.terms), Fraction(0))
 
     def reconstructed_numerator(self) -> Poly:
         """sum_j c_j * prod_{k != j} (z - pole_k); equals the original
         numerator whenever the decomposition is correct."""
-        poles = self.poles
         total = Poly.zero()
-        for j, (_, c) in enumerate(self.terms):
-            others = poles[:j] + poles[j + 1 :]
+        for pole, c in self.terms:
+            others = [p for p, _ in self.terms if p != pole]
             total = total + Poly.from_roots(others) * c
         return total
 
@@ -96,29 +88,34 @@ class PartialFractions:
 def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
     """Exact decomposition of numerator/Q over the poles 0, a_1, ..., a_q.
 
-    The coefficient at a pole p is numerator(p)/Q'(p).
+    The coefficient at a pole p is numerator(p)/Q'(p), where Q'(p) is the
+    product of p - x over the other poles x (Q is monic with simple roots).
     """
-    q_poly = cfg.polynomial()
-    if numerator.degree >= q_poly.degree:
+    if numerator.degree > cfg.q:
         raise ValueError("numerator degree must be below denominator degree")
-    dq = q_poly.derivative()
     poles = (Fraction(0),) + cfg.roots
-    return PartialFractions(tuple((p, numerator(p) / dq(p)) for p in poles))
+    dq = [math.prod(p - x for x in poles if x != p) for p in poles]
+    return PartialFractions(tuple((p, numerator(p) / d) for p, d in zip(poles, dq)))
 
 
-def _power_sum(terms: tuple[tuple[Fraction, Fraction], ...], k: int) -> Fraction:
-    """sum_p p^k * c over (pole, residue) pairs."""
-    return sum((p**k * c for p, c in terms), Fraction(0))
+def _moments(cfg: RootConfig, max_k: int) -> list[Fraction]:
+    """The moments m_0..m_max_k of 1/Q in one pass over its residues: each
+    residue c at a pole p is carried as the running product c * p^k (for the
+    pole at 0 that product is 0 after k = 0)."""
+    terms = partial_fractions(Poly.one(), cfg).terms
+    running = [c for _, c in terms]
+    moments = [sum(running, Fraction(0))]
+    for _ in range(max_k):
+        running = [r * p for r, (p, _) in zip(running, terms)]
+        moments.append(sum(running, Fraction(0)))
+    return moments
 
 
 def moment(cfg: RootConfig, k: int) -> Fraction:
-    """The weighted power sum m_k = sum_p p^k / Q'(p) over the residues of 1/Q.
-
-    The pole at 0 contributes only at k = 0, through 0**0 == 1.
-    """
+    """The weighted power sum m_k = sum_p p^k / Q'(p) over the residues of 1/Q."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _power_sum(partial_fractions(Poly.one(), cfg).terms, k)
+    return _moments(cfg, k)[k]
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,14 +143,13 @@ def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport
     """Compare every m_k for 0 <= k <= max_k against its closed form:
     0 below k = q, then 1, then the complete homogeneous values h_l.
 
-    The residues are computed once and shared by every row.  Failures are
-    reported, not raised.
+    The lhs column is one moment table.  Failures are reported, not raised.
     """
     q = cfg.q
     if max_k < q:
         raise ValueError("max_k must be at least q")
     table = SymmetricTable.build(cfg.roots, max_k - q)
-    terms = partial_fractions(Poly.one(), cfg).terms
+    moments = _moments(cfg, max_k)
     rows = []
     for k in range(max_k + 1):
         if k < q:
@@ -162,7 +158,7 @@ def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport
             rhs = Fraction(1)
         else:
             rhs = table.h[k - q]
-        rows.append(MomentIdentityRow(k=k, lhs=_power_sum(terms, k), rhs=rhs))
+        rows.append(MomentIdentityRow(k=k, lhs=moments[k], rhs=rhs))
     return MomentIdentityReport(q=q, rows=tuple(rows))
 
 
@@ -183,23 +179,23 @@ def integrate_via_expansion(cfg: RootConfig, truncation: int) -> InvZSeries:
 
 
 def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> InvZSeries:
-    """Checking route: integrate each partial fraction to a logarithm and sum
-    the log series.
+    """Checking route: integrate each partial fraction c_p/(z - p) to a
+    logarithm and sum, using only the residues.
 
-    Each log(z - a) splits as log z + log(1 - a/z), and the log z multiples
-    carry total weight sum_j 1/Q'(pole_j) = 0 (the k = 0 moment identity), so
-    only the in-ring log factors remain.  A nonzero residue sum would mean an
-    arithmetic bug, not a property of the input.
+    Each log(z - p) splits as log z + log(1 - p/z).  The log z multiples carry
+    total weight m_0 = sum_p c_p = 0 (the k = 0 moment identity); a nonzero
+    residue sum would mean an arithmetic bug, not a property of the input.
+    What remains is
+
+        sum_p c_p log(1 - p/z) = -sum_{n>=1} (m_n/n) z^-n,
+
+    so b_n = -m_n/n off one moment table.
     """
     _check_truncation(cfg, truncation)
-    pf = partial_fractions(Poly.one(), cfg)
-    if pf.coefficient_sum() != 0:
+    m = _moments(cfg, truncation)
+    if m[0] != 0:
         raise ArithmeticError(
             "residues of 1/Q must sum to zero; exact arithmetic is broken"
         )
-    total = InvZSeries.zero(truncation)
-    for pole, c in pf.terms:
-        if pole == 0:
-            continue
-        total = total + InvZSeries.log_factor(pole, truncation) * c
-    return total
+    b = [-m[n] / n for n in range(1, truncation + 1)]
+    return InvZSeries(truncation, [Fraction(0)] + b)

@@ -13,8 +13,10 @@ exponents are literal nonnegative integers.  Digits are ASCII 0-9 only.
 Note that '^' binds to a whole atom, so "-z^2" is (-z)^2; write "-1*z^2" or
 use a binary minus for the negated square.  The parser recurses once per
 '(' or unary '-', so together they may nest at most MAX_NESTING deep; the
-token that opens one more level is a parse error.  Every parse error carries
-the byte offset it occurred at.
+token that opens one more level is a parse error.  No product or power may
+have degree above MAX_DEGREE; the '*' or the exponent that would exceed it is
+a parse error, so the parser never expands a polynomial beyond that size.
+Every parse error carries the byte offset it occurred at.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .polynomial import Poly, format_rational
 _DIGITS = frozenset("0123456789")
 
 MAX_NESTING = 100
+MAX_DEGREE = 1000
 
 
 class PolyParseError(ValueError):
@@ -137,8 +140,11 @@ class _Parser:
     def term(self) -> Poly:
         p = self.factor()
         while self._at_symbol("*"):
-            self._next()
-            p = p * self.factor()
+            offset = self._next()[2]
+            f = self.factor()
+            if p.degree + f.degree > MAX_DEGREE:
+                raise PolyParseError(f"degree above {MAX_DEGREE}", offset)
+            p = p * f
         return p
 
     def factor(self) -> Poly:
@@ -152,6 +158,8 @@ class _Parser:
                     "exponent must be a nonnegative integer literal", where
                 )
             self._next()
+            if base.degree * tok[1] > MAX_DEGREE:
+                raise PolyParseError(f"degree above {MAX_DEGREE}", tok[2])
             return base ** tok[1]
         return base
 

@@ -56,11 +56,15 @@ def complete_homogeneous(values: Sequence[Rat | int | str], degree: int) -> Frac
     return SymmetricTable.build(values, degree).h[degree]
 
 
-def vandermonde_matrix(points: Sequence[Rat | int | str]) -> list[list[Fraction]]:
-    """Rows (1, x_i, x_i^2, ..., x_i^(n-1))."""
+def vandermonde_matrix(
+    points: Sequence[Rat | int | str], degree: int = 0
+) -> list[list[Fraction]]:
+    """Rows (1, x_i, ..., x_i^(n-2), x_i^(n-1+degree)): the Vandermonde matrix
+    for degree 0, and for degree l the generalized one, whose determinant
+    factors as the Vandermonde product times h_l."""
     pts = [as_rat(p) for p in points]
     n = len(pts)
-    return [[p**j for j in range(n)] for p in pts]
+    return [[p**j for j in range(n - 1)] + [p ** (n - 1 + degree)] for p in pts]
 
 
 def vandermonde_product(points: Sequence[Rat | int | str]) -> Fraction:
@@ -73,22 +77,12 @@ def vandermonde_product(points: Sequence[Rat | int | str]) -> Fraction:
     return out
 
 
-def generalized_vandermonde_matrix(
-    points: Sequence[Rat | int | str], degree: int
-) -> list[list[Fraction]]:
-    """Rows (1, x_i, ..., x_i^(n-2), x_i^(n-1+degree)): the square matrix whose
-    determinant factors as the Vandermonde product times h_degree."""
+def generalized_vandermonde(points: Sequence[Rat | int | str], degree: int) -> Fraction:
     if degree < 1:
         raise ValueError("degree must be a positive integer")
-    pts = [as_rat(p) for p in points]
-    n = len(pts)
-    if n < 1:
+    if not points:
         raise ValueError("at least one point is required")
-    return [[p**j for j in range(n - 1)] + [p ** (n - 1 + degree)] for p in pts]
-
-
-def generalized_vandermonde(points: Sequence[Rat | int | str], degree: int) -> Fraction:
-    return determinant(generalized_vandermonde_matrix(points, degree))
+    return determinant(vandermonde_matrix(points, degree))
 
 
 def determinant(matrix: Sequence[Sequence[Rat | int | str]]) -> Fraction:

@@ -2,14 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import poleint
 from poleint.cli import main
 from poleint.parser import MAX_NESTING
 
@@ -183,6 +186,12 @@ class TestPfdCommand:
         # the token that opens level MAX_NESTING + 1 sits at that offset
         assert err.startswith(f"parse error at offset {MAX_NESTING}:")
 
+    def test_huge_exponent_is_parse_error(self, capsys):
+        # z^99999999 used to be expanded before anything checked its degree
+        code, out, err = run_cli(capsys, "pfd", "--roots", "1", "--num", "z^99999999")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error at offset 2:")
+
 
 class TestVandermondeCommand:
     def test_classic_check(self, capsys):
@@ -317,14 +326,36 @@ class TestUsageErrors:
         assert err.startswith(f"parse error at offset {offset}:")
 
 
+# A child interpreter imports the same poleint as this suite, installed or not.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(poleint.__file__).parents[1])}
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "poleint", "identities", "--roots", "1,2", "--max-k", "6"],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == EXPECTED_IDENTITIES_TEXT
+
+
+# The second numerator prints more than stdout's 8 KiB buffer, so the write
+# fails inside the command rather than at the final flush.
+@pytest.mark.parametrize("num", ["z", "7^12000"])
+def test_closed_stdout_exits_1_without_traceback(num):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "poleint", "pfd", "--roots", "1,2", "--num", num],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=SUBPROCESS_ENV,
+    )
+    proc.stdout.close()  # before the child can write anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 # Texts of at most 10 characters over those the CLI's inputs are made of,

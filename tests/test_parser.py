@@ -12,6 +12,7 @@ from poleint import (
     parse_poly,
     parse_rational,
 )
+from poleint.parser import MAX_DEGREE
 
 from conftest import polys, root_tuples
 
@@ -112,6 +113,10 @@ class TestParsePoly:
             ("z^2.5", 3),       # unexpected character
             ("z\u00b2", 1),     # superscript two is not an ASCII digit
             ("\u0661+z", 0),    # nor is an Arabic-Indic digit
+            ("z^99999999", 2),  # degree above MAX_DEGREE: at the exponent,
+            (f"(z^2+1)^{MAX_DEGREE // 2 + 1}", 8),
+            ("z^600*z^600", 5),  # or at the '*' of a product
+            (f"z*z^{MAX_DEGREE}", 1),
         ],
     )
     def test_negative_corpus_with_positions(self, text, position):
@@ -122,6 +127,10 @@ class TestParsePoly:
     @given(polys)
     def test_str_round_trip(self, p):
         assert parse_poly(str(p)) == p
+
+    def test_degree_max_degree_parses(self):
+        assert parse_poly(f"z^{MAX_DEGREE}") == Poly.z() ** MAX_DEGREE
+        assert parse_poly(f"z^600*z^{MAX_DEGREE - 600}") == Poly.z() ** MAX_DEGREE
 
     def test_nesting_50_deep_parses(self):
         # 50 parentheses around 50 unary minuses: 100 levels, the most allowed
