@@ -35,6 +35,7 @@ from .parser import (
 from .polynomial import Poly, Rat
 from .series import INFINITY, InvZSeries, NotIntegrableInRing
 from .symmetric import (
+    ExactCheckError,
     SymmetricTable,
     complete_homogeneous,
     determinant,
@@ -48,6 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChargeSystem",
+    "ExactCheckError",
     "INFINITY",
     "InvZSeries",
     "MomentIdentityReport",

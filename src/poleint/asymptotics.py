@@ -26,6 +26,7 @@ from typing import Sequence
 
 from .integrate import RootConfig, integrate_via_expansion, partial_fractions
 from .polynomial import Poly, Rat, as_rat
+from .symmetric import ExactCheckError
 
 RATIO_BAND = (0.3, 0.7)
 
@@ -148,11 +149,11 @@ def scaling_limit_table(
     for t in t_scales:
         res = integrate_via_expansion(cfg.scaled(t), truncation)
         if res.coefficient(q) != Fraction(-1, q):
-            raise ArithmeticError("leading coefficient drifted from -1/q")
+            raise ExactCheckError("leading coefficient drifted from -1/q")
         t_power = Fraction(1)
         for l in range(truncation - q + 1):
             if res.coefficient(q + l) != t_power * base.coefficient(q + l):
-                raise ArithmeticError(f"t^l scaling law failed at l = {l}")
+                raise ExactCheckError(f"t^l scaling law failed at l = {l}")
             t_power *= t
         sup = max(abs(res.evaluate(z) + limit) for z, limit in limits)
         rows.append(

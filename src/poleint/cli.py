@@ -29,9 +29,9 @@ from .asymptotics import scaling_limit_table
 from .integrate import (
     RootConfig,
     check_moment_identities,
-    integrate_via_expansion,
-    integrate_via_partial_fractions,
     partial_fractions,
+    residue_moments,
+    series_from_moments,
 )
 from .parser import (
     PolyParseError,
@@ -41,9 +41,12 @@ from .parser import (
     parse_rational,
 )
 from .symmetric import (
+    ExactCheckError,
     complete_homogeneous,
     determinant,
     generalized_vandermonde,
+    integer_expansion,
+    scale_to_integers,
     vandermonde_matrix,
     vandermonde_product,
 )
@@ -138,19 +141,20 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    ref = integrate_via_expansion(cfg, args.terms)
-    chk = integrate_via_partial_fractions(cfg, args.terms)
-    agree = ref.agrees_with(chk)
+    d, c = scale_to_integers(cfg.roots)
+    moments = integer_expansion(c, args.terms + 1)[1]
+    agree = moments == residue_moments(c, args.terms + 1)
+    series = series_from_moments(moments, d, cfg.q)
     doc = {
         "q": cfg.q,
         "roots": [format_rational(r) for r in cfg.roots],
         "truncation": args.terms,
         "b0_convention": "zero",
         "coefficients": [
-            {"n": n, "value": format_rational(ref.coefficient(n))}
+            {"n": n, "value": format_rational(series.coefficient(n))}
             for n in range(args.terms + 1)
         ],
-        "valuation": int(ref.valuation()),
+        "valuation": int(series.valuation()),
         "paths_agree": agree,
     }
     print(json.dumps(doc, indent=2))
@@ -247,6 +251,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse reads an option value of exactly "--" as an empty list
+        for name, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument --{name.replace('_', '-')}: expected a value")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
@@ -257,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except ExactCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 def entry() -> None:

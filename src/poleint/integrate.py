@@ -24,6 +24,10 @@ The antiderivative is computed by two independent routes that must agree
 coefficient for coefficient: expanding 1/Q at infinity root-free and
 antidifferentiating term by term, and summing the residue-weighted log
 series of the partial fractions, whose coefficients are b_n = -m_n/n.
+
+Both routes read the integer roots c = D * a (D the lcm of the root
+denominators) and compute the integer moments m_n(c) of 1/Q_c, each its own
+way; b_n = -m_n(c) / (n * D^(n-q)) is reduced to a Fraction once.
 """
 
 from __future__ import annotations
@@ -31,10 +35,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .polynomial import Poly, Rat, as_rat
 from .series import InvZSeries
-from .symmetric import SymmetricTable
+from .symmetric import (
+    ExactCheckError,
+    SymmetricTable,
+    integer_expansion,
+    scale_to_integers,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,30 +95,71 @@ class PartialFractions:
         return total
 
 
+def _derivative_values(poles: tuple[int, ...]) -> list[int]:
+    """Q'(p) = prod (p - x) over the other poles x, for each pole p."""
+    return [math.prod(p - x for x in poles if x != p) for p in poles]
+
+
 def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
     """Exact decomposition of numerator/Q over the poles 0, a_1, ..., a_q.
 
     The coefficient at a pole p is numerator(p)/Q'(p), where Q'(p) is the
-    product of p - x over the other poles x (Q is monic with simple roots).
+    product of p - x over the other poles x (Q is monic with simple roots),
+    taken on the integer poles: Q'(p) = Q_c'(D * p) / D^q.
     """
     if numerator.degree > cfg.q:
         raise ValueError("numerator degree must be below denominator degree")
-    poles = (Fraction(0),) + cfg.roots
-    dq = [math.prod(p - x for x in poles if x != p) for p in poles]
-    return PartialFractions(tuple((p, numerator(p) / d) for p, d in zip(poles, dq)))
+    d, c = scale_to_integers(cfg.roots)
+    poles, scale = (Fraction(0),) + cfg.roots, d**cfg.q
+    dq = _derivative_values((0, *c))
+    return PartialFractions(
+        tuple((p, numerator(p) * scale / x) for p, x in zip(poles, dq))
+    )
+
+
+def _residue_sums(c: tuple[int, ...], count: int) -> tuple[int, list[int]]:
+    """W = lcm Q_c'(p) and S_n = sum_p w_p p^n = W * m_n(c) for n < count,
+    with w_p = W / Q_c'(p), over the poles p = 0, c_1, ..., c_q."""
+    poles = (0, *c)
+    dq = _derivative_values(poles)
+    w = math.lcm(*dq)
+    running = [w // x for x in dq]
+    sums = [sum(running)]
+    for _ in range(1, count):
+        running = list(map(mul, running, poles))
+        sums.append(sum(running))
+    return w, sums
+
+
+def residue_moments(c: tuple[int, ...], count: int) -> list[int]:
+    """m_0(c)..m_(count-1)(c) as S_n / W, from the poles and Q_c'(p) alone;
+    S_0 = 0 (the residues sum to zero) and W | S_n must hold."""
+    w, sums = _residue_sums(c, count)
+    moments = [divmod(s, w) for s in sums]
+    if sums[0] or any(r for _, r in moments):
+        raise ExactCheckError(
+            "residue sums must vanish at n = 0 and be multiples of W; "
+            "exact arithmetic is broken"
+        )
+    return [m for m, _ in moments]
+
+
+def series_from_moments(moments: list[int], d: int, q: int) -> InvZSeries:
+    """b_0 = 0 and b_n = -m_n(a)/n, m_n(a) = m_n(c) * D^(q-n), from the
+    integer moments: one Fraction reduction per coefficient."""
+    b = [
+        Fraction(-m * d ** max(q - n, 0), n * d ** max(n - q, 0))
+        for n, m in enumerate(moments[1:], start=1)
+    ]
+    return InvZSeries(len(b), [Fraction(0)] + b)
 
 
 def _moments(cfg: RootConfig, max_k: int) -> list[Fraction]:
-    """The moments m_0..m_max_k of 1/Q in one pass over its residues: each
-    residue c at a pole p is carried as the running product c * p^k (for the
-    pole at 0 that product is 0 after k = 0)."""
-    terms = partial_fractions(Poly.one(), cfg).terms
-    running = [c for _, c in terms]
-    moments = [sum(running, Fraction(0))]
-    for _ in range(max_k):
-        running = [r * p for r, (p, _) in zip(running, terms)]
-        moments.append(sum(running, Fraction(0)))
-    return moments
+    """m_0..m_max_k of 1/Q, m_k(a) = S_k / (W * D^(k-q)), off the residue
+    sums unchecked, so that the identity report can show a failure."""
+    d, c = scale_to_integers(cfg.roots)
+    w, sums = _residue_sums(c, max_k + 1)
+    return [Fraction(s, w) * Fraction(d) ** (cfg.q - k) for k, s in enumerate(sums)]
 
 
 def moment(cfg: RootConfig, k: int) -> Fraction:
@@ -141,25 +192,17 @@ class MomentIdentityReport:
 
 def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport:
     """Compare every m_k for 0 <= k <= max_k against its closed form:
-    0 below k = q, then 1, then the complete homogeneous values h_l.
+    0 below k = q, then the complete homogeneous values h_(k-q) (h_0 = 1).
 
     The lhs column is one moment table.  Failures are reported, not raised.
     """
     q = cfg.q
     if max_k < q:
         raise ValueError("max_k must be at least q")
-    table = SymmetricTable.build(cfg.roots, max_k - q)
-    moments = _moments(cfg, max_k)
-    rows = []
-    for k in range(max_k + 1):
-        if k < q:
-            rhs = Fraction(0)
-        elif k == q:
-            rhs = Fraction(1)
-        else:
-            rhs = table.h[k - q]
-        rows.append(MomentIdentityRow(k=k, lhs=moments[k], rhs=rhs))
-    return MomentIdentityReport(q=q, rows=tuple(rows))
+    lhs = _moments(cfg, max_k)
+    rhs = [Fraction(0)] * q + list(SymmetricTable.build(cfg.roots, max_k - q).h)
+    rows = tuple(map(MomentIdentityRow, range(max_k + 1), lhs, rhs))
+    return MomentIdentityReport(q=q, rows=rows)
 
 
 def _check_truncation(cfg: RootConfig, truncation: int) -> None:
@@ -174,8 +217,8 @@ def integrate_via_expansion(cfg: RootConfig, truncation: int) -> InvZSeries:
     term by term.  Never evaluates anything at an individual root, so the
     symmetric dependence on the roots is structural."""
     _check_truncation(cfg, truncation)
-    f = InvZSeries.from_rational(Poly.one(), cfg.polynomial(), truncation + 1)
-    return f.antiderivative()
+    d, c = scale_to_integers(cfg.roots)
+    return series_from_moments(integer_expansion(c, truncation + 1)[1], d, cfg.q)
 
 
 def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> InvZSeries:
@@ -192,10 +235,5 @@ def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> InvZSer
     so b_n = -m_n/n off one moment table.
     """
     _check_truncation(cfg, truncation)
-    m = _moments(cfg, truncation)
-    if m[0] != 0:
-        raise ArithmeticError(
-            "residues of 1/Q must sum to zero; exact arithmetic is broken"
-        )
-    b = [-m[n] / n for n in range(1, truncation + 1)]
-    return InvZSeries(truncation, [Fraction(0)] + b)
+    d, c = scale_to_integers(cfg.roots)
+    return series_from_moments(residue_moments(c, truncation + 1), d, cfg.q)

@@ -1,13 +1,14 @@
 """Symmetric polynomial evaluation and exact Vandermonde determinants.
 
-The elementary and complete homogeneous values have no recurrence of their
-own: they are read off P(z) = z * prod_j (z - a_j) and its expansion at
-infinity,
+The elementary and complete homogeneous values are read off
+P(z) = z * prod_j (z - c_j) and its expansion at infinity,
 
     P(z)   = sum_i (-1)^i e_i z^(q+1-i),
     1/P(z) = sum_l h_l z^-(q+1+l),
 
-the second by the same root-free long division that expands 1/Q.
+on the integers c = D * a (D the lcm of the denominators), where the long
+division needs no gcd; then e_i(a) = e_i(c) / D^i and h_l(a) = h_l(c) / D^l.
+The expansion route of `integrate` runs the same integer kernel.
 
 Determinants use fraction-free Bareiss elimination (Bareiss 1968) at every
 size.
@@ -15,12 +16,43 @@ size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .polynomial import Poly, Rat, as_rat
-from .series import InvZSeries
+from .polynomial import Rat, as_rat
+
+
+class ExactCheckError(ArithmeticError):
+    """An exact self-check failed: the arithmetic is broken, not the input."""
+
+
+def scale_to_integers(values: Sequence[Rat | int | str]) -> tuple[int, tuple[int, ...]]:
+    """The scaling step: D, the lcm of the denominators, and c = D * a.  Both
+    integration routes read c, so this is the one place where they could
+    agree on a wrong answer; it checks that every D * a_j is an integer."""
+    vals = [as_rat(v) for v in values]
+    d = math.lcm(*(v.denominator for v in vals))
+    c = [d * v for v in vals]
+    if any(x.denominator != 1 for x in c):
+        raise ExactCheckError("D * a_j must be an integer; exact arithmetic is broken")
+    return d, tuple(x.numerator for x in c)
+
+
+def integer_expansion(c: Sequence[int], count: int) -> tuple[list[int], list[int]]:
+    """The coefficients of P = z * prod_j (z - c_j), lowest degree first, and
+    m_0..m_(count-1), the z^-(n+1) coefficients of 1/P: 0 for n < q, then
+    h_(n-q)(c).  P is monic, so the long division needs no division."""
+    p = [0, 1]
+    for x in c:
+        p = [lo - x * hi for lo, hi in zip([0] + p, p + [0])]
+    top = p[-2::-1]  # p_q, ..., p_0
+    m: list[int] = []
+    for n in range(count):
+        m.append((n == len(c)) - sum(map(mul, top, reversed(m))))
+    return p, m
 
 
 def elementary_symmetric(values: Sequence[Rat | int | str]) -> tuple[Fraction, ...]:
@@ -41,11 +73,11 @@ class SymmetricTable:
     def build(cls, values: Sequence[Rat | int | str], depth: int) -> SymmetricTable:
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        # p = z * prod (z - v) has degree q + 1 >= 1, even with no values
-        p = Poly.from_roots(values, include_zero_root=True)
-        q = p.degree - 1
-        e = tuple((-1) ** i * p.coefficient(q + 1 - i) for i in range(q + 1))
-        h = InvZSeries.from_rational(Poly.one(), p, q + 1 + depth).coefficients[q + 1 :]
+        d, c = scale_to_integers(values)
+        q = len(c)
+        p, m = integer_expansion(c, q + 1 + depth)
+        e = tuple(Fraction((-1) ** i * p[q + 1 - i], d**i) for i in range(q + 1))
+        h = tuple(Fraction(x, d**l) for l, x in enumerate(m[q:]))
         return cls(q=q, depth=depth, e=e, h=h)
 
 

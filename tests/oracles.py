@@ -121,6 +121,17 @@ def closed_form(cfg: RootConfig, depth: int) -> tuple[Fraction, ...]:
     return tuple(-h[l] / (cfg.q + l) for l in range(depth + 1))
 
 
+def moments_direct(cfg: RootConfig, max_k: int) -> list[Fraction]:
+    """m_0..m_max_k as sums of p^k / prod (p - x) over the poles p = 0, a_j
+    and the other poles x, in Fraction arithmetic on the roots themselves.
+
+    This is the oracle for the integer residue sums behind `moment`.
+    """
+    poles = (Fraction(0),) + cfg.roots
+    residues = [1 / math.prod(p - x for x in poles if x != p) for p in poles]
+    return [sum(p**k * r for p, r in zip(poles, residues)) for k in range(max_k + 1)]
+
+
 def closed_form_coefficient(cfg: RootConfig, l: int) -> Fraction:
     """The coefficient of z^-(q+l) in the antiderivative: -h_l(a)/(q+l)."""
     if l < 0:

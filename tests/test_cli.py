@@ -313,6 +313,25 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert run_cli(capsys, "integrate", "--roots", "1,2")[0] == 2
 
+    # argparse reads an option value of exactly "--" as an empty list
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("pfd", "--roots=--"), "--roots"),
+            (("vandermonde", "--points=--"), "--points"),
+            (("limit", "--roots=1", "--scales=--"), "--scales"),
+            (("integrate", "--roots", "1", "--terms=--"), "--terms"),
+            (("identities", "--roots=1", "--max-k=--"), "--max-k"),
+            (("integrate", "--den=--", "--terms", "3"), "--den"),
+            (("pfd", "--roots=1", "--num=--"), "--num"),
+            (("limit", "--roots=1", "--radius=--"), "--radius"),
+        ],
+    )
+    def test_double_dash_value_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: argument {flag}: expected a value\n")
+
     @pytest.mark.parametrize(
         "argv,offset",
         [
@@ -377,13 +396,19 @@ _FUZZ_DEN = st.lists(_FUZZ_NUMBER, min_size=1, max_size=2).map(
 )
 
 
+# argparse reads a value of exactly "--" as an empty list, so every flag can
+# also draw it.
+_DOUBLE_DASH = st.just("--")
+
+
 def _fuzz_text(well_formed):
-    return well_formed.filter(lambda text: len(text) <= 10) | _FUZZ_FREE
+    short = well_formed.filter(lambda text: len(text) <= 10)
+    return short | _FUZZ_FREE | _DOUBLE_DASH
 
 
-_FUZZ_INT = st.integers(-2, 30)
+_FUZZ_INT = st.integers(-2, 30) | _DOUBLE_DASH
 _FUZZ_RADIUS = st.sampled_from(
-    ["10", "1e150", "1e200", "1e300", "3", "0", "-5", "inf", "nan", "1e-300"]
+    ["10", "1e150", "1e200", "1e300", "3", "0", "-5", "inf", "nan", "1e-300", "--"]
 )
 _FUZZ_ROOTS = {"--roots": _fuzz_text(_FUZZ_LIST), "--den": _fuzz_text(_FUZZ_DEN)}
 _FUZZ_FLAGS = {

@@ -1,0 +1,179 @@
+"""The integer kernels behind both integration routes, against the Fraction
+oracles, and the guard that keeps the two routes independent."""
+
+import contextlib
+import io
+import math
+import sys
+from fractions import Fraction as F
+from types import SimpleNamespace
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
+
+import poleint.asymptotics
+import poleint.integrate
+import poleint.symmetric
+from poleint import (
+    RootConfig,
+    SymmetricTable,
+    check_moment_identities,
+    integrate_via_expansion,
+    integrate_via_partial_fractions,
+    moment,
+)
+from poleint.cli import main
+from poleint.integrate import residue_moments
+from poleint.symmetric import integer_expansion, scale_to_integers
+
+from conftest import rationals
+from oracles import closed_form, moments_direct, symmetric_recurrence
+
+_NONZERO = st.integers(-40, 40).filter(bool)
+_PRIMES = (2, 3, 5, 7, 11, 13)
+# Each family is drawn on its own, so that every run covers integer roots
+# (D = 1), one shared denominator, and pairwise coprime prime denominators.
+_INTEGER_ROOTS = st.lists(_NONZERO, min_size=1, max_size=6, unique=True)
+_SHARED_DENOMINATOR = st.builds(
+    lambda nums, d: [F(n, d) for n in nums],
+    st.lists(_NONZERO, min_size=1, max_size=6, unique=True),
+    st.integers(2, 12),
+)
+_COPRIME_DENOMINATORS = st.lists(
+    st.builds(F, _NONZERO, st.sampled_from(_PRIMES)), min_size=1, max_size=6
+).map(lambda roots: list(dict.fromkeys(roots)))
+_ROOTS = st.one_of(_INTEGER_ROOTS, _SHARED_DENOMINATOR, _COPRIME_DENOMINATORS)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_ROOTS, st.integers(0, 8))
+@example([5], 6)  # q = 1, integer
+@example([F(-7, 3)], 4)  # q = 1, negative
+@example([-1, -2, -3], 5)  # negative integers only
+@example([F(1, 6), F(-5, 6), F(7, 6)], 6)  # shared denominator
+@example([F(1, 2), F(-2, 3), F(4, 5), F(-6, 7)], 5)  # coprime denominators
+def test_kernels_match_fraction_oracles(roots, extra):
+    cfg = RootConfig(tuple(roots))
+    q, n = cfg.q, cfg.q + 1 + extra
+    d, c = scale_to_integers(cfg.roots)
+    assert d == math.lcm(*(a.denominator for a in cfg.roots))
+    assert c == tuple(d * a for a in cfg.roots)
+
+    moments = integer_expansion(c, n + 1)[1]
+    assert moments == residue_moments(c, n + 1)
+    assert moments == [0] * q + list(symmetric_recurrence(c, n - q)[1])
+
+    series = integrate_via_expansion(cfg, n)
+    assert series == integrate_via_partial_fractions(cfg, n)
+    assert series.coefficients == (0,) * q + closed_form(cfg, n - q)
+
+    direct = moments_direct(cfg, n)
+    assert [moment(cfg, k) for k in range(n + 1)] == direct
+    report = check_moment_identities(cfg, n)
+    assert [row.lhs for row in report.rows] == direct
+    assert report.all_pass
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(rationals, max_size=5), st.integers(0, 8))
+def test_symmetric_table_with_zero_and_repeated_values(values, depth):
+    values = values + [F(0)] + values[:1]  # a zero and, if any, a repeat
+    table = SymmetricTable.build(values, depth)
+    assert (table.e, table.h) == symmetric_recurrence(values, depth)
+
+
+# -- route independence -------------------------------------------------------
+
+ARGV = ["integrate", "--roots", "1,2/3,-5/7", "--terms", "9"]  # q = 3
+
+
+def _replace_everywhere(monkeypatch, original, replacement):
+    """Rebind every poleint module's reference to `original`, so that a
+    route reaching a kernel through any module sees the replacement."""
+    for name, module in list(sys.modules.items()):
+        if name == "poleint" or name.startswith("poleint."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _perturb_expansion(l):
+    def kernel(c, count):
+        p, m = integer_expansion(c, count)
+        m[len(c) + l] += 1
+        return p, m
+
+    return integer_expansion, kernel
+
+
+def _perturb_residues(l):
+    def kernel(c, count):
+        m = residue_moments(c, count)
+        m[len(c) + l] += 1
+        return m
+
+    return residue_moments, kernel
+
+
+@pytest.mark.parametrize("l", [0, 4])
+@pytest.mark.parametrize(
+    "perturb", [_perturb_expansion, _perturb_residues], ids=["expansion", "residues"]
+)
+def test_a_perturbed_kernel_breaks_route_agreement(monkeypatch, perturb, l):
+    # One route's kernel is off by one in h_l.  If the other route read the
+    # same kernel, the two would still agree and this test would fail.
+    original, kernel = perturb(l)
+    _replace_everywhere(monkeypatch, original, kernel)
+    code, out, err = _run(ARGV)
+    assert code == 3 and err == ""
+    assert '"paths_agree": false' in out
+    cfg = RootConfig((1, F(2, 3), F(-5, 7)))
+    assert integrate_via_expansion(cfg, 9) != integrate_via_partial_fractions(cfg, 9)
+
+
+def test_a_broken_scaling_step_raises(monkeypatch):
+    # With D = 1, the roots 2/3 and -5/7 do not scale to integers.
+    monkeypatch.setattr(poleint.symmetric, "math", SimpleNamespace(lcm=lambda *d: 1))
+    with pytest.raises(ArithmeticError, match="D \\* a_j must be an integer"):
+        scale_to_integers([1, F(2, 3), F(-5, 7)])
+    code, out, err = _run(ARGV)
+    assert code == 3 and out == ""
+    assert err == "error: D * a_j must be an integer; exact arithmetic is broken\n"
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_a_failed_residue_self_check_exits_3(monkeypatch, n):
+    # S_0 off by W breaks the residue sum; S_5 off by one leaves a remainder.
+    residue_sums = poleint.integrate._residue_sums
+
+    def broken(c, count):
+        w, sums = residue_sums(c, count)
+        sums[n] += w if n == 0 else 1
+        return w, sums
+
+    monkeypatch.setattr(poleint.integrate, "_residue_sums", broken)
+    code, out, err = _run(ARGV)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_a_failed_scaling_law_check_in_limit_exits_3(monkeypatch):
+    # Every scale gets the t = 1 series, so b_(q+1) does not scale by t.
+    original = poleint.asymptotics.integrate_via_expansion
+    monkeypatch.setattr(
+        poleint.asymptotics,
+        "integrate_via_expansion",
+        lambda cfg, n: original(RootConfig((1, 2)), n),
+    )
+    code, out, err = _run(["limit", "--roots=1,2", "--scales=1,1/2", "--terms=6"])
+    assert code == 3 and out == ""
+    assert err == "error: t^l scaling law failed at l = 1\n"
