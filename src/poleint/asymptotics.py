@@ -20,22 +20,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .integrate import RootConfig, integrate_via_expansion, partial_fractions
-from .polynomial import Poly, Rat, as_rat
+from .polynomial import Poly, Rat, Value, as_rat
 from .symmetric import ExactCheckError
 
 RATIO_BAND = (0.3, 0.7)
 
 
-@dataclass(frozen=True, slots=True)
-class ChargeSystem:
+class ChargeSystem(Value):
     """Point charges (location, magnitude) with zero total charge."""
 
-    charges: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("charges",)
 
     def __post_init__(self) -> None:
         charges = tuple((as_rat(loc), as_rat(mag)) for loc, mag in self.charges)
@@ -69,26 +67,18 @@ def potential(system: ChargeSystem, z: complex) -> complex:
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class ScaleRow:
+class ScaleRow(Value):
     """One scale t: the exact coefficients b_{q+l}(t a) and the measured
     far-field sup error against -1/(q z^q)."""
 
-    scale: Fraction
-    coefficients: tuple[Fraction, ...]
-    sup_error: float
+    __slots__ = ("scale", "coefficients", "sup_error")
 
 
-@dataclass(frozen=True, slots=True)
-class ScalingReport:
-    q: int
-    radius: float
-    samples: int
-    truncation: int
-    rows: tuple[ScaleRow, ...]
-    ratios: tuple[float, ...]
-    strictly_decreasing: bool
-    ratio_in_band: tuple[bool, ...]
+class ScalingReport(Value):
+    """The scaling table: one row per scale and the sup-error ratios between them."""
+
+    __slots__ = ("q", "radius", "samples", "truncation", "rows", "ratios",
+                 "strictly_decreasing", "ratio_in_band")
 
 
 def scaling_limit_table(

@@ -33,11 +33,10 @@ way; b_n = -m_n(c) / (n * D^(n-q)) is reduced to a Fraction once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .polynomial import Poly, Rat, as_rat
+from .polynomial import Poly, Rat, Value, as_rat
 from .series import InvZSeries
 from .symmetric import (
     ExactCheckError,
@@ -47,11 +46,10 @@ from .symmetric import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class RootConfig:
+class RootConfig(Value):
     """The distinct nonzero roots a_1..a_q; the root at 0 is implicit."""
 
-    roots: tuple[Fraction, ...]
+    __slots__ = ("roots",)
 
     def __post_init__(self) -> None:
         roots = tuple(as_rat(r) for r in self.roots)
@@ -76,11 +74,10 @@ class RootConfig:
         return RootConfig(tuple(tr * r for r in self.roots))
 
 
-@dataclass(frozen=True, slots=True)
-class PartialFractions:
+class PartialFractions(Value):
     """Simple-pole decomposition: pairs (pole, coefficient at that pole)."""
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("terms",)
 
     def coefficient_sum(self) -> Fraction:
         return sum((c for _, c in self.terms), Fraction(0))
@@ -169,21 +166,20 @@ def moment(cfg: RootConfig, k: int) -> Fraction:
     return _moments(cfg, k)[k]
 
 
-@dataclass(frozen=True, slots=True)
-class MomentIdentityRow:
-    k: int
-    lhs: Fraction
-    rhs: Fraction
+class MomentIdentityRow(Value):
+    """Row k of the identity check: the moment m_k (lhs) and its closed form (rhs)."""
+
+    __slots__ = ("k", "lhs", "rhs")
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True, slots=True)
-class MomentIdentityReport:
-    q: int
-    rows: tuple[MomentIdentityRow, ...]
+class MomentIdentityReport(Value):
+    """The identity check of one configuration of q roots: rows k = 0..max_k."""
+
+    __slots__ = ("q", "rows")
 
     @property
     def all_pass(self) -> bool:

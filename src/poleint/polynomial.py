@@ -12,10 +12,9 @@ empty tuple and has degree -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable
 
 Rat = Fraction
 
@@ -40,14 +39,60 @@ def format_rational(value: Fraction) -> str:
     return f"{numerator}/{Decimal(value.denominator)}"
 
 
-@dataclass(frozen=True, slots=True)
-class Poly:
-    """Polynomial in z as a normalized tuple of rational coefficients."""
+class Value:
+    """Immutable record of the fields named in a subclass's `__slots__`, built by
+    position or keyword, then normalized and checked by `__post_init__`.  Values
+    compare, hash, print, pickle and pattern-match by field, in field order."""
 
-    coefficients: tuple[Fraction, ...] = ()
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        values = {**dict(zip(names, args)), **kwargs}
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        coeffs = [as_rat(c) for c in self.coefficients]
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(map("{}={!r}".format, self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Poly(Value):
+    """Polynomial in z as a normalized tuple of rational coefficients."""
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: Iterable[Rat | int | str] = ()) -> None:
+        coeffs = [as_rat(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))

@@ -22,11 +22,10 @@ logarithm), which raises NotIntegrableInRing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
-from .polynomial import Poly, Rat, as_rat
+from .polynomial import Poly, Rat, Value, as_rat
 
 INFINITY = math.inf
 
@@ -35,10 +34,10 @@ class NotIntegrableInRing(ValueError):
     """The antiderivative would leave the ring of series in 1/z."""
 
 
-@dataclass(frozen=True, slots=True)
-class InvZSeries:
-    truncation: int
-    coefficients: tuple[Fraction, ...]
+class InvZSeries(Value):
+    """Coefficients b_0..b_N (N = truncation) of a series in 1/z, up to O(z^-(N+1))."""
+
+    __slots__ = ("truncation", "coefficients")
 
     def __post_init__(self) -> None:
         if self.truncation < 0:

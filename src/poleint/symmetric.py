@@ -17,12 +17,11 @@ size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
-from .polynomial import Rat, as_rat
+from .polynomial import Rat, Value, as_rat
 
 
 class ExactCheckError(ArithmeticError):
@@ -60,14 +59,10 @@ def elementary_symmetric(values: Sequence[Rat | int | str]) -> tuple[Fraction, .
     return SymmetricTable.build(values, 0).e
 
 
-@dataclass(frozen=True, slots=True)
-class SymmetricTable:
+class SymmetricTable(Value):
     """Elementary values e_0..e_q and complete homogeneous values h_0..h_depth."""
 
-    q: int
-    depth: int
-    e: tuple[Fraction, ...]
-    h: tuple[Fraction, ...]
+    __slots__ = ("q", "depth", "e", "h")
 
     @classmethod
     def build(cls, values: Sequence[Rat | int | str], depth: int) -> SymmetricTable:

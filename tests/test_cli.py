@@ -360,6 +360,24 @@ def test_module_entry_point_subprocess():
     assert proc.stdout == EXPECTED_IDENTITIES_TEXT
 
 
+# Every `python -m poleint` run pays for the modules its import loads, and
+# these three once took longer to import than the checks the CLI runs.  -S
+# keeps site-packages, which may load typing first, out of the child.
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    code = (
+        "import sys; before = set(sys.modules); import poleint.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # The second numerator prints more than stdout's 8 KiB buffer, so the write
 # fails inside the command rather than at the final flush.
 @pytest.mark.parametrize("num", ["z", "7^12000"])

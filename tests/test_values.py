@@ -41,7 +41,8 @@ SAMPLES = [
         "RootConfig(roots=(Fraction(1, 1), Fraction(1, 2)))",
     ),
     (
-        PartialFractions, ("terms",), (((F(0), F(1)), (F(1), F(-1))),), (((F(0), F(1)),),),
+        PartialFractions, ("terms",),
+        (((F(0), F(1)), (F(1), F(-1))),), (((F(0), F(1)),),),
         "PartialFractions(terms=((Fraction(0, 1), Fraction(1, 1)),"
         " (Fraction(1, 1), Fraction(-1, 1))))",
     ),
@@ -68,7 +69,8 @@ SAMPLES = [
     (
         ScaleRow, ("scale", "coefficients", "sup_error"),
         (F(1, 2), (F(-1, 4),), 0.25), (F(1, 2), (F(-1, 4),), 0.5),
-        "ScaleRow(scale=Fraction(1, 2), coefficients=(Fraction(-1, 4),), sup_error=0.25)",
+        "ScaleRow(scale=Fraction(1, 2), coefficients=(Fraction(-1, 4),),"
+        " sup_error=0.25)",
     ),
     (
         ScalingReport,
