@@ -11,7 +11,9 @@ their own:
 
 Exact values are printed as reduced "p/q" strings (denominator omitted when
 it is 1); the only floating-point outputs are the sup errors of `limit`,
-printed with 17 significant digits.
+printed with 17 significant digits.  `integrate` checks the residue route
+by multiplication, S_n = W * m_n, and prints each coefficient off its
+factored denominator s * D^k, with the powers of D multiplied in Decimal.
 
 Exit codes: 0 success, 1 domain error (invalid roots and similar),
 2 usage or parse error, 3 any exact identity check failed.
@@ -23,15 +25,18 @@ import argparse
 import json
 import os
 import sys
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .asymptotics import scaling_limit_table
 from .integrate import (
     RootConfig,
     check_moment_identities,
     partial_fractions,
+    reduced_coefficients,
     residue_moments,
-    series_from_moments,
+    residue_sums,
 )
 from .parser import (
     PolyParseError,
@@ -40,6 +45,7 @@ from .parser import (
     parse_poly,
     parse_rational,
 )
+from .polynomial import format_quotient
 from .symmetric import (
     ExactCheckError,
     complete_homogeneous,
@@ -55,6 +61,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
+
+# Integer products in Decimal, exact at any size: a rounding would raise.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -142,19 +151,24 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
     d, c = scale_to_integers(cfg.roots)
-    moments = integer_expansion(c, args.terms + 1)[1]
-    agree = moments == residue_moments(c, args.terms + 1)
-    series = series_from_moments(moments, d, cfg.q)
+    count, extra = args.terms + 1, args.terms - cfg.q
+    moments = integer_expansion(c, count)[1]
+    # The routes agree when S_n = W * m_n for every n; only a mismatch pays
+    # for the division by W, whose self-check may raise.
+    w, sums = residue_sums(c, count)
+    agree = not sums[0] and sums == [w * m for m in moments]
+    agree = agree or moments == residue_moments(c, count)
+    reduced = reduced_coefficients(moments, d, cfg.q)
+    powers = accumulate(repeat(Decimal(d), extra), _EXACT.multiply, initial=Decimal(1))
+    powers = list(powers)  # D^k for k = 0..N-q, one exact product each
+    values = [format_quotient(x, _EXACT.multiply(s, powers[k])) for x, s, k in reduced]
     doc = {
         "q": cfg.q,
         "roots": [format_rational(r) for r in cfg.roots],
         "truncation": args.terms,
         "b0_convention": "zero",
-        "coefficients": [
-            {"n": n, "value": format_rational(series.coefficient(n))}
-            for n in range(args.terms + 1)
-        ],
-        "valuation": int(series.valuation()),
+        "coefficients": [{"n": n, "value": v} for n, v in enumerate(["0", *values])],
+        "valuation": next(n for n, (num, _, _) in enumerate(reduced, 1) if num),
         "paths_agree": agree,
     }
     print(json.dumps(doc, indent=2))

@@ -27,7 +27,8 @@ series of the partial fractions, whose coefficients are b_n = -m_n/n.
 
 Both routes read the integer roots c = D * a (D the lcm of the root
 denominators) and compute the integer moments m_n(c) of 1/Q_c, each its own
-way; b_n = -m_n(c) / (n * D^(n-q)) is reduced to a Fraction once.
+way; b_n = -m_n(c) / (n * D^(n-q)) is reduced once, against n alone unless
+the numerator shares a prime with D, as num / (s * D^k) (`reduced_coefficients`).
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
     )
 
 
-def _residue_sums(c: tuple[int, ...], count: int) -> tuple[int, list[int]]:
+def residue_sums(c: tuple[int, ...], count: int) -> tuple[int, list[int]]:
     """W = lcm Q_c'(p) and S_n = sum_p w_p p^n = W * m_n(c) for n < count,
     with w_p = W / Q_c'(p), over the poles p = 0, c_1, ..., c_q."""
     poles = (0, *c)
@@ -131,7 +132,7 @@ def _residue_sums(c: tuple[int, ...], count: int) -> tuple[int, list[int]]:
 def residue_moments(c: tuple[int, ...], count: int) -> list[int]:
     """m_0(c)..m_(count-1)(c) as S_n / W, from the poles and Q_c'(p) alone;
     S_0 = 0 (the residues sum to zero) and W | S_n must hold."""
-    w, sums = _residue_sums(c, count)
+    w, sums = residue_sums(c, count)
     moments = [divmod(s, w) for s in sums]
     if sums[0] or any(r for _, r in moments):
         raise ExactCheckError(
@@ -141,13 +142,24 @@ def residue_moments(c: tuple[int, ...], count: int) -> list[int]:
     return [m for m, _ in moments]
 
 
+def reduced_coefficients(moments: list[int], d: int, q: int) -> list[tuple[int, ...]]:
+    """b_1..b_N in lowest terms as (num, s, k), b_n = num / (s * D^k), from
+    b_n = -m_n(c) * D^(q-n) / (n * D^(n-q)).  If no prime of D divides the
+    numerator, none of D^k can cancel and the gcd runs against n alone;
+    otherwise against the whole denominator, with k = 0."""
+    out = []
+    for n, m in enumerate(moments[1:], start=1):
+        num, k = -m * d ** max(q - n, 0), max(n - q, 0)
+        den, k = (n, k) if math.gcd(num % d, d) == 1 else (n * d**k, 0)
+        g = math.gcd(num % den, den)
+        out.append((num // g, den // g, k))
+    return out
+
+
 def series_from_moments(moments: list[int], d: int, q: int) -> InvZSeries:
     """b_0 = 0 and b_n = -m_n(a)/n, m_n(a) = m_n(c) * D^(q-n), from the
-    integer moments: one Fraction reduction per coefficient."""
-    b = [
-        Fraction(-m * d ** max(q - n, 0), n * d ** max(n - q, 0))
-        for n, m in enumerate(moments[1:], start=1)
-    ]
+    integer moments, one reduced coefficient each."""
+    b = [Fraction(num, s * d**k) for num, s, k in reduced_coefficients(moments, d, q)]
     return InvZSeries(len(b), [Fraction(0)] + b)
 
 
@@ -155,7 +167,7 @@ def _moments(cfg: RootConfig, max_k: int) -> list[Fraction]:
     """m_0..m_max_k of 1/Q, m_k(a) = S_k / (W * D^(k-q)), off the residue
     sums unchecked, so that the identity report can show a failure."""
     d, c = scale_to_integers(cfg.roots)
-    w, sums = _residue_sums(c, max_k + 1)
+    w, sums = residue_sums(c, max_k + 1)
     return [Fraction(s, w) * Fraction(d) ** (cfg.q - k) for k, s in enumerate(sums)]
 
 

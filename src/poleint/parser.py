@@ -16,6 +16,9 @@ use a binary minus for the negated square.  The parser recurses once per
 token that opens one more level is a parse error.  No product or power may
 have degree above MAX_DEGREE; the '*' or the exponent that would exceed it is
 a parse error, so the parser never expands a polynomial beyond that size.
+Nor may base^e have e * (H + (degree + 1).bit_length()) above MAX_POWER_BITS,
+H the largest numerator or denominator bit length in the base; the exponent
+is the error's offset, and constant powers such as 9^9999999 are bounded too.
 Every parse error carries the byte offset it occurred at.
 """
 
@@ -33,6 +36,7 @@ _DIGITS = frozenset("0123456789")
 
 MAX_NESTING = 100
 MAX_DEGREE = 1000
+MAX_POWER_BITS = 2**18
 
 
 class PolyParseError(ValueError):
@@ -158,9 +162,13 @@ class _Parser:
                     "exponent must be a nonnegative integer literal", where
                 )
             self._next()
-            if base.degree * tok[1] > MAX_DEGREE:
+            e, coeffs = tok[1], base.coefficients
+            if base.degree * e > MAX_DEGREE:
                 raise PolyParseError(f"degree above {MAX_DEGREE}", tok[2])
-            return base ** tok[1]
+            top = max([0, *(max(abs(x.numerator), x.denominator) for x in coeffs)])
+            if e * (top.bit_length() + (base.degree + 1).bit_length()) > MAX_POWER_BITS:
+                raise PolyParseError(f"power above {MAX_POWER_BITS} bits", tok[2])
+            return base**e
         return base
 
     def atom(self) -> Poly:

@@ -26,17 +26,22 @@ def as_rat(value: Rat | int | str) -> Fraction:
     return Fraction(value)
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical reduced form: "p/q", or just "p" when the denominator is 1.
+def format_quotient(numerator: int, denominator: int | Decimal = 1) -> str:
+    """"p/q" for a numerator p over a positive denominator q it has no common
+    factor with, or just "p" when q is 1.
 
     Integers are printed through Decimal, which is exact and, unlike str(int),
-    not bound by the interpreter's int-to-str digit limit.
+    not bound by the interpreter's int-to-str digit limit.  A Decimal
+    denominator must be an integer of exponent 0; it prints as it is.
     """
+    text = str(Decimal(numerator))
+    return text if denominator == 1 else f"{text}/{Decimal(denominator)}"
+
+
+def format_rational(value: Fraction) -> str:
+    """Canonical reduced form: "p/q", or just "p" when the denominator is 1."""
     value = Fraction(value)
-    numerator = str(Decimal(value.numerator))
-    if value.denominator == 1:
-        return numerator
-    return f"{numerator}/{Decimal(value.denominator)}"
+    return format_quotient(value.numerator, value.denominator)
 
 
 class Value:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 
 import poleint
+from poleint import RootConfig, format_rational, integrate_via_partial_fractions
 from poleint.cli import main
-from poleint.parser import MAX_NESTING
+from poleint.parser import MAX_NESTING, MAX_POWER_BITS
 
 EXPECTED_INTEGRATE_DOC = {
     "q": 2,
@@ -126,6 +128,35 @@ class TestIntegrateCommand:
         assert code == 1
         assert "nonzero" in err
 
+    def test_tall_prime_denominators_match_the_library_route(self, capsys):
+        # q = 12 roots over distinct 30-bit primes, so D^k is the whole
+        # denominator of most coefficients; the CLI prints it off a Decimal
+        # power table, the reference off the partial-fraction route's Fractions.
+        primes = list(itertools.islice(filter(_is_prime, range(2**30 - 1, 0, -2)), 12))
+        roots = [Fraction((-1) ** j * (2**29 + 7 * j), p) for j, p in enumerate(primes)]
+        cfg, terms = RootConfig(tuple(roots)), 36
+        series = integrate_via_partial_fractions(cfg, terms)
+        expected = {
+            "q": 12,
+            "roots": [format_rational(r) for r in roots],
+            "truncation": terms,
+            "b0_convention": "zero",
+            "coefficients": [
+                {"n": n, "value": format_rational(series.coefficient(n))}
+                for n in range(terms + 1)
+            ],
+            "valuation": 12,
+            "paths_agree": True,
+        }
+        argv = ["integrate", "--roots=" + ",".join(map(str, roots)), "--terms", "36"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
 
 class TestIdentitiesCommand:
     def test_fixture_text_and_exit_code(self, capsys):
@@ -191,6 +222,16 @@ class TestPfdCommand:
         code, out, err = run_cli(capsys, "pfd", "--roots", "1", "--num", "z^99999999")
         assert code == 2 and out == ""
         assert err.startswith("parse error at offset 2:")
+
+    @pytest.mark.parametrize("num,offset", [("9^9999999", 2), ("(9^999*z)^999", 10)])
+    def test_huge_constant_power_is_parse_error(self, capsys, num, offset):
+        # a constant power has degree 0 (or a small one), so MAX_DEGREE let
+        # 9^9999999 run for more than 10 s; its size bound refuses it at once
+        code, out, err = run_cli(capsys, "pfd", "--roots", "1", "--num", num)
+        assert code == 2 and out == ""
+        assert err == (
+            f"parse error at offset {offset}: power above {MAX_POWER_BITS} bits\n"
+        )
 
 
 class TestVandermondeCommand:

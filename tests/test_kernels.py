@@ -5,6 +5,7 @@ import contextlib
 import io
 import math
 import sys
+from decimal import Decimal, Inexact, Rounded
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 
 import poleint.asymptotics
-import poleint.integrate
 import poleint.symmetric
 from poleint import (
     RootConfig,
@@ -23,8 +23,14 @@ from poleint import (
     integrate_via_partial_fractions,
     moment,
 )
-from poleint.cli import main
-from poleint.integrate import residue_moments
+from poleint.cli import _EXACT, main
+from poleint.integrate import (
+    reduced_coefficients,
+    residue_moments,
+    residue_sums,
+    series_from_moments,
+)
+from poleint.polynomial import format_quotient, format_rational
 from poleint.symmetric import integer_expansion, scale_to_integers
 
 from conftest import rationals
@@ -75,6 +81,69 @@ def test_kernels_match_fraction_oracles(roots, extra):
     assert report.all_pass
 
 
+# -- the reduced coefficients and their printer --------------------------------
+
+
+def _check_reduced(moments, d, q):
+    """(num, s, k) against the Fraction b_n = -m_n D^(q-n) / (n D^(n-q)), and
+    both printer inputs (an int and a Decimal denominator) against
+    format_rational of it."""
+    reduced = reduced_coefficients(moments, d, q)
+    assert len(reduced) == len(moments) - 1
+    for n, (m, (num, s, k)) in enumerate(zip(moments[1:], reduced), start=1):
+        want = F(-m * d ** max(q - n, 0), n * d ** max(n - q, 0))
+        assert (num, s * d**k) == (want.numerator, want.denominator)
+        assert s > 0 and k in (0, max(n - q, 0))
+        text = format_rational(want)
+        assert format_quotient(num, s * d**k) == text
+        assert format_quotient(num, _EXACT.multiply(s, _EXACT.power(d, k))) == text
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_ROOTS, st.integers(0, 8))
+@example([F(1, 6), F(-5, 6), F(7, 6)], 6)  # shared denominator: the fallback
+@example([F(1, 2), F(-2, 3), F(4, 5), F(-6, 7)], 5)  # coprime: the fast path
+def test_reduced_coefficients_of_the_kernel_moments(roots, extra):
+    cfg = RootConfig(tuple(roots))
+    d, c = scale_to_integers(cfg.roots)
+    _check_reduced(integer_expansion(c, cfg.q + extra + 2)[1], d, cfg.q)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=12),
+    st.sampled_from([1, 2, 6, 9, 30, 210, 1001]),
+    st.integers(0, 8),
+)
+@example([0, 5, -9, 12, 0, 35], 6, 2)  # n < q nonzero, m shares 3 with D = 6
+@example([0, 0, 1, -7, 49], 7, 2)  # a moment divisible by D
+def test_reduced_coefficients_of_any_integer_moments(moments, d, q):
+    _check_reduced(moments, d, q)
+
+
+def test_reduced_coefficients_take_each_path():
+    # D = 6, q = 1: -5/(2*6) keeps its D^1; -9/(3*6^2) shares 3 with D and
+    # reduces against the whole denominator, to -1/12 with k = 0.
+    assert reduced_coefficients([0, 1, 5, 9, 0], 6, 1) == [
+        (-1, 1, 0),
+        (-5, 2, 1),
+        (-1, 12, 0),
+        (0, 1, 0),
+    ]
+    assert series_from_moments([0, 1, 5, 9, 0], 6, 1).coefficients == (
+        0, F(-1), F(-5, 12), F(-1, 12), 0,
+    )
+
+
+def test_the_exact_decimal_context_traps_rounding():
+    assert _EXACT.traps[Inexact] and _EXACT.traps[Rounded]
+    assert str(_EXACT.power(10**40 + 1, 50)) == str(Decimal((10**40 + 1) ** 50))
+    with pytest.raises(Inexact):
+        _EXACT.quantize(Decimal("1.5"), Decimal(1))
+    with pytest.raises(Rounded):  # even when only a zero digit is dropped
+        _EXACT.quantize(Decimal("2.0"), Decimal(1))
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.lists(rationals, max_size=5), st.integers(0, 8))
 def test_symmetric_table_with_zero_and_repeated_values(values, depth):
@@ -115,12 +184,14 @@ def _perturb_expansion(l):
 
 
 def _perturb_residues(l):
+    # S_(q+l) += W is m_(q+l) += 1 on the residue side: the CLI compares the
+    # sums themselves, and the library divides them by W.
     def kernel(c, count):
-        m = residue_moments(c, count)
-        m[len(c) + l] += 1
-        return m
+        w, sums = residue_sums(c, count)
+        sums[len(c) + l] += w
+        return w, sums
 
-    return residue_moments, kernel
+    return residue_sums, kernel
 
 
 @pytest.mark.parametrize("l", [0, 4])
@@ -152,14 +223,12 @@ def test_a_broken_scaling_step_raises(monkeypatch):
 @pytest.mark.parametrize("n", [0, 5])
 def test_a_failed_residue_self_check_exits_3(monkeypatch, n):
     # S_0 off by W breaks the residue sum; S_5 off by one leaves a remainder.
-    residue_sums = poleint.integrate._residue_sums
-
     def broken(c, count):
         w, sums = residue_sums(c, count)
         sums[n] += w if n == 0 else 1
         return w, sums
 
-    monkeypatch.setattr(poleint.integrate, "_residue_sums", broken)
+    _replace_everywhere(monkeypatch, residue_sums, broken)
     code, out, err = _run(ARGV)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

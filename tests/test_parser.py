@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,7 +14,7 @@ from poleint import (
     parse_poly,
     parse_rational,
 )
-from poleint.parser import MAX_DEGREE
+from poleint.parser import MAX_DEGREE, MAX_POWER_BITS
 
 from conftest import polys, root_tuples
 
@@ -117,6 +119,9 @@ class TestParsePoly:
             (f"(z^2+1)^{MAX_DEGREE // 2 + 1}", 8),
             ("z^600*z^600", 5),  # or at the '*' of a product
             (f"z*z^{MAX_DEGREE}", 1),
+            ("9^9999999", 2),  # a power above MAX_POWER_BITS, at the exponent
+            ("(9^999*z)^999", 10),
+            ("(2^87381)^3", 10),  # 87382 bits cubed
         ],
     )
     def test_negative_corpus_with_positions(self, text, position):
@@ -131,6 +136,37 @@ class TestParsePoly:
     def test_degree_max_degree_parses(self):
         assert parse_poly(f"z^{MAX_DEGREE}") == Poly.z() ** MAX_DEGREE
         assert parse_poly(f"z^600*z^{MAX_DEGREE - 600}") == Poly.z() ** MAX_DEGREE
+
+    def test_power_bits_boundary(self):
+        # 2 has 2 bits and degree 0: e * (2 + 1) is the size the bound reads
+        assert MAX_POWER_BITS // 3 == 87381
+        assert parse_poly("2^87381") == Poly((2**87381,))
+        with pytest.raises(PolyParseError, match=f"power above {MAX_POWER_BITS} bits"):
+            parse_poly("2^87382")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["7^12000", "7^6000", "(z^2+1)^500", "(z+1/2)^2", "2^3", "0^99999999"],
+    )
+    def test_power_bound_accepts_the_test_inputs(self, text):
+        parse_poly(text)
+
+    def test_power_bound_accepts_the_benchmark_inputs(self, monkeypatch):
+        # every numerator four shape cycles of each workload draw, seeds 1 and 2
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        from workloads import WORKLOADS
+
+        numerators = [
+            arg.removeprefix("--num=")
+            for w in WORKLOADS.values()
+            for seed in (1, 2)
+            for req in itertools.islice(w.requests(seed), 4 * w.cycle)
+            for arg in req.argv
+            if arg.startswith("--num=")
+        ]
+        assert len(numerators) == 24
+        for text in numerators:
+            parse_poly(text)
 
     def test_nesting_50_deep_parses(self):
         # 50 parentheses around 50 unary minuses: 100 levels, the most allowed
