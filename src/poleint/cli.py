@@ -13,7 +13,11 @@ Exact values are printed as reduced "p/q" strings (denominator omitted when
 it is 1); the only floating-point outputs are the sup errors of `limit`,
 printed with 17 significant digits.  `integrate` checks the residue route
 by multiplication, S_n = W * m_n, and prints each coefficient off its
-factored denominator s * D^k, with the powers of D multiplied in Decimal.
+factored denominator s * D^k, with the powers of D multiplied in Decimal
+and the numerator split on bits (`polynomial.format_quotient`).
+
+`main` builds its parser on its first call and reuses it for every later
+call in the process; `build_parser` returns a fresh one each time.
 
 Exit codes: 0 success, 1 domain error (invalid roots and similar),
 2 usage or parse error, 3 any exact identity check failed.
@@ -25,8 +29,9 @@ import argparse
 import json
 import os
 import sys
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
+from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, repeat
 
 from .asymptotics import scaling_limit_table
@@ -45,7 +50,7 @@ from .parser import (
     parse_poly,
     parse_rational,
 )
-from .polynomial import format_quotient
+from .polynomial import EXACT, format_quotient
 from .symmetric import (
     ExactCheckError,
     complete_homogeneous,
@@ -61,9 +66,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
-
-# Integer products in Decimal, exact at any size: a rounding would raise.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -159,9 +161,9 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     agree = not sums[0] and sums == [w * m for m in moments]
     agree = agree or moments == residue_moments(c, count)
     reduced = reduced_coefficients(moments, d, cfg.q)
-    powers = accumulate(repeat(Decimal(d), extra), _EXACT.multiply, initial=Decimal(1))
+    powers = accumulate(repeat(Decimal(d), extra), EXACT.multiply, initial=Decimal(1))
     powers = list(powers)  # D^k for k = 0..N-q, one exact product each
-    values = [format_quotient(x, _EXACT.multiply(s, powers[k])) for x, s, k in reduced]
+    values = [format_quotient(x, EXACT.multiply(s, powers[k])) for x, s, k in reduced]
     doc = {
         "q": cfg.q,
         "roots": [format_rational(r) for r in cfg.roots],
@@ -261,8 +263,14 @@ _COMMANDS = {
 }
 
 
+# main's parser, built on its first call and reused by every later one.
+# Parsing leaves no state in it, and help text reads the terminal width when
+# it is formatted, not when the parser is built.
+_main_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     try:
         args = parser.parse_args(argv)
         # argparse reads an option value of exactly "--" as an empty list

@@ -115,12 +115,20 @@ def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
     )
 
 
+def _lcm(values: list[int]) -> int:
+    """math.lcm(*values), taken pairwise over a balanced tree, so that each
+    lcm meets operands of like size instead of a running total."""
+    while len(values) > 2:
+        values = [math.lcm(*values[i : i + 2]) for i in range(0, len(values), 2)]
+    return math.lcm(*values)
+
+
 def residue_sums(c: tuple[int, ...], count: int) -> tuple[int, list[int]]:
     """W = lcm Q_c'(p) and S_n = sum_p w_p p^n = W * m_n(c) for n < count,
     with w_p = W / Q_c'(p), over the poles p = 0, c_1, ..., c_q."""
     poles = (0, *c)
     dq = _derivative_values(poles)
-    w = math.lcm(*dq)
+    w = _lcm(dq)
     running = [w // x for x in dq]
     sums = [sum(running)]
     for _ in range(1, count):

@@ -19,6 +19,10 @@ a parse error, so the parser never expands a polynomial beyond that size.
 Nor may base^e have e * (H + (degree + 1).bit_length()) above MAX_POWER_BITS,
 H the largest numerator or denominator bit length in the base; the exponent
 is the error's offset, and constant powers such as 9^9999999 are bounded too.
+A product is charged the same measure, H + (degree + 1).bit_length(), for
+each of its factors, and the '*' that takes the sum above MAX_POWER_BITS is
+a parse error, so 9^50000*9^50000 is refused at its '*' although each power
+alone passes.
 Every parse error carries the byte offset it occurred at.
 """
 
@@ -77,6 +81,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 _Token = tuple[str, object, int]  # kind, value, offset
+
+
+def _size(p: Poly) -> int:
+    """H + (degree + 1).bit_length(), H the largest numerator or denominator
+    bit length of p: the bits a product or power is charged per factor."""
+    top = max([0, *(max(abs(x.numerator), x.denominator) for x in p.coefficients)])
+    return top.bit_length() + (p.degree + 1).bit_length()
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -143,11 +154,15 @@ class _Parser:
 
     def term(self) -> Poly:
         p = self.factor()
+        size = _size(p)
         while self._at_symbol("*"):
             offset = self._next()[2]
             f = self.factor()
             if p.degree + f.degree > MAX_DEGREE:
                 raise PolyParseError(f"degree above {MAX_DEGREE}", offset)
+            size += _size(f)
+            if size > MAX_POWER_BITS:
+                raise PolyParseError(f"product above {MAX_POWER_BITS} bits", offset)
             p = p * f
         return p
 
@@ -162,11 +177,10 @@ class _Parser:
                     "exponent must be a nonnegative integer literal", where
                 )
             self._next()
-            e, coeffs = tok[1], base.coefficients
+            e = tok[1]
             if base.degree * e > MAX_DEGREE:
                 raise PolyParseError(f"degree above {MAX_DEGREE}", tok[2])
-            top = max([0, *(max(abs(x.numerator), x.denominator) for x in coeffs)])
-            if e * (top.bit_length() + (base.degree + 1).bit_length()) > MAX_POWER_BITS:
+            if e * _size(base) > MAX_POWER_BITS:
                 raise PolyParseError(f"power above {MAX_POWER_BITS} bits", tok[2])
             return base**e
         return base

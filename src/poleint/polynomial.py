@@ -13,8 +13,9 @@ empty tuple and has degree -1.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
+from functools import cache
 
 Rat = Fraction
 
@@ -26,16 +27,52 @@ def as_rat(value: Rat | int | str) -> Fraction:
     return Fraction(value)
 
 
+# Integer products in Decimal, exact at any size: a rounding would raise.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+
+_SPLIT_BITS = 2048  # S: integers of at most 2*S bits convert directly
+
+
+@cache
+def _power_of_two(i: int) -> Decimal:
+    """Decimal(2^(S * 2^i)), each level the exact square of the one below."""
+    if not i:
+        return Decimal(1 << _SPLIT_BITS)
+    half = _power_of_two(i - 1)
+    return EXACT.multiply(half, half)
+
+
+def _decimal(x: int) -> Decimal:
+    """Decimal(x), exact, without Decimal(int)'s quadratic cost on large x.
+
+    Above 2*S bits, x splits at k = S * 2^i, the largest such k with
+    2k <= x.bit_length(), into x >> k and x & (2^k - 1): shifts and masks are
+    linear, where divmod by 2^k is not.  The halves convert the same way and
+    join as hi * 2^k + lo in EXACT.  Floor shifts make the split hold for
+    negative x too.
+    """
+    n = x.bit_length()
+    if n <= 2 * _SPLIT_BITS:
+        return Decimal(x)
+    i = (n // (2 * _SPLIT_BITS)).bit_length() - 1
+    k = _SPLIT_BITS << i
+    hi, lo = _decimal(x >> k), _decimal(x & ((1 << k) - 1))
+    return EXACT.add(EXACT.multiply(hi, _power_of_two(i)), lo)
+
+
 def format_quotient(numerator: int, denominator: int | Decimal = 1) -> str:
     """"p/q" for a numerator p over a positive denominator q it has no common
     factor with, or just "p" when q is 1.
 
     Integers are printed through Decimal, which is exact and, unlike str(int),
-    not bound by the interpreter's int-to-str digit limit.  A Decimal
-    denominator must be an integer of exponent 0; it prints as it is.
+    not bound by the interpreter's int-to-str digit limit; large ones are
+    split on bits first (`_decimal`).  A Decimal denominator must be an
+    integer of exponent 0; it prints as it is.
     """
-    text = str(Decimal(numerator))
-    return text if denominator == 1 else f"{text}/{Decimal(denominator)}"
+    text = str(_decimal(numerator))
+    if isinstance(denominator, int):
+        denominator = _decimal(denominator)
+    return text if denominator == 1 else f"{text}/{denominator}"
 
 
 def format_rational(value: Fraction) -> str:

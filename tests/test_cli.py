@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import poleint
+import poleint.cli
 from poleint import RootConfig, format_rational, integrate_via_partial_fractions
 from poleint.cli import main
 from poleint.parser import MAX_NESTING, MAX_POWER_BITS
@@ -223,6 +225,14 @@ class TestPfdCommand:
         assert code == 2 and out == ""
         assert err.startswith("parse error at offset 2:")
 
+    def test_huge_constant_product_is_parse_error(self, capsys):
+        # 127 characters once parsed to a 2.5M-bit constant in over a second;
+        # the first '*' already takes the product past MAX_POWER_BITS
+        num = "*".join(["9^50000"] * 16)
+        code, out, err = run_cli(capsys, "pfd", "--roots", "1", "--num", num)
+        assert code == 2 and out == ""
+        assert err == f"parse error at offset 7: product above {MAX_POWER_BITS} bits\n"
+
     @pytest.mark.parametrize("num,offset", [("9^9999999", 2), ("(9^999*z)^999", 10)])
     def test_huge_constant_power_is_parse_error(self, capsys, num, offset):
         # a constant power has degree 0 (or a small one), so MAX_DEGREE let
@@ -401,6 +411,68 @@ def test_module_entry_point_subprocess():
     assert proc.stdout == EXPECTED_IDENTITIES_TEXT
 
 
+# main builds its parser once and reuses it: every outcome of a request must
+# be the same whatever ran before it in the process, and the same as in a
+# fresh `python -m poleint`.  COLUMNS fixes the width help is wrapped to.
+_MAIN_ORDER = [
+    ["integrate", "--roots", "1,2", "--terms", "6"],
+    ["integrate", "--roots", "1,2"],
+    ["pfd", "--roots", "1,2", "--num", "z^"],
+    ["--help"],
+    ["integrate", "--help"],
+    ["identities", "--roots", "1,2", "--max-k", "6"],
+    ["integrate", "--roots=1/2,-3", "--terms", "5"],
+]
+
+
+def test_main_gives_each_request_the_same_outcome_in_any_order(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    forward = [outcome(argv) for argv in _MAIN_ORDER]
+    backward = [outcome(argv) for argv in reversed(_MAIN_ORDER)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [0, 2, 2, 0, 0, 0, 0]
+    for argv, (code, out, err) in zip(_MAIN_ORDER, forward):
+        proc = subprocess.run(
+            [sys.executable, "-m", "poleint", *argv],
+            capture_output=True,
+            text=True,
+            env={**SUBPROCESS_ENV, "COLUMNS": "80"},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_threads_share_main_parser():
+    # parsing leaves no state in the shared parser, so threads may use it at once
+    parser = poleint.cli._main_parser()
+    argvs = _MAIN_ORDER[0], _MAIN_ORDER[5], _MAIN_ORDER[6]
+    want = [vars(parser.parse_args(argv)) for argv in argvs]
+    got = []
+
+    def parse(k):
+        for i in range(k, k + 200):
+            got.append(vars(parser.parse_args(argvs[i % 3])) == want[i % 3])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 1200 and all(got)
+
+
 # Every `python -m poleint` run pays for the modules its import loads, and
 # these three once took longer to import than the checks the CLI runs.  -S
 # keeps site-packages, which may load typing first, out of the child.
@@ -417,6 +489,27 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Importing the CLI builds nothing that a request may not need: main's parser
+# is built on its first call, and the printer's powers of two on first use.
+def test_cli_import_builds_no_parser_and_no_decimal_power():
+    code = (
+        "import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1); init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import poleint.cli, poleint.polynomial as p\n"
+        "print(len(built), p._power_of_two.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"
 
 
 # The second numerator prints more than stdout's 8 KiB buffer, so the write

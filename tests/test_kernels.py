@@ -4,6 +4,7 @@ oracles, and the guard that keeps the two routes independent."""
 import contextlib
 import io
 import math
+import random
 import sys
 from decimal import Decimal, Inexact, Rounded
 from fractions import Fraction as F
@@ -23,14 +24,16 @@ from poleint import (
     integrate_via_partial_fractions,
     moment,
 )
-from poleint.cli import _EXACT, main
+from poleint.cli import main
 from poleint.integrate import (
+    _derivative_values,
+    _lcm,
     reduced_coefficients,
     residue_moments,
     residue_sums,
     series_from_moments,
 )
-from poleint.polynomial import format_quotient, format_rational
+from poleint.polynomial import EXACT, format_quotient, format_rational
 from poleint.symmetric import integer_expansion, scale_to_integers
 
 from conftest import rationals
@@ -81,6 +84,34 @@ def test_kernels_match_fraction_oracles(roots, extra):
     assert report.all_pass
 
 
+# -- W off a balanced lcm tree ------------------------------------------------
+
+
+def _distinct_roots(rng, q):
+    roots = set()
+    while len(roots) < q:
+        roots.add(F(rng.randrange(-(2**30), 2**30) or 1, rng.choice(_PRIMES)))
+    return tuple(roots)
+
+
+# 2 to 21 poles: every shape of the tree, odd counts (a lone value carried up
+# a level) included.
+@pytest.mark.parametrize("q", range(1, 21))
+def test_residue_weights_off_the_lcm_tree(q):
+    _, c = scale_to_integers(_distinct_roots(random.Random(q), q))
+    dq = _derivative_values((0, *c))
+    w, sums = residue_sums(c, 1)
+    assert w == math.lcm(*dq) > 0
+    assert all(w // x * x == w for x in dq)  # w_p * Q_c'(p) == W
+    assert sums == [0]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=21))
+def test_lcm_tree_is_math_lcm(values):
+    assert _lcm(values) == math.lcm(*values)
+
+
 # -- the reduced coefficients and their printer --------------------------------
 
 
@@ -96,7 +127,7 @@ def _check_reduced(moments, d, q):
         assert s > 0 and k in (0, max(n - q, 0))
         text = format_rational(want)
         assert format_quotient(num, s * d**k) == text
-        assert format_quotient(num, _EXACT.multiply(s, _EXACT.power(d, k))) == text
+        assert format_quotient(num, EXACT.multiply(s, EXACT.power(d, k))) == text
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -136,12 +167,12 @@ def test_reduced_coefficients_take_each_path():
 
 
 def test_the_exact_decimal_context_traps_rounding():
-    assert _EXACT.traps[Inexact] and _EXACT.traps[Rounded]
-    assert str(_EXACT.power(10**40 + 1, 50)) == str(Decimal((10**40 + 1) ** 50))
+    assert EXACT.traps[Inexact] and EXACT.traps[Rounded]
+    assert str(EXACT.power(10**40 + 1, 50)) == str(Decimal((10**40 + 1) ** 50))
     with pytest.raises(Inexact):
-        _EXACT.quantize(Decimal("1.5"), Decimal(1))
+        EXACT.quantize(Decimal("1.5"), Decimal(1))
     with pytest.raises(Rounded):  # even when only a zero digit is dropped
-        _EXACT.quantize(Decimal("2.0"), Decimal(1))
+        EXACT.quantize(Decimal("2.0"), Decimal(1))
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

@@ -122,6 +122,8 @@ class TestParsePoly:
             ("9^9999999", 2),  # a power above MAX_POWER_BITS, at the exponent
             ("(9^999*z)^999", 10),
             ("(2^87381)^3", 10),  # 87382 bits cubed
+            ("9^50000*9^50000", 7),  # a product above MAX_POWER_BITS, at its '*'
+            ("z*2^87380*2^87380*2^87380", 17),
         ],
     )
     def test_negative_corpus_with_positions(self, text, position):
@@ -144,9 +146,26 @@ class TestParsePoly:
         with pytest.raises(PolyParseError, match=f"power above {MAX_POWER_BITS} bits"):
             parse_poly("2^87382")
 
+    def test_product_bits_boundary(self):
+        # each 2^e is charged e + 1 bits plus 1 for degree 0: 262144 in all
+        assert 87382 + 87382 + 87380 == MAX_POWER_BITS
+        assert parse_poly("2^87380*2^87380*2^87378") == Poly((2 ** (3 * 87380 - 2),))
+        with pytest.raises(PolyParseError, match=f"product above {MAX_POWER_BITS} bits") as exc:
+            parse_poly("2^87380*2^87380*2^87379")
+        assert exc.value.position == 15
+
     @pytest.mark.parametrize(
         "text",
-        ["7^12000", "7^6000", "(z^2+1)^500", "(z+1/2)^2", "2^3", "0^99999999"],
+        [
+            "7^12000",
+            "7^6000",
+            "7^6000*z",
+            "2^87381",
+            "(z^2+1)^500",
+            "(z+1/2)^2",
+            "2^3",
+            "0^99999999",
+        ],
     )
     def test_power_bound_accepts_the_test_inputs(self, text):
         parse_poly(text)

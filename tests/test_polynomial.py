@@ -1,9 +1,14 @@
+import random
+import sys
+import threading
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 
 from poleint import Poly
+from poleint.polynomial import _SPLIT_BITS, _power_of_two, format_quotient
 
 from conftest import polys, nonzero_polys, rationals, root_tuples
 from oracles import gcd, is_squarefree, poly_divmod, poly_mod
@@ -185,3 +190,59 @@ class TestRingProperties:
         assert poly_mod(p, g).is_zero
         assert poly_mod(q, g).is_zero
         assert g.leading_coefficient == 1
+
+
+# Integers above 2*S bits print off halves split on bits and joined in
+# Decimal: the edges of the direct conversion, both sides of every power
+# 2^(S * 2^i) the join multiplies by (2^(S * 2^i) - 1 is also the first width
+# that splits at level i - 1), and a 90k-bit value, in both signs.
+_S = _SPLIT_BITS
+_EDGES = [pytest.param(x, id=str(x)) for x in (0, 1, 2**30)]
+_EDGES += [
+    pytest.param((1 << (bits - 1)) | 1, id=f"{bits}-bits")
+    for bits in (2 * _S - 1, 2 * _S, 2 * _S + 1)
+]
+_EDGES += [
+    pytest.param(2**k + e, id=f"2^{k}{e:+d}")
+    for k in (_S << i for i in range(8))
+    for e in (-1, 0, 1)
+]
+_EDGES += [pytest.param(random.Random(90).getrandbits(90_000) | 1 << 89_999, id="90k-bits")]
+
+
+class TestNumeratorPrinting:
+    @pytest.mark.parametrize("x", _EDGES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_prints_as_decimal_of_the_whole_integer(self, x, sign):
+        assert format_quotient(sign * x) == str(Decimal(sign * x))
+
+    def test_random_sizes_and_both_slots(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            x = rng.getrandbits(rng.randrange(1, 40_000)) or 1
+            assert format_quotient(-x) == str(Decimal(-x))
+            assert format_quotient(-x, x + 2) == f"{Decimal(-x)}/{Decimal(x + 2)}"
+
+    def test_threads_share_the_power_table(self):
+        # every thread grows the emptied table at once; a level stored under
+        # the wrong index would print a wrong digit string
+        values = [random.Random(i).getrandbits(30_000 + 9_000 * i) for i in range(8)]
+        want = [str(Decimal(x)) for x in values]
+        got = [None] * len(values)
+
+        def convert(i):
+            got[i] = format_quotient(values[i])
+
+        _power_of_two.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=convert, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
