@@ -39,7 +39,6 @@ from .symmetric import (
     SymmetricTable,
     complete_homogeneous,
     determinant,
-    elementary_symmetric,
     generalized_vandermonde,
     vandermonde_matrix,
     vandermonde_product,
@@ -66,7 +65,6 @@ __all__ = [
     "check_moment_identities",
     "complete_homogeneous",
     "determinant",
-    "elementary_symmetric",
     "format_rational",
     "generalized_vandermonde",
     "integrate_via_expansion",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -101,8 +102,10 @@ def scaling_limit_table(
     `strictly_decreasing` as convergence.  A ratio after a sup error that
     underflowed to 0 is nan, which is out of band and not decreasing.
 
-    The radius must be finite, exceed every scaled root, and have a q-th
-    power within the double range; anything else raises ValueError.
+    The radius must be finite and exceed every scaled root, its q-th power
+    must not overflow a double, and 1/(q z^q) and the truncated series on the
+    circle must stay within the double range; anything else raises
+    ValueError.
     """
     t_scales = [as_rat(t) for t in scales]
     if not t_scales:
@@ -115,10 +118,10 @@ def scaling_limit_table(
         raise ValueError("max_l must be nonnegative")
     q = cfg.q
     largest = max(abs(t * a) for t in t_scales for a in cfg.roots)
-    if not radius > float(largest):
+    bound = float(largest) if largest <= sys.float_info.max else math.inf
+    if not radius > bound:
         raise ValueError(
-            "radius must exceed every scaled root magnitude "
-            f"(need > {float(largest)})"
+            f"radius must exceed every scaled root magnitude (need > {bound})"
         )
     if not math.isfinite(radius):
         raise ValueError("radius must be finite")
@@ -130,10 +133,13 @@ def scaling_limit_table(
     points = [
         radius * cmath.exp(2j * cmath.pi * k / samples) for k in range(samples)
     ]
+    far_field = f"radius**q must keep the far field within the double range (q = {q})"
     try:
         limits = [(z, 1 / (q * z**q)) for z in points]
     except OverflowError:
         raise ValueError(f"radius**q must not overflow a double (q = {q})") from None
+    except ZeroDivisionError:  # z**q underflowed to 0
+        raise ValueError(far_field) from None
 
     rows = []
     for t in t_scales:
@@ -145,7 +151,13 @@ def scaling_limit_table(
             if res.coefficient(q + l) != t_power * base.coefficient(q + l):
                 raise ExactCheckError(f"t^l scaling law failed at l = {l}")
             t_power *= t
-        sup = max(abs(res.evaluate(z) + limit) for z, limit in limits)
+        try:
+            errors = [abs(res.evaluate(z) + limit) for z, limit in limits]
+        except OverflowError:
+            errors = [math.inf]
+        if not all(map(math.isfinite, errors)):
+            raise ValueError(far_field)
+        sup = max(errors)
         rows.append(
             ScaleRow(
                 scale=t,

@@ -66,10 +66,6 @@ class RootConfig(Value):
     def q(self) -> int:
         return len(self.roots)
 
-    def polynomial(self) -> Poly:
-        """Q(z) = z(z - a_1)...(z - a_q), monic of degree q + 1."""
-        return Poly.from_roots(self.roots, include_zero_root=True)
-
     def scaled(self, t: Rat | int | str) -> RootConfig:
         tr = as_rat(t)
         return RootConfig(tuple(tr * r for r in self.roots))

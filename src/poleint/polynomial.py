@@ -156,11 +156,9 @@ class Poly(Value):
         return cls((value,))
 
     @classmethod
-    def from_roots(
-        cls, roots: Iterable[Rat | int | str], include_zero_root: bool = False
-    ) -> Poly:
-        """Monic polynomial with exactly the given roots (plus 0 when flagged)."""
-        p = cls.z() if include_zero_root else cls.one()
+    def from_roots(cls, roots: Iterable[Rat | int | str]) -> Poly:
+        """Monic polynomial with exactly the given roots."""
+        p = cls.one()
         for r in roots:
             p = p * cls((-as_rat(r), Fraction(1)))
         return p

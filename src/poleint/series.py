@@ -13,16 +13,14 @@ Two series can only be compared where both are known; `agrees_with` does
 exactly that.  The valuation of a series is the index of its first nonzero
 stored coefficient, or INFINITY when every stored coefficient vanishes.
 
-Differentiation acts term by term and gains one order of information;
-antidifferentiation loses one.  A series with a nonzero z^0 or z^-1 term
-has no antiderivative in this ring (the z^-1 term would integrate to a
-logarithm), which raises NotIntegrableInRing.
+Antidifferentiation loses one order of information.  A series with a
+nonzero z^0 or z^-1 term has no antiderivative in this ring (the z^-1 term
+would integrate to a logarithm), which raises NotIntegrableInRing.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from fractions import Fraction
 
 from .polynomial import Poly, Rat, Value, as_rat
@@ -50,28 +48,6 @@ class InvZSeries(Value):
         object.__setattr__(self, "coefficients", coeffs)
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, truncation: int) -> InvZSeries:
-        return cls(truncation, (Fraction(0),) * (truncation + 1))
-
-    @classmethod
-    def from_coefficients(
-        cls, coefficients: Iterable[Rat | int | str], truncation: int | None = None
-    ) -> InvZSeries:
-        """Series with the given b_0, b_1, ... coefficients.
-
-        With an explicit truncation the sequence is padded with zeros or cut
-        to the stated window; otherwise the window is what was passed.
-        """
-        coeffs = [as_rat(c) for c in coefficients]
-        if truncation is None:
-            if not coeffs:
-                raise ValueError("empty coefficient sequence needs a truncation")
-            truncation = len(coeffs) - 1
-        coeffs = coeffs[: truncation + 1]
-        coeffs += [Fraction(0)] * (truncation + 1 - len(coeffs))
-        return cls(truncation, tuple(coeffs))
 
     @classmethod
     def log_factor(cls, a: Rat | int | str, truncation: int) -> InvZSeries:
@@ -159,19 +135,7 @@ class InvZSeries(Value):
         c = as_rat(other)
         return InvZSeries(self.truncation, tuple(c * b for b in self.coefficients))
 
-    __rmul__ = __mul__
-
     # -- calculus ---------------------------------------------------------
-
-    def derivative(self) -> InvZSeries:
-        """Term-by-term derivative: b_n z^-n maps to -n b_n z^-(n+1).
-
-        The unknown tail starts one order later, so the window grows by one.
-        """
-        out = [Fraction(0)] * (self.truncation + 2)
-        for n in range(1, self.truncation + 1):
-            out[n + 1] = -n * self.coefficients[n]
-        return InvZSeries(self.truncation + 1, tuple(out))
 
     def antiderivative(self) -> InvZSeries:
         """The antiderivative normalized to vanish at infinity (b_0 = 0).

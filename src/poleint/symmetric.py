@@ -54,11 +54,6 @@ def integer_expansion(c: Sequence[int], count: int) -> tuple[list[int], list[int
     return p, m
 
 
-def elementary_symmetric(values: Sequence[Rat | int | str]) -> tuple[Fraction, ...]:
-    """All elementary symmetric values e_0..e_n of the inputs (e_0 = 1)."""
-    return SymmetricTable.build(values, 0).e
-
-
 class SymmetricTable(Value):
     """Elementary values e_0..e_q and complete homogeneous values h_0..h_depth."""
 

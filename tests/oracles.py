@@ -213,6 +213,17 @@ def truncate(f: InvZSeries, truncation: int) -> InvZSeries:
     return InvZSeries(truncation, f.coefficients[: truncation + 1])
 
 
+def derivative(f: InvZSeries) -> InvZSeries:
+    """Term-by-term derivative: b_n z^-n maps to -n b_n z^-(n+1).
+
+    The unknown tail starts one order later, so the window grows by one.
+    """
+    out = [Fraction(0)] * (f.truncation + 2)
+    for n in range(1, f.truncation + 1):
+        out[n + 1] = -n * f.coefficients[n]
+    return InvZSeries(f.truncation + 1, tuple(out))
+
+
 def _first_possible_nonzero(f: InvZSeries) -> int:
     """Lower bound on the true valuation (window valuation, else N+1)."""
     v = f.valuation()
@@ -253,7 +264,7 @@ def mul_z_power(f: InvZSeries, k: int) -> InvZSeries:
 
 def as_series(pf: PartialFractions, truncation: int) -> InvZSeries:
     """sum_j c_j / (z - pole_j) expanded at infinity."""
-    out = InvZSeries.zero(truncation)
+    out = InvZSeries(truncation, (0,) * (truncation + 1))
     for pole, c in pf.terms:
         out = out + inverse_linear(pole, truncation) * c
     return out

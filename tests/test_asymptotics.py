@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from poleint import (
     ChargeSystem,
+    Poly,
     RootConfig,
     integrate_via_expansion,
     potential,
@@ -90,7 +91,7 @@ class TestDerivativeConsistency:
         self, roots, radius
     ):
         cfg = RootConfig(roots)
-        q_poly = cfg.polynomial()
+        q_poly = Poly.from_roots([0, *cfg.roots])
         system = ChargeSystem.from_roots(cfg)
         g = integrate_via_expansion(cfg, 64)
         for degrees in self.ANGLES:

@@ -20,6 +20,9 @@ from poleint import RootConfig, format_rational, integrate_via_partial_fractions
 from poleint.cli import main
 from poleint.parser import MAX_NESTING, MAX_POWER_BITS
 
+HUGE = "1" + "0" * 400  # beyond the double range
+TINY = "1" + "0" * 77  # roots near 1e-77 put radius**4 below the normal range
+
 EXPECTED_INTEGRATE_DOC = {
     "q": 2,
     "roots": ["1", "2"],
@@ -295,19 +298,40 @@ class TestLimitCommand:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (("--radius", "inf"), "radius"),
-            (("--radius", "1e400"), "radius"),
-            (("--max-l", "-1"), "max_l"),
-            (("--radius", "1e200", "--samples", "4", "--terms", "6"), "radius"),
+            (("--roots", "1,2", "--radius", "inf"), "radius"),
+            (("--roots", "1,2", "--radius", "1e400"), "radius"),
+            (("--roots", "1,2", "--max-l", "-1"), "max_l"),
+            (
+                ("--roots", "1,2", "--radius", "1e200", "--samples", "4",
+                 "--terms", "6"),
+                "radius",
+            ),
+            # 1/(q z^q) beyond the double range: z^q underflows to 0, or is
+            # subnormal so that the far field overflows
+            (("--roots", f"1/{HUGE},-1/{HUGE}", "--radius", "1e-200"), "far field"),
+            (("--roots", f"1/{HUGE},-1/{HUGE}", "--radius", "1e-160"), "far field"),
+            (
+                ("--roots", f"1/{HUGE},-1/{HUGE},2/{HUGE},-2/{HUGE}",
+                 "--radius", "5e-78", "--terms", "5", "--max-l", "0"),
+                "far field",
+            ),
+            # 1/(q z^q) is finite, but the series terms on the circle are not
+            (
+                ("--roots", f"1/{TINY},-1/{TINY},99/{TINY}00,-99/{TINY}00",
+                 "--radius", "1.05e-77", "--samples", "16", "--max-l", "0"),
+                "far field",
+            ),
+            # a root or a scale beyond the double range
+            (("--roots", HUGE, "--radius", "10"), "exceed every scaled root"),
+            (("--roots", "1", "--scales", HUGE, "--radius", "10"), "exceed"),
         ],
     )
     def test_nonfinite_radius_and_negative_max_l_are_domain_errors(
         self, capsys, flags, message
     ):
-        code, out, err = run_cli(
-            capsys, "limit", "--roots", "1,2", "--scales", "1", *flags
-        )
+        code, out, err = run_cli(capsys, "limit", "--scales", "1", *flags)
         assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
     def test_coefficients_beyond_float_range(self, capsys):

@@ -222,4 +222,4 @@ class TestFactoredDenominator:
         cfg = RootConfig(roots)
         text = factored_form(cfg)
         assert parse_factored_denominator(text) == list(cfg.roots)
-        assert parse_poly(text) == cfg.polynomial()
+        assert parse_poly(text) == Poly.from_roots([0, *cfg.roots])

@@ -92,10 +92,10 @@ class TestDerivativeAndEval:
 
 class TestFromRoots:
     def test_two_roots_with_zero(self):
-        assert Poly.from_roots([1, 2], include_zero_root=True) == P(0, 2, -3, 1)
+        assert Poly.from_roots([0, 1, 2]) == P(0, 2, -3, 1)
 
     def test_empty_roots_with_zero(self):
-        assert Poly.from_roots([], include_zero_root=True) == Poly.z()
+        assert Poly.from_roots([0]) == Poly.z()
 
     def test_single_root(self):
         a = F(5, 7)
@@ -166,7 +166,7 @@ class TestRingProperties:
 
     @given(root_tuples)
     def test_from_roots_vanishes_at_roots(self, roots):
-        p = Poly.from_roots(roots, include_zero_root=True)
+        p = Poly.from_roots([0, *roots])
         assert p(0) == 0
         for a in roots:
             assert p(a) == 0
