@@ -11,10 +11,10 @@ their own:
 
 Exact values are printed as reduced "p/q" strings (denominator omitted when
 it is 1); the only floating-point outputs are the sup errors of `limit`,
-printed with 17 significant digits.  `integrate` checks the residue route
-by multiplication, S_n = W * m_n, and prints each coefficient off its
-factored denominator s * D^k, with the powers of D multiplied in Decimal
-and the numerator split on bits (`polynomial.format_quotient`).
+printed with 17 significant digits.  `integrate` prints the coefficients
+and cross-check of `integrate.cross_checked`, each b_n off its factored
+denominator s * D^k, with the powers of D multiplied in Decimal and the
+numerator split on bits (`polynomial.format_quotient`).
 
 `main` builds its parser on its first call and reuses it for every later
 call in the process; `build_parser` returns a fresh one each time.
@@ -38,10 +38,8 @@ from .asymptotics import scaling_limit_table
 from .integrate import (
     RootConfig,
     check_moment_identities,
+    cross_checked,
     partial_fractions,
-    reduced_coefficients,
-    residue_moments,
-    residue_sums,
 )
 from .parser import (
     PolyParseError,
@@ -56,8 +54,6 @@ from .symmetric import (
     complete_homogeneous,
     determinant,
     generalized_vandermonde,
-    integer_expansion,
-    scale_to_integers,
     vandermonde_matrix,
     vandermonde_product,
 )
@@ -144,26 +140,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terms_below_minimum(cfg: RootConfig, terms: int) -> bool:
+    """Print the usage error of a --terms below q+1; True if there is one."""
+    if terms <= cfg.q:
+        print(f"error: --terms must be at least q+1 = {cfg.q + 1}, got {terms}",
+              file=sys.stderr)
+    return terms <= cfg.q
+
+
 def _cmd_integrate(args: argparse.Namespace) -> int:
     cfg = _root_config(args)
-    if args.terms < cfg.q + 1:
-        print(
-            f"error: --terms must be at least q+1 = {cfg.q + 1}, got {args.terms}",
-            file=sys.stderr,
-        )
+    if _terms_below_minimum(cfg, args.terms):
         return EXIT_USAGE
-    d, c = scale_to_integers(cfg.roots)
-    count, extra = args.terms + 1, args.terms - cfg.q
-    moments = integer_expansion(c, count)[1]
-    # The routes agree when S_n = W * m_n for every n; a mismatch pays for the
-    # division by W only for its self-check, which raises if that fails.
-    w, sums = residue_sums(c, count)
-    agree = not sums[0] and sums == [w * m for m in moments]
-    if not agree:
-        residue_moments(c, count)
-    reduced = reduced_coefficients(moments, d, cfg.q)
-    powers = accumulate(repeat(Decimal(d), extra), EXACT.multiply, initial=Decimal(1))
-    powers = list(powers)  # D^k for k = 0..N-q, one exact product each
+    d, reduced, agree = cross_checked(cfg, args.terms)
+    powers = [Decimal(1)]  # D^k for k = 0..N-q, one exact product each
+    powers += accumulate(repeat(Decimal(d), args.terms - cfg.q), EXACT.multiply)
     values = [format_quotient(x, EXACT.multiply(s, powers[k])) for x, s, k in reduced]
     doc = {
         "q": cfg.q,
@@ -202,15 +193,10 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     cfg = _root_config(args)
     max_k = args.max_k if args.max_k is not None else cfg.q + 10
     report = check_moment_identities(cfg, max_k)
-    passed = 0
     for row in report.rows:
-        ok = "true" if row.ok else "false"
-        passed += row.ok
-        print(
-            f"k={row.k} lhs={format_rational(row.lhs)} "
-            f"rhs={format_rational(row.rhs)} pass={ok}"
-        )
-    print(f"{passed}/{len(report.rows)} identities hold")
+        lhs, rhs = format_rational(row.lhs), format_rational(row.rhs)
+        print(f"k={row.k} lhs={lhs} rhs={rhs} pass={'true' if row.ok else 'false'}")
+    print(f"{sum(row.ok for row in report.rows)}/{len(report.rows)} identities hold")
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 
@@ -237,6 +223,8 @@ def _cmd_vandermonde(args: argparse.Namespace) -> int:
 
 def _cmd_limit(args: argparse.Namespace) -> int:
     cfg = _root_config(args)
+    if _terms_below_minimum(cfg, args.terms):
+        return EXIT_USAGE
     report = scaling_limit_table(
         cfg,
         _parse_rational_list(args.scales),

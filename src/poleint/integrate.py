@@ -27,8 +27,9 @@ series of the partial fractions, whose coefficients are b_n = -m_n/n.
 
 Both routes read the integer roots c = D * a (D the lcm of the root
 denominators) and compute the integer moments m_n(c) of 1/Q_c, each its own
-way; b_n = -m_n(c) / (n * D^(n-q)) is reduced once, against n alone unless
-the numerator shares a prime with D, as num / (s * D^k) (`reduced_coefficients`).
+way.  `cross_checked` runs both kernels once and compares them exactly,
+S_n = W * m_n, and the identity report reads the same two kernels: its lhs
+from the residue sums, its rhs from the expansion kernel.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ from operator import mul
 
 from .polynomial import Poly, Rat, Value, as_rat
 from .series import InvZSeries
-from .symmetric import (
-    ExactCheckError,
-    SymmetricTable,
-    integer_expansion,
-    scale_to_integers,
-)
+from .symmetric import ExactCheckError, integer_expansion, scale_to_integers
 
 
 class RootConfig(Value):
@@ -161,25 +157,37 @@ def reduced_coefficients(moments: list[int], d: int, q: int) -> list[tuple[int, 
 
 
 def series_from_moments(moments: list[int], d: int, q: int) -> InvZSeries:
-    """b_0 = 0 and b_n = -m_n(a)/n, m_n(a) = m_n(c) * D^(q-n), from the
-    integer moments, one reduced coefficient each."""
-    b = [Fraction(num, s * d**k) for num, s, k in reduced_coefficients(moments, d, q)]
+    """b_0 = 0 and b_n = -m_n(c) * D^(q-n) / n, each reduced once, in its Fraction."""
+    b = [Fraction(-m * d ** max(q - n, 0), n * d ** max(n - q, 0))
+         for n, m in enumerate(moments[1:], start=1)]
     return InvZSeries(len(b), [Fraction(0)] + b)
 
 
-def _moments(cfg: RootConfig, max_k: int) -> list[Fraction]:
-    """m_0..m_max_k of 1/Q, m_k(a) = S_k / (W * D^(k-q)), off the residue
-    sums unchecked, so that the identity report can show a failure."""
+def _kernels(cfg: RootConfig, count: int) -> tuple:
+    """D, c = D * a, and for n < count the expansion kernel's m_n(c) and the
+    residue kernel's W and S_n, all unchecked."""
     d, c = scale_to_integers(cfg.roots)
-    w, sums = residue_sums(c, max_k + 1)
-    return [Fraction(s, w) * Fraction(d) ** (cfg.q - k) for k, s in enumerate(sums)]
+    return (d, c, integer_expansion(c, count)[1], *residue_sums(c, count))
+
+
+def cross_checked(cfg: RootConfig, truncation: int) -> tuple:
+    """D, the `reduced_coefficients` b_1..b_N and paths_agree, which holds iff
+    S_n = W * m_n for every n; a mismatch runs the residue self-check (raises)."""
+    _check_truncation(cfg, truncation)
+    d, c, moments, w, sums = _kernels(cfg, truncation + 1)
+    agree = not sums[0] and sums == [w * m for m in moments]
+    if not agree:
+        residue_moments(c, truncation + 1)
+    return d, reduced_coefficients(moments, d, cfg.q), agree
 
 
 def moment(cfg: RootConfig, k: int) -> Fraction:
     """The weighted power sum m_k = sum_p p^k / Q'(p) over the residues of 1/Q."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _moments(cfg, k)[k]
+    d, c = scale_to_integers(cfg.roots)
+    w, sums = residue_sums(c, k + 1)
+    return Fraction(sums[k], w) * Fraction(d) ** (cfg.q - k)
 
 
 class MomentIdentityRow(Value):
@@ -206,13 +214,15 @@ def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport
     """Compare every m_k for 0 <= k <= max_k against its closed form:
     0 below k = q, then the complete homogeneous values h_(k-q) (h_0 = 1).
 
-    The lhs column is one moment table.  Failures are reported, not raised.
+    The lhs column comes off the residue sums, the rhs column off the
+    expansion kernel.  Failures are reported, not raised.
     """
     q = cfg.q
     if max_k < q:
         raise ValueError("max_k must be at least q")
-    lhs = _moments(cfg, max_k)
-    rhs = [Fraction(0)] * q + list(SymmetricTable.build(cfg.roots, max_k - q).h)
+    d, _, moments, w, sums = _kernels(cfg, max_k + 1)
+    lhs = [Fraction(s, w) * Fraction(d) ** (q - k) for k, s in enumerate(sums)]
+    rhs = [m * Fraction(d) ** (q - k) for k, m in enumerate(moments)]
     rows = tuple(map(MomentIdentityRow, range(max_k + 1), lhs, rhs))
     return MomentIdentityReport(q=q, rows=rows)
 

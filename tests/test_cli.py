@@ -95,10 +95,11 @@ class TestIntegrateCommand:
         )
         assert by_roots == by_den
 
-    def test_terms_below_minimum_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "integrate", "--roots", "1,2", "--terms", "2")
+    @pytest.mark.parametrize("command", ["integrate", "limit"])
+    def test_terms_below_minimum_is_usage_error(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--roots", "1,2", "--terms", "2")
         assert code == 2
-        assert "--terms" in err
+        assert err == "error: --terms must be at least q+1 = 3, got 2\n"
 
     def test_bad_rational_in_roots_is_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "--roots", "1,,2", "--terms", "6")

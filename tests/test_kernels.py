@@ -28,6 +28,7 @@ from poleint.cli import main
 from poleint.integrate import (
     _derivative_values,
     _lcm,
+    cross_checked,
     reduced_coefficients,
     residue_moments,
     residue_sums,
@@ -76,6 +77,12 @@ def test_kernels_match_fraction_oracles(roots, extra):
     series = integrate_via_expansion(cfg, n)
     assert series == integrate_via_partial_fractions(cfg, n)
     assert series.coefficients == (0,) * q + closed_form(cfg, n - q)
+
+    checked = cross_checked(cfg, n)
+    assert checked == (d, reduced_coefficients(moments, d, q), True)
+    assert tuple(F(num, s * d**k) for num, s, k in checked[1]) == (
+        integrate_via_partial_fractions(cfg, n).coefficients[1:]
+    )
 
     direct = moments_direct(cfg, n)
     assert [moment(cfg, k) for k in range(n + 1)] == direct
@@ -239,6 +246,13 @@ def test_a_perturbed_kernel_breaks_route_agreement(monkeypatch, perturb, l):
     assert '"paths_agree": false' in out
     cfg = RootConfig((1, F(2, 3), F(-5, 7)))
     assert integrate_via_expansion(cfg, 9) != integrate_via_partial_fractions(cfg, 9)
+    # The identity report reads the same two kernels, one per column, so the
+    # perturbed row, and only that row, fails there too.
+    code, out, err = _run(["identities", "--roots", "1,2/3,-5/7", "--max-k", "9"])
+    assert code == 3 and err == ""
+    rows = out.splitlines()[:-1]
+    assert len(rows) == 10
+    assert [r.split()[0] for r in rows if r.endswith("pass=false")] == [f"k={3 + l}"]
 
 
 def test_a_broken_scaling_step_raises(monkeypatch):
