@@ -7,13 +7,7 @@ identities its coefficients satisfy, and demonstrates the shrinking-root
 limit toward -1/(q z^q).
 """
 
-from .asymptotics import (
-    ChargeSystem,
-    ScaleRow,
-    ScalingReport,
-    potential,
-    scaling_limit_table,
-)
+from .asymptotics import ScaleRow, scaling_limit_table
 from .integrate import (
     MomentIdentityReport,
     MomentIdentityRow,
@@ -47,7 +41,6 @@ from .symmetric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChargeSystem",
     "ExactCheckError",
     "INFINITY",
     "InvZSeries",
@@ -60,7 +53,6 @@ __all__ = [
     "Rat",
     "RootConfig",
     "ScaleRow",
-    "ScalingReport",
     "SymmetricTable",
     "check_moment_identities",
     "complete_homogeneous",
@@ -74,7 +66,6 @@ __all__ = [
     "parse_poly",
     "parse_rational",
     "partial_fractions",
-    "potential",
     "scaling_limit_table",
     "vandermonde_matrix",
     "vandermonde_product",

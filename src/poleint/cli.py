@@ -65,7 +65,16 @@ EXIT_CHECK_FAILED = 3
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
-    return [parse_rational(piece.strip()) for piece in text.split(",")]
+    """Comma-separated rationals; a parse error's offset is into `text`."""
+    values, start = [], 0
+    for piece in text.split(","):
+        try:
+            values.append(parse_rational(piece.strip()))
+        except PolyParseError as exc:
+            exc.position += start + len(piece) - len(piece.lstrip())
+            raise
+        start += len(piece) + 1
+    return values
 
 
 def _root_config(args: argparse.Namespace) -> RootConfig:
@@ -189,43 +198,43 @@ def _cmd_pfd(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _print_checks(checks: list[tuple[str, Fraction, Fraction]], noun: str) -> int:
+    """Print a `label lhs=... rhs=... pass=...` line per check and the tally
+    of those that hold; the exit code."""
+    oks = [lhs == rhs for _, lhs, rhs in checks]
+    for (label, lhs, rhs), ok in zip(checks, oks):
+        print(
+            f"{label} lhs={format_rational(lhs)} "
+            f"rhs={format_rational(rhs)} pass={'true' if ok else 'false'}"
+        )
+    print(f"{sum(oks)}/{len(oks)} {noun} hold")
+    return EXIT_OK if all(oks) else EXIT_CHECK_FAILED
+
+
 def _cmd_identities(args: argparse.Namespace) -> int:
     cfg = _root_config(args)
     max_k = args.max_k if args.max_k is not None else cfg.q + 10
-    report = check_moment_identities(cfg, max_k)
-    for row in report.rows:
-        lhs, rhs = format_rational(row.lhs), format_rational(row.rhs)
-        print(f"k={row.k} lhs={lhs} rhs={rhs} pass={'true' if row.ok else 'false'}")
-    print(f"{sum(row.ok for row in report.rows)}/{len(report.rows)} identities hold")
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+    rows = check_moment_identities(cfg, max_k).rows
+    return _print_checks([(f"k={r.k}", r.lhs, r.rhs) for r in rows], "identities")
 
 
 def _cmd_vandermonde(args: argparse.Namespace) -> int:
     points = _parse_rational_list(args.points)
     det = determinant(vandermonde_matrix(points))
     prod = vandermonde_product(points)
-    checks = [("determinant_vs_product", det, prod)]
+    checks = [("check=determinant_vs_product", det, prod)]
     if args.degree is not None:
         lhs = generalized_vandermonde(points, args.degree)
         rhs = prod * complete_homogeneous(points, args.degree)
-        checks.append((f"generalized_degree_{args.degree}", lhs, rhs))
-    passed = 0
-    for name, lhs, rhs in checks:
-        ok = lhs == rhs
-        passed += ok
-        print(
-            f"check={name} lhs={format_rational(lhs)} "
-            f"rhs={format_rational(rhs)} pass={'true' if ok else 'false'}"
-        )
-    print(f"{passed}/{len(checks)} checks hold")
-    return EXIT_OK if passed == len(checks) else EXIT_CHECK_FAILED
+        checks.append((f"check=generalized_degree_{args.degree}", lhs, rhs))
+    return _print_checks(checks, "checks")
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
     cfg = _root_config(args)
     if _terms_below_minimum(cfg, args.terms):
         return EXIT_USAGE
-    report = scaling_limit_table(
+    rows = scaling_limit_table(
         cfg,
         _parse_rational_list(args.scales),
         radius=args.radius,
@@ -234,7 +243,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
         max_l=args.max_l,
     )
     print("t,l,exact_b,numeric_sup_error")
-    for row in report.rows:
+    for row in rows:
         for l, b in enumerate(row.coefficients):
             print(
                 f"{format_rational(row.scale)},{l},{format_rational(b)},"

@@ -7,6 +7,7 @@ tests can compare the two.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -19,6 +20,7 @@ from poleint import (
     Poly,
     Rat,
     RootConfig,
+    partial_fractions,
 )
 from poleint.polynomial import as_rat
 
@@ -268,3 +270,13 @@ def as_series(pf: PartialFractions, truncation: int) -> InvZSeries:
     for pole, c in pf.terms:
         out = out + inverse_linear(pole, truncation) * c
     return out
+
+
+# -- the shrinking-root limit ----------------------------------------------------
+
+
+def log_potential(cfg: RootConfig, z: complex) -> complex:
+    """sum_p (1/Q'(p)) log(z - p) over the poles p of 1/Q, 0 included, in
+    double precision on the principal branch; z must avoid the poles."""
+    terms = partial_fractions(Poly.one(), cfg).terms
+    return sum(float(c) * cmath.log(z - p) for p, c in terms)

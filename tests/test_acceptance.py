@@ -15,7 +15,6 @@ from fractions import Fraction as F
 import pytest
 
 from poleint import (
-    ChargeSystem,
     InvZSeries,
     Poly,
     PolyParseError,
@@ -27,7 +26,6 @@ from poleint import (
     integrate_via_expansion,
     integrate_via_partial_fractions,
     parse_poly,
-    potential,
     scaling_limit_table,
     vandermonde_matrix,
     vandermonde_product,
@@ -35,7 +33,7 @@ from poleint import (
 from poleint.cli import main as cli_main
 
 from conftest import random_fraction, random_root_config
-from oracles import closed_form, complete_homogeneous_direct, derivative
+from oracles import closed_form, complete_homogeneous_direct, derivative, log_potential
 
 N_CORPUS = 32
 
@@ -190,21 +188,23 @@ def test_criterion_7_vandermonde_suite():
 
 
 def test_criterion_8a_scaling_limit():
-    report = scaling_limit_table(
+    rows = scaling_limit_table(
         RootConfig((1, 2)),
         [F(1), F(1, 2), F(1, 4), F(1, 8)],
         radius=10.0,
         samples=64,
         truncation=24,
     )
-    ok = report.strictly_decreasing
+    sups = [r.sup_error for r in rows]
+    ratios = [b / a for a, b in zip(sups, sups[1:])]
+    ok = all(b < a for a, b in zip(sups, sups[1:]))
     # consecutive ratios touching the last two rows
-    for ratio in report.ratios[-2:]:
+    for ratio in ratios[-2:]:
         ok &= 0.3 <= ratio <= 0.7
     _report(
         "criterion 8a (sup errors strictly decreasing, final ratios in [0.3, 0.7])",
         ok,
-        ", ".join(f"{r.sup_error:.3e}" for r in report.rows),
+        ", ".join(f"{sup:.3e}" for sup in sups),
     )
     assert ok
 
@@ -222,9 +222,8 @@ def test_criterion_8b_dipole_far_field_tolerance():
     a = F(1, 100)
     b2 = integrate_via_expansion(RootConfig((a,)), 6).coefficient(2)
     assert b2 == -a / 2
-    system = ChargeSystem.from_roots(RootConfig((a,)))
     z = 10 + 0j
-    phi = potential(system, z)
+    phi = log_potential(RootConfig((a,)), z)
     bare = abs(phi - (-1 / z)) / abs(1 / z)
     rel = abs(phi - (-1 / z + float(b2) / z**2)) / abs(1 / z)
     ok = rel <= 1e-6

@@ -352,7 +352,7 @@ class TestLimitCommand:
         "root_flags,scales,radius,samples,terms",
         [
             (("--roots", "1"), "1,1/2", "1e200", "4", "6"),
-            (("--den", "z*(z-1)"), "1,2", "1e150", "1", "2"),
+            (("--den", "z*(z-1)"), "1,2", "1e200", "1", "2"),
         ],
     )
     def test_sup_error_underflow_to_zero(
@@ -366,6 +366,19 @@ class TestLimitCommand:
         rows = out.splitlines()[1:]
         assert len(rows) == 2 * int(terms)  # q = 1: l = 0..terms-1 per scale
         assert {row.split(",")[3] for row in rows} == {"0"}
+
+    def test_sup_error_is_the_tail_at_tiny_scales(self, capsys):
+        # g_t(z) + 1/(q z^q) cancelled two doubles near 1/(q R^q) and read
+        # 2.96e-18 at t = 2^-50 against the exact tail 8.88e-19; the tail
+        # summed alone keeps the last ratio at the scaling law's 2^-10
+        code, out, err = run_cli(
+            capsys, "limit", "--roots", "1,2", "--scales",
+            "1,1/1024,1/1048576,1/1073741824,1/1099511627776,1/1125899906842624",
+            "--radius", "10", "--terms", "24", "--max-l", "1",
+        )
+        assert code == 0 and err == ""
+        sups = [float(row.split(",")[3]) for row in out.splitlines()[1::2]]
+        assert math.isclose(sups[-1] / sups[-2], 1 / 1024, rel_tol=0.01)
 
     def test_deterministic(self, capsys):
         args = ("limit", "--roots", "1,2", "--scales", "1,1/2", "--samples", "8",
@@ -413,6 +426,11 @@ class TestUsageErrors:
         [
             (("pfd", "--roots", "1,2", "--num", "z\u00b2"), 1),  # superscript two
             (("pfd", "--roots", "\u0661,2"), 0),  # Arabic-Indic digit one
+            # an offset in a comma list counts from the start of the list
+            (("integrate", "--roots", "1,2,x", "--terms", "4"), 4),
+            (("integrate", "--roots", "1, 2/0", "--terms", "4"), 5),
+            (("vandermonde", "--points", "1,2,3/0"), 6),
+            (("limit", "--roots", "1", "--scales", "1,1/0"), 4),
         ],
     )
     def test_non_ascii_digit_is_parse_error(self, capsys, argv, offset):

@@ -11,7 +11,6 @@ from fractions import Fraction as F
 import pytest
 
 from poleint import (
-    ChargeSystem,
     InvZSeries,
     MomentIdentityReport,
     MomentIdentityRow,
@@ -19,12 +18,10 @@ from poleint import (
     Poly,
     RootConfig,
     ScaleRow,
-    ScalingReport,
     SymmetricTable,
 )
 
 ROW = MomentIdentityRow(2, F(1), F(1))
-SCALE_ROW = ScaleRow(F(1, 2), (F(-1, 4),), 0.25)
 
 # (type, field names, arguments, arguments of an unequal value, repr)
 SAMPLES = [
@@ -62,26 +59,10 @@ SAMPLES = [
         " h=(Fraction(1, 1), Fraction(2, 1)))",
     ),
     (
-        ChargeSystem, ("charges",), (((0, 1), (1, -1)),), (((0, 1), (2, -1)),),
-        "ChargeSystem(charges=((Fraction(0, 1), Fraction(1, 1)),"
-        " (Fraction(1, 1), Fraction(-1, 1))))",
-    ),
-    (
         ScaleRow, ("scale", "coefficients", "sup_error"),
         (F(1, 2), (F(-1, 4),), 0.25), (F(1, 2), (F(-1, 4),), 0.5),
         "ScaleRow(scale=Fraction(1, 2), coefficients=(Fraction(-1, 4),),"
         " sup_error=0.25)",
-    ),
-    (
-        ScalingReport,
-        ("q", "radius", "samples", "truncation", "rows", "ratios",
-         "strictly_decreasing", "ratio_in_band"),
-        (1, 4.0, 8, 2, (SCALE_ROW,), (0.5,), True, (True,)),
-        (1, 4.0, 8, 2, (SCALE_ROW,), (0.5,), False, (True,)),
-        "ScalingReport(q=1, radius=4.0, samples=8, truncation=2,"
-        " rows=(ScaleRow(scale=Fraction(1, 2), coefficients=(Fraction(-1, 4),),"
-        " sup_error=0.25),), ratios=(0.5,), strictly_decreasing=True,"
-        " ratio_in_band=(True,))",
     ),
 ]
 
@@ -178,9 +159,9 @@ def test_match_by_keyword_and_position():
 
 
 def test_types_do_not_compare_across_classes():
-    terms = ((F(0), F(1)), (F(1), F(-1)))
-    assert PartialFractions(terms) != ChargeSystem(terms)
-    assert PartialFractions(terms).terms == ChargeSystem(terms).charges
+    values = (F(1), F(2))
+    assert RootConfig(values) != Poly(values)
+    assert RootConfig(values).roots == Poly(values).coefficients
 
 
 class TestPostInitStillRuns:
@@ -204,7 +185,3 @@ class TestPostInitStillRuns:
             InvZSeries(2, (1, 2))
         with pytest.raises(ValueError, match="nonnegative"):
             InvZSeries(truncation=-1, coefficients=())
-
-    def test_charges_must_cancel(self):
-        with pytest.raises(ValueError, match="total charge"):
-            ChargeSystem(((0, 1), (1, 1)))
