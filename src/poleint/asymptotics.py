@@ -54,7 +54,10 @@ def scaling_limit_table(
     the tail b_{q+1} z^-(q+1) + ... + b_N z^-N alone, as the series
     b_{q+1} z^-1 + ... + b_N z^-(N-q) divided by z^q, so the two terms of
     size 1/(q R^q) that cancel in g_t(z) + 1/(q z^q) never meet in floating
-    point.  Comparing sup errors across rows is the caller's business.
+    point.  `InvZSeries.evaluate_all` sums it at every sample point and
+    rounds the tail's coefficients once per row (once per binade of the
+    points' |z|), not once per point.  Comparing sup errors across rows is
+    the caller's business.
 
     The radius must be finite and exceed every scaled root, its q-th power
     must not overflow a double, and 1/(q z^q) and the tail on the circle must
@@ -88,11 +91,11 @@ def scaling_limit_table(
     ]
     far_field = f"radius**q must keep the far field within the double range (q = {q})"
     try:
-        powers = [(z, z**q) for z in points]
+        powers = [z**q for z in points]
     except OverflowError:
         raise ValueError(f"radius**q must not overflow a double (q = {q})") from None
     # z**q underflowed to 0, or is so small that 1/(q z^q) overflows
-    if not all(zq and cmath.isfinite(1 / (q * zq)) for _, zq in powers):
+    if not all(zq and cmath.isfinite(1 / (q * zq)) for zq in powers):
         raise ValueError(far_field)
 
     rows = []
@@ -107,7 +110,7 @@ def scaling_limit_table(
             t_power *= t
         tail = InvZSeries(truncation - q, (0, *res.coefficients[q + 1 :]))
         try:
-            errors = [abs(tail.evaluate(z) / zq) for z, zq in powers]
+            errors = [abs(s / zq) for s, zq in zip(tail.evaluate_all(points), powers)]
         except OverflowError:
             errors = [math.inf]
         if not all(map(math.isfinite, errors)):

@@ -18,6 +18,10 @@ numerator split on bits (`polynomial.format_quotient`).
 
 `main` builds its parser on its first call and reuses it for every later
 call in the process; `build_parser` returns a fresh one each time.
+`entry`, which owns the process, freezes the objects alive before `main`
+runs (`gc.freeze`), so that no later collection walks them again, the one
+at interpreter shutdown included.  `json` is imported by `_print_json`, on
+the first JSON output, not by importing this module.
 
 Exit codes: 0 success, 1 domain error (invalid roots and similar),
 2 usage or parse error, 3 any exact identity check failed.
@@ -26,7 +30,7 @@ Exit codes: 0 success, 1 domain error (invalid roots and similar),
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 from decimal import Decimal
@@ -157,6 +161,12 @@ def _terms_below_minimum(cfg: RootConfig, terms: int) -> bool:
     return terms <= cfg.q
 
 
+def _print_json(doc: dict) -> None:
+    import json  # only integrate and pfd print JSON
+
+    print(json.dumps(doc, indent=2))
+
+
 def _cmd_integrate(args: argparse.Namespace) -> int:
     cfg = _root_config(args)
     if _terms_below_minimum(cfg, args.terms):
@@ -174,7 +184,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         "valuation": next(n for n, (num, _, _) in enumerate(reduced, 1) if num),
         "paths_agree": agree,
     }
-    print(json.dumps(doc, indent=2))
+    _print_json(doc)
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 
@@ -194,7 +204,7 @@ def _cmd_pfd(args: argparse.Namespace) -> int:
         "coefficient_sum": format_rational(pf.coefficient_sum()),
         "reconstruction_ok": ok,
     }
-    print(json.dumps(doc, indent=2))
+    _print_json(doc)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -291,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # Every object alive now lives until exit: keep it out of every later
+    # collection, the one at interpreter shutdown included.
+    gc.freeze()
     try:
         code = main()
         sys.stdout.flush()

@@ -456,7 +456,9 @@ def test_module_entry_point_subprocess():
 
 # main builds its parser once and reuses it: every outcome of a request must
 # be the same whatever ran before it in the process, and the same as in a
-# fresh `python -m poleint`.  COLUMNS fixes the width help is wrapped to.
+# fresh `python -m poleint`, which runs through entry and its gc.freeze.  The
+# last two requests end in a domain error (1) and a --terms usage error (2).
+# COLUMNS fixes the width help is wrapped to.
 _MAIN_ORDER = [
     ["integrate", "--roots", "1,2", "--terms", "6"],
     ["integrate", "--roots", "1,2"],
@@ -465,6 +467,8 @@ _MAIN_ORDER = [
     ["integrate", "--help"],
     ["identities", "--roots", "1,2", "--max-k", "6"],
     ["integrate", "--roots=1/2,-3", "--terms", "5"],
+    ["identities", "--roots", "1,1"],
+    ["integrate", "--roots", "1,2", "--terms", "2"],
 ]
 
 
@@ -480,7 +484,7 @@ def test_main_gives_each_request_the_same_outcome_in_any_order(monkeypatch):
     forward = [outcome(argv) for argv in _MAIN_ORDER]
     backward = [outcome(argv) for argv in reversed(_MAIN_ORDER)][::-1]
     assert forward == backward
-    assert [code for code, _, _ in forward] == [0, 2, 2, 0, 0, 0, 0]
+    assert [code for code, _, _ in forward] == [0, 2, 2, 0, 0, 0, 0, 1, 2]
     for argv, (code, out, err) in zip(_MAIN_ORDER, forward):
         proc = subprocess.run(
             [sys.executable, "-m", "poleint", *argv],
@@ -489,6 +493,24 @@ def test_main_gives_each_request_the_same_outcome_in_any_order(monkeypatch):
             env={**SUBPROCESS_ENV, "COLUMNS": "80"},
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+# entry freezes what is alive before it calls main, flushes what main
+# printed and exits with main's code.
+def test_entry_freezes_before_main_and_exits_with_its_code():
+    code = (
+        "import gc, poleint.cli as cli\n"
+        "def fake_main():\n"
+        "    print(gc.get_freeze_count())\n"
+        "    return 3\n"
+        "cli.main = fake_main\n"
+        "cli.entry()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert int(proc.stdout) > 0 and proc.stderr == ""
 
 
 def test_threads_share_main_parser():
@@ -516,13 +538,15 @@ def test_threads_share_main_parser():
     assert len(got) == 1200 and all(got)
 
 
-# Every `python -m poleint` run pays for the modules its import loads, and
-# these three once took longer to import than the checks the CLI runs.  -S
-# keeps site-packages, which may load typing first, out of the child.
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+# Every `python -m poleint` run pays for the modules its import loads: the
+# first three once took longer to import than the checks the CLI runs, and
+# json is loaded only by the subcommands that print it.  -S keeps
+# site-packages, which may load typing first, out of the child.
+def test_cli_import_loads_no_dataclasses_inspect_typing_or_json():
     code = (
         "import sys; before = set(sys.modules); import poleint.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'json'}"
+        " & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -268,6 +268,25 @@ class TestEvaluate:
         value = S(0, 1).evaluate(z)
         assert cmath.isclose(value, 1 / z, rel_tol=1e-12)
 
+    def test_all_points_match_plain_horner_bit_for_bit(self):
+        # evaluate_all rounds the coefficients once per binade of |z|; points
+        # in several binades must each get their own rounding, and every sum
+        # equal plain Horner in 1/z exactly (scaling by 2^e is exact)
+        f = S(0, F(1, 3), F(-2, 7), F(5, 11), F(-1, 9), F(7, 13))
+        points = [8 * cmath.exp(2j * cmath.pi * k / 16) for k in range(16)]
+        points += [math.nextafter(8.0, 0) * 1j, 3 - 4j, 0.1 + 0.2j, -1e-3]
+        assert len({math.frexp(abs(z))[1] for z in points}) == 4
+
+        def horner(z):
+            acc = 0j
+            for c in reversed(f.coefficients):
+                acc = acc * (1 / z) + float(c)
+            return acc
+
+        want = [horner(z) for z in points]
+        assert f.evaluate_all(points) == want
+        assert [f.evaluate(z) for z in points] == want
+
     def test_equality_only_on_shared_window(self):
         assert S(1, 2).agrees_with(S(1, 2, 3))
         assert not S(1, 2).agrees_with(S(1, 3, 3))
