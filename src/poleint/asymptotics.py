@@ -86,9 +86,7 @@ def scaling_limit_table(
     if max_l is not None:
         depth = min(depth, max_l)
     base = integrate_via_expansion(cfg, truncation)
-    points = [
-        radius * cmath.exp(2j * cmath.pi * k / samples) for k in range(samples)
-    ]
+    points = [radius * cmath.exp(2j * cmath.pi * k / samples) for k in range(samples)]
     far_field = f"radius**q must keep the far field within the double range (q = {q})"
     try:
         powers = [z**q for z in points]
@@ -115,11 +113,5 @@ def scaling_limit_table(
             errors = [math.inf]
         if not all(map(math.isfinite, errors)):
             raise ValueError(far_field)
-        rows.append(
-            ScaleRow(
-                scale=t,
-                coefficients=tuple(res.coefficient(q + l) for l in range(depth + 1)),
-                sup_error=max(errors),
-            )
-        )
+        rows.append(ScaleRow(t, res.coefficients[q : q + depth + 1], max(errors)))
     return tuple(rows)

@@ -195,19 +195,11 @@ class MomentIdentityRow(Value):
 
     __slots__ = ("k", "lhs", "rhs")
 
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
 
 class MomentIdentityReport(Value):
     """The identity check of one configuration of q roots: rows k = 0..max_k."""
 
     __slots__ = ("q", "rows")
-
-    @property
-    def all_pass(self) -> bool:
-        return all(row.ok for row in self.rows)
 
 
 def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport:

@@ -186,8 +186,7 @@ class _Parser:
         return base
 
     def atom(self) -> Poly:
-        tok = self._next()
-        kind, value, offset = tok
+        kind, value, offset = self._next()
         if kind == "sym" and value in "-(":
             if self.depth == MAX_NESTING:
                 raise PolyParseError(f"nested deeper than {MAX_NESTING} levels", offset)
@@ -247,8 +246,7 @@ def parse_factored_denominator(text: str) -> list[Fraction]:
 
     def unit() -> None:
         nonlocal bare_z
-        tok = parser._next()
-        kind, value, offset = tok
+        kind, value, offset = parser._next()
         if kind == "z":
             bare_z += 1
             return
@@ -279,7 +277,5 @@ def parse_factored_denominator(text: str) -> list[Fraction]:
             raise PolyParseError("expected '*' between factors", star[2])
         unit()
     if bare_z != 1:
-        raise PolyParseError(
-            "denominator must contain exactly one bare z factor", 0
-        )
+        raise PolyParseError("denominator must contain exactly one bare z factor", 0)
     return roots

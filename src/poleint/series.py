@@ -123,12 +123,9 @@ class InvZSeries(Value):
     def __add__(self, other: InvZSeries) -> InvZSeries:
         if not isinstance(other, InvZSeries):
             return NotImplemented
-        n = min(self.truncation, other.truncation)
+        pairs = zip(self.coefficients, other.coefficients)  # up to the smaller window
         return InvZSeries(
-            n,
-            tuple(
-                self.coefficients[i] + other.coefficients[i] for i in range(n + 1)
-            ),
+            min(self.truncation, other.truncation), tuple(a + b for a, b in pairs)
         )
 
     def __mul__(self, other: Rat | int | str) -> InvZSeries:

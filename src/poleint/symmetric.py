@@ -8,7 +8,9 @@ P(z) = z * prod_j (z - c_j) and its expansion at infinity,
 
 on the integers c = D * a (D the lcm of the denominators), where the long
 division needs no gcd; then e_i(a) = e_i(c) / D^i and h_l(a) = h_l(c) / D^l.
-The expansion route of `integrate` runs the same integer kernel.
+The expansion route of `integrate` runs the same integer kernel.  Each e_i(c)
+carries a factor G^(i-1), with D | G for pairwise coprime denominators; the
+kernel divides it out, checked, and multiplies it back in by Horner in G.
 
 Determinants use fraction-free Bareiss elimination (Bareiss 1968) at every
 size.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from .polynomial import Rat, Value, as_rat
@@ -40,17 +43,36 @@ def scale_to_integers(values: Sequence[Rat | int | str]) -> tuple[int, tuple[int
     return d, tuple(x.numerator for x in c)
 
 
+def _shared_factor(c: Sequence[int]) -> int:
+    """G = lcm_j gcd_(k != j) c_k, or 1 if that is 0.  At each prime, G has the
+    second-smallest valuation of the c_j, so G^(i-1) | e_i(c): every term of
+    e_i(c) is a product of i of the c_j."""
+    pre = accumulate(c, math.gcd, initial=0)  # gcd of the c_k with k < j
+    suf = [*accumulate(reversed(c), math.gcd, initial=0)][-2::-1]  # k > j
+    return math.lcm(*map(math.gcd, pre, suf)) or 1
+
+
 def integer_expansion(c: Sequence[int], count: int) -> tuple[list[int], list[int]]:
     """The coefficients of P = z * prod_j (z - c_j), lowest degree first, and
     m_0..m_(count-1), the z^-(n+1) coefficients of 1/P: 0 for n < q, then
-    h_(n-q)(c).  P is monic, so the long division needs no division."""
+    h_(n-q)(c).  P is monic, so the long division runs as m_n = [n = q] -
+    sum_i G^(i-1) A_i m_(n-i), Horner in G, where A_i = (-1)^i e_i(c) / G^(i-1)
+    must be exact: with G = D, A_i is about as small as D * e_i(a), and every
+    product is small times big."""
     p = [0, 1]
     for x in c:
         p = [lo - x * hi for lo, hi in zip([0] + p, p + [0])]
-    top = p[-2::-1]  # p_q, ..., p_0
+    g = _shared_factor(c)
+    qr = [divmod(t, g**i) for i, t in enumerate(p[-2:0:-1])]  # A_1..A_q, remainders
+    if any(r for _, r in qr):
+        raise ExactCheckError("G^(i-1) must divide e_i(c); exact arithmetic is broken")
+    a = [quo for quo, _ in qr]
     m: list[int] = []
     for n in range(count):
-        m.append((n == len(c)) - sum(map(mul, top, reversed(m))))
+        acc = 0
+        for x in reversed(list(map(mul, a, reversed(m)))):
+            acc = acc * g + x
+        m.append((n == len(c)) - acc)
     return p, m
 
 

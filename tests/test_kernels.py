@@ -56,6 +56,14 @@ _COPRIME_DENOMINATORS = st.lists(
 _ROOTS = st.one_of(_INTEGER_ROOTS, _SHARED_DENOMINATOR, _COPRIME_DENOMINATORS)
 
 
+def _assert_shared_factor_divides(c, p):
+    """G^(i-1) | e_i(c) for i = 1..q, read off p_(q+1-i) = (-1)^i e_i(c): the
+    expansion kernel's A_i are exact quotients."""
+    g, q = poleint.symmetric._shared_factor(c), len(c)
+    assert g >= 1
+    assert all(p[q + 1 - i] % g ** (i - 1) == 0 for i in range(1, q + 1))
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_ROOTS, st.integers(0, 8))
 @example([5], 6)  # q = 1, integer
@@ -63,6 +71,9 @@ _ROOTS = st.one_of(_INTEGER_ROOTS, _SHARED_DENOMINATOR, _COPRIME_DENOMINATORS)
 @example([-1, -2, -3], 5)  # negative integers only
 @example([F(1, 6), F(-5, 6), F(7, 6)], 6)  # shared denominator
 @example([F(1, 2), F(-2, 3), F(4, 5), F(-6, 7)], 5)  # coprime denominators
+@example([6, -10, 15, 30], 4)  # G = 30: each of 2, 3, 5 divides three roots
+@example([F(4, 9), F(-8, 9), F(16, 9)], 5)  # G = 8 on c = (4, -8, 16)
+@example([F(35, 2), F(-21, 5), F(15, 7)], 5)  # G = 3 * 5 * 7 * D
 def test_kernels_match_fraction_oracles(roots, extra):
     cfg = RootConfig(tuple(roots))
     q, n = cfg.q, cfg.q + 1 + extra
@@ -70,7 +81,8 @@ def test_kernels_match_fraction_oracles(roots, extra):
     assert d == math.lcm(*(a.denominator for a in cfg.roots))
     assert c == tuple(d * a for a in cfg.roots)
 
-    moments = integer_expansion(c, n + 1)[1]
+    p, moments = integer_expansion(c, n + 1)
+    _assert_shared_factor_divides(c, p)
     assert moments == residue_moments(c, n + 1)
     assert moments == [0] * q + list(symmetric_recurrence(c, n - q)[1])
 
@@ -88,7 +100,7 @@ def test_kernels_match_fraction_oracles(roots, extra):
     assert [moment(cfg, k) for k in range(n + 1)] == direct
     report = check_moment_identities(cfg, n)
     assert [row.lhs for row in report.rows] == direct
-    assert report.all_pass
+    assert [row.rhs for row in report.rows] == direct
 
 
 # -- W off a balanced lcm tree ------------------------------------------------
@@ -184,10 +196,15 @@ def test_the_exact_decimal_context_traps_rounding():
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.lists(rationals, max_size=5), st.integers(0, 8))
+@example([], 4)  # q = 1: the zero alone
+@example([F(6), F(-10)], 5)  # c = (6, -10, 0, 6): G = 6
+@example([F(0)], 3)  # zeros only: G = lcm(0, ...) = 0, taken as 1
 def test_symmetric_table_with_zero_and_repeated_values(values, depth):
     values = values + [F(0)] + values[:1]  # a zero and, if any, a repeat
     table = SymmetricTable.build(values, depth)
     assert (table.e, table.h) == symmetric_recurrence(values, depth)
+    _, c = scale_to_integers(values)
+    _assert_shared_factor_divides(c, integer_expansion(c, 0)[0])
 
 
 # -- route independence -------------------------------------------------------
@@ -263,6 +280,17 @@ def test_a_broken_scaling_step_raises(monkeypatch):
     code, out, err = _run(ARGV)
     assert code == 3 and out == ""
     assert err == "error: D * a_j must be an integer; exact arithmetic is broken\n"
+
+
+def test_a_wrong_shared_factor_exits_3(monkeypatch):
+    # At c = (21, 14, -15), G = 21; 2G does not divide e_2(c) = -231, so the
+    # expansion kernel refuses before either route prints anything.
+    original = poleint.symmetric._shared_factor
+    monkeypatch.setattr(poleint.symmetric, "_shared_factor", lambda c: 2 * original(c))
+    for argv in (ARGV, ["identities", "--roots", "1,2/3,-5/7", "--max-k", "9"]):
+        code, out, err = _run(argv)
+        assert code == 3 and out == ""
+        assert err == "error: G^(i-1) must divide e_i(c); exact arithmetic is broken\n"
 
 
 @pytest.mark.parametrize("n", [0, 5])
