@@ -27,9 +27,10 @@ series of the partial fractions, whose coefficients are b_n = -m_n/n.
 
 Both routes read the integer roots c = D * a (D the lcm of the root
 denominators) and compute the integer moments m_n(c) of 1/Q_c, each its own
-way.  `cross_checked` runs both kernels once and compares them exactly,
-S_n = W * m_n, and the identity report reads the same two kernels: its lhs
-from the residue sums, its rhs from the expansion kernel.
+way; the residue sums are S_n = W * m_n, with W = lcm Q_c'(p) / F once the
+shared factor F is divided out at n = q.  `cross_checked` runs both kernels
+once and compares them exactly, and the identity report reads the same two
+kernels: its lhs from the residue sums, its rhs from the expansion kernel.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from operator import mul
 from .polynomial import Poly, Rat, Value, as_rat
 from .series import InvZSeries
 from .symmetric import ExactCheckError, integer_expansion, scale_to_integers
+from .symmetric import _shared_factor
 
 
 class RootConfig(Value):
@@ -116,15 +118,25 @@ def _lcm(values: list[int]) -> int:
 
 
 def residue_sums(c: tuple[int, ...], count: int) -> tuple[int, list[int]]:
-    """W = lcm Q_c'(p) and S_n = sum_p w_p p^n = W * m_n(c) for n < count,
-    with w_p = W / Q_c'(p), over the poles p = 0, c_1, ..., c_q."""
+    """W and S_n = sum_p w_p p^n = W * m_n(c) for n < count over the poles p =
+    0, c_1, ..., c_q, w_p = W / Q_c'(p), W = lcm Q_c'(p).  At n = q, W, the sums
+    and the w_p p^q are divided, exactly, by F = gcd(W, G^q) (G of `integer_expansion`):
+    at each prime, v(w_p p^q) = v(W) at the least-valued pole, >= q v(G) at the rest."""
     poles = (0, *c)
     dq = _derivative_values(poles)
     w = _lcm(dq)
     running = [w // x for x in dq]
     sums = [sum(running)]
-    for _ in range(1, count):
+    for n in range(1, count):
         running = list(map(mul, running, poles))
+        if n == len(c):
+            f = math.gcd(w, _shared_factor(c) ** n)
+            qr = [divmod(x, f) for x in (w, *sums, *running)]
+            if any(r for _, r in qr):
+                raise ExactCheckError("gcd(W, G^q) must divide every w_p p^q; "
+                                      "exact arithmetic is broken")
+            w, *sums = (quo for quo, _ in qr)
+            sums, running = sums[:n], sums[n:]
         sums.append(sum(running))
     return w, sums
 
@@ -206,24 +218,24 @@ def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport
     """Compare every m_k for 0 <= k <= max_k against its closed form:
     0 below k = q, then the complete homogeneous values h_(k-q) (h_0 = 1).
 
-    The lhs column comes off the residue sums, the rhs column off the
-    expansion kernel.  Failures are reported, not raised.
+    The rhs comes off the expansion kernel, the lhs off the residue sums (the
+    rhs itself where S_k = W * m_k, else S_k / W).  Failures are reported.
     """
     q = cfg.q
     if max_k < q:
         raise ValueError("max_k must be at least q")
     d, _, moments, w, sums = _kernels(cfg, max_k + 1)
-    lhs = [Fraction(s, w) * Fraction(d) ** (q - k) for k, s in enumerate(sums)]
     rhs = [m * Fraction(d) ** (q - k) for k, m in enumerate(moments)]
+    lhs = [r if s == w * m else Fraction(s, w) * Fraction(d) ** (q - k)
+           for k, (s, m, r) in enumerate(zip(sums, moments, rhs))]
     rows = tuple(map(MomentIdentityRow, range(max_k + 1), lhs, rhs))
     return MomentIdentityReport(q=q, rows=rows)
 
 
 def _check_truncation(cfg: RootConfig, truncation: int) -> None:
     if truncation < cfg.q + 1:
-        raise ValueError(
-            f"truncation must be at least q + 1 = {cfg.q + 1}, got {truncation}"
-        )
+        raise ValueError(f"truncation must be at least q + 1 = {cfg.q + 1}, "
+                         f"got {truncation}")
 
 
 def integrate_via_expansion(cfg: RootConfig, truncation: int) -> InvZSeries:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import poleint.asymptotics
+import poleint.integrate
 import poleint.symmetric
 from poleint import (
     RootConfig,
@@ -64,6 +65,18 @@ def _assert_shared_factor_divides(c, p):
     assert all(p[q + 1 - i] % g ** (i - 1) == 0 for i in range(1, q + 1))
 
 
+def _assert_residue_factor_divides(c, count):
+    """F = gcd(W, G^q) divides W = lcm Q_c'(p) and every running term
+    w_p p^q, and the residue kernel returns W / F once count > q, W before."""
+    poles, q = (0, *c), len(c)
+    dq = _derivative_values(poles)
+    w = math.lcm(*dq)
+    f = math.gcd(w, poleint.symmetric._shared_factor(c) ** q)
+    assert w % f == 0
+    assert all(w // x * p**q % f == 0 for x, p in zip(dq, poles))
+    assert residue_sums(c, count)[0] == (w // f if count > q else w)
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_ROOTS, st.integers(0, 8))
 @example([5], 6)  # q = 1, integer
@@ -83,6 +96,7 @@ def test_kernels_match_fraction_oracles(roots, extra):
 
     p, moments = integer_expansion(c, n + 1)
     _assert_shared_factor_divides(c, p)
+    _assert_residue_factor_divides(c, n + 1)
     assert moments == residue_moments(c, n + 1)
     assert moments == [0] * q + list(symmetric_recurrence(c, n - q)[1])
 
@@ -114,7 +128,8 @@ def _distinct_roots(rng, q):
 
 
 # 2 to 21 poles: every shape of the tree, odd counts (a lone value carried up
-# a level) included.
+# a level) included.  Past n = q, W is the lcm over F = gcd(lcm, G^q), and
+# S_q = W * m_q = W, S_(q+1) = W * h_1(c).
 @pytest.mark.parametrize("q", range(1, 21))
 def test_residue_weights_off_the_lcm_tree(q):
     _, c = scale_to_integers(_distinct_roots(random.Random(q), q))
@@ -123,6 +138,9 @@ def test_residue_weights_off_the_lcm_tree(q):
     assert w == math.lcm(*dq) > 0
     assert all(w // x * x == w for x in dq)  # w_p * Q_c'(p) == W
     assert sums == [0]
+    _assert_residue_factor_divides(c, q + 2)
+    w, sums = residue_sums(c, q + 2)
+    assert sums == [0] * q + [w, w * sum(c)]
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -291,6 +309,21 @@ def test_a_wrong_shared_factor_exits_3(monkeypatch):
         code, out, err = _run(argv)
         assert code == 3 and out == ""
         assert err == "error: G^(i-1) must divide e_i(c); exact arithmetic is broken\n"
+
+
+def test_a_wrong_residue_factor_exits_3(monkeypatch):
+    # At c = (21, 14, -15), W = 767340 and G = 21.  With G = 42 the residue
+    # kernel reads F = gcd(W, 42^3) = 5292, which does not divide
+    # w_p p^3 = 1342845 at p = 21, so it refuses before either route prints
+    # anything; the expansion kernel keeps the right G.
+    original = poleint.integrate._shared_factor
+    monkeypatch.setattr(poleint.integrate, "_shared_factor", lambda c: 2 * original(c))
+    for argv in (ARGV, ["identities", "--roots", "1,2/3,-5/7", "--max-k", "9"]):
+        code, out, err = _run(argv)
+        assert code == 3 and out == ""
+        assert err == (
+            "error: gcd(W, G^q) must divide every w_p p^q; exact arithmetic is broken\n"
+        )
 
 
 @pytest.mark.parametrize("n", [0, 5])
