@@ -24,7 +24,8 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .integrate import RootConfig, integrate_via_expansion
+from .integrate import (RootConfig, integrate_via_expansion,
+                        integrate_via_partial_fractions)
 from .polynomial import Rat, Value, as_rat
 from .series import InvZSeries
 from .symmetric import ExactCheckError
@@ -49,8 +50,10 @@ def scaling_limit_table(
     |g_t(z) + 1/(q z^q)| over equispaced points on the circle |z| = radius.
 
     The exact side re-verifies, per row, that the leading coefficient is
-    -1/q regardless of t and that b_{q+l}(t a) = t^l b_{q+l}(a); any
-    violation would be an arithmetic bug and raises.  The numeric side sums
+    -1/q regardless of t and that b_{q+l}(t a) = t^l b_{q+l}(a), the base
+    off the expansion route and each row off the residue route, so that each
+    row sets one route against the other; any violation would be an
+    arithmetic bug and raises.  The numeric side sums
     the tail b_{q+1} z^-(q+1) + ... + b_N z^-N alone, as the series
     b_{q+1} z^-1 + ... + b_N z^-(N-q) divided by z^q, so the two terms of
     size 1/(q R^q) that cancel in g_t(z) + 1/(q z^q) never meet in floating
@@ -98,7 +101,7 @@ def scaling_limit_table(
 
     rows = []
     for t in t_scales:
-        res = integrate_via_expansion(cfg.scaled(t), truncation)
+        res = integrate_via_partial_fractions(cfg.scaled(t), truncation)
         if res.coefficient(q) != Fraction(-1, q):
             raise ExactCheckError("leading coefficient drifted from -1/q")
         t_power = Fraction(1)

@@ -25,12 +25,13 @@ coefficient for coefficient: expanding 1/Q at infinity root-free and
 antidifferentiating term by term, and summing the residue-weighted log
 series of the partial fractions, whose coefficients are b_n = -m_n/n.
 
-Both routes read the integer roots c = D * a (D the lcm of the root
-denominators) and compute the integer moments m_n(c) of 1/Q_c, each its own
-way; the residue sums are S_n = W * m_n, with W = lcm Q_c'(p) / F once the
-shared factor F is divided out at n = q.  `cross_checked` runs both kernels
-once and compares them exactly, and the identity report reads the same two
-kernels: its lhs from the residue sums, its rhs from the expansion kernel.
+Both routes compute the integer moments m_n(c) of 1/Q_c, c = D * a (D the lcm
+of the root denominators), each its own way; the residue route reads the roots
+and their pole differences, and its sums (`residue_sums`) are S_n = W * m_n(c)
+from n = q on, W * m_n(a) / P below q, vanishing exactly when m_n(c) does.
+`cross_checked` runs both kernels once and compares them exactly, and the
+identity report reads the same two kernels: its lhs from the residue sums,
+its rhs from the expansion kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from operator import mul
 from .polynomial import Poly, Rat, Value, as_rat
 from .series import InvZSeries
 from .symmetric import ExactCheckError, integer_expansion, scale_to_integers
-from .symmetric import _shared_factor
 
 
 class RootConfig(Value):
@@ -87,26 +87,26 @@ class PartialFractions(Value):
         return total
 
 
-def _derivative_values(poles: tuple[int, ...]) -> list[int]:
-    """Q'(p) = prod (p - x) over the other poles x, for each pole p."""
-    return [math.prod(p - x for x in poles if x != p) for p in poles]
+def _pole_differences(roots: tuple[Rat, ...]) -> tuple:
+    """The poles 0, a_1, ..., a_q as (n_i, d_i), P = prod d_i and the Delta_i =
+    prod_(k != i) (n_i d_k - n_k d_i), so that 1/Q'(a_i) = d_i^(q-1) P / Delta_i."""
+    poles = [(0, 1), *((a.numerator, a.denominator) for a in roots)]
+    deltas = [math.prod(filter(None, (n * e - m * d for m, e in poles)))
+              for n, d in poles]  # filter(None, ...) drops the factor k = i, 0
+    return poles, math.prod(d for _, d in poles), deltas
 
 
 def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
-    """Exact decomposition of numerator/Q over the poles 0, a_1, ..., a_q.
-
-    The coefficient at a pole p is numerator(p)/Q'(p), where Q'(p) is the
-    product of p - x over the other poles x (Q is monic with simple roots),
-    taken on the integer poles: Q'(p) = Q_c'(D * p) / D^q.
-    """
+    """Exact decomposition of numerator/Q over the poles 0, a_1, ..., a_q: Q is
+    monic with simple roots, so the coefficient at a_i = n_i/d_i is
+    numerator(a_i) / Q'(a_i) = numerator(a_i) d_i^(q-1) P / Delta_i."""
     if numerator.degree > cfg.q:
         raise ValueError("numerator degree must be below denominator degree")
-    d, c = scale_to_integers(cfg.roots)
-    poles, scale = (Fraction(0),) + cfg.roots, d**cfg.q
-    dq = _derivative_values((0, *c))
-    return PartialFractions(
-        tuple((p, numerator(p) * scale / x) for p, x in zip(poles, dq))
-    )
+    poles, p, deltas = _pole_differences(cfg.roots)
+    return PartialFractions(tuple(
+        (a, numerator(a) * Fraction(e ** (cfg.q - 1) * p, x))
+        for a, (_, e), x in zip((Fraction(0), *cfg.roots), poles, deltas)
+    ))
 
 
 def _lcm(values: list[int]) -> int:
@@ -117,34 +117,31 @@ def _lcm(values: list[int]) -> int:
     return math.lcm(*values)
 
 
-def residue_sums(c: tuple[int, ...], count: int) -> tuple[int, list[int]]:
-    """W and S_n = sum_p w_p p^n = W * m_n(c) for n < count over the poles p =
-    0, c_1, ..., c_q, w_p = W / Q_c'(p), W = lcm Q_c'(p).  At n = q, W, the sums
-    and the w_p p^q are divided, exactly, by F = gcd(W, G^q) (G of `integer_expansion`):
-    at each prime, v(w_p p^q) = v(W) at the least-valued pole, >= q v(G) at the rest."""
-    poles = (0, *c)
-    dq = _derivative_values(poles)
-    w = _lcm(dq)
-    running = [w // x for x in dq]
-    sums = [sum(running)]
+def residue_sums(roots: tuple[Rat, ...], count: int) -> tuple[int, list[int]]:
+    """W = lcm |Delta_i| and S_0..S_(count-1) over the poles a_i = n_i/d_i, 0/1
+    included, with u_i = W / Delta_i (`_pole_differences`).  Below q, S_n =
+    sum_i u_i n_i^n d_i^(q-1-n) = W * m_n(a) / P, which vanishes exactly when
+    m_n(c) does; from q on, S_n = sum_i u_i n_i^n (P/d_i) (D/d_i)^(n-q) =
+    W * m_n(c), each term times c_i = n_i D/d_i a step."""
+    q = len(roots)
+    poles, p, deltas = _pole_differences(roots)
+    w, d = _lcm(deltas), math.lcm(*(e for _, e in poles))
+    at_q, c = ([m * (x // e) for m, e in poles] for x in (p, d))
+    terms = [w // x * e ** (q - 1) for x, (_, e) in zip(deltas, poles)]
+    sums = [sum(terms)]
     for n in range(1, count):
-        running = list(map(mul, running, poles))
-        if n == len(c):
-            f = math.gcd(w, _shared_factor(c) ** n)
-            qr = [divmod(x, f) for x in (w, *sums, *running)]
-            if any(r for _, r in qr):
-                raise ExactCheckError("gcd(W, G^q) must divide every w_p p^q; "
-                                      "exact arithmetic is broken")
-            w, *sums = (quo for quo, _ in qr)
-            sums, running = sums[:n], sums[n:]
-        sums.append(sum(running))
+        if n < q:  # trade a factor d_i for n_i
+            terms = [t // e * m for t, (m, e) in zip(terms, poles)]
+        else:
+            terms = list(map(mul, terms, at_q if n == q else c))
+        sums.append(sum(terms))
     return w, sums
 
 
-def residue_moments(c: tuple[int, ...], count: int) -> list[int]:
-    """m_0(c)..m_(count-1)(c) as S_n / W, from the poles and Q_c'(p) alone;
-    S_0 = 0 (the residues sum to zero) and W | S_n must hold."""
-    w, sums = residue_sums(c, count)
+def residue_moments(roots: tuple[Rat, ...], count: int) -> list[int]:
+    """m_0(c)..m_(count-1)(c) as S_n / W, from the poles alone; S_0 = 0
+    (the residues sum to zero) and W | S_n must hold."""
+    w, sums = residue_sums(roots, count)
     moments = [divmod(s, w) for s in sums]
     if sums[0] or any(r for _, r in moments):
         raise ExactCheckError(
@@ -176,20 +173,20 @@ def series_from_moments(moments: list[int], d: int, q: int) -> InvZSeries:
 
 
 def _kernels(cfg: RootConfig, count: int) -> tuple:
-    """D, c = D * a, and for n < count the expansion kernel's m_n(c) and the
-    residue kernel's W and S_n, all unchecked."""
+    """D, and for n < count the expansion kernel's m_n(c) and the residue
+    kernel's W and S_n, all unchecked."""
     d, c = scale_to_integers(cfg.roots)
-    return (d, c, integer_expansion(c, count)[1], *residue_sums(c, count))
+    return (d, integer_expansion(c, count)[1], *residue_sums(cfg.roots, count))
 
 
 def cross_checked(cfg: RootConfig, truncation: int) -> tuple:
     """D, the `reduced_coefficients` b_1..b_N and paths_agree, which holds iff
     S_n = W * m_n for every n; a mismatch runs the residue self-check (raises)."""
     _check_truncation(cfg, truncation)
-    d, c, moments, w, sums = _kernels(cfg, truncation + 1)
+    d, moments, w, sums = _kernels(cfg, truncation + 1)
     agree = not sums[0] and sums == [w * m for m in moments]
     if not agree:
-        residue_moments(c, truncation + 1)
+        residue_moments(cfg.roots, truncation + 1)
     return d, reduced_coefficients(moments, d, cfg.q), agree
 
 
@@ -197,8 +194,8 @@ def moment(cfg: RootConfig, k: int) -> Fraction:
     """The weighted power sum m_k = sum_p p^k / Q'(p) over the residues of 1/Q."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d, c = scale_to_integers(cfg.roots)
-    w, sums = residue_sums(c, k + 1)
+    w, sums = residue_sums(cfg.roots, k + 1)
+    d = scale_to_integers(cfg.roots)[0]
     return Fraction(sums[k], w) * Fraction(d) ** (cfg.q - k)
 
 
@@ -224,7 +221,7 @@ def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport
     q = cfg.q
     if max_k < q:
         raise ValueError("max_k must be at least q")
-    d, _, moments, w, sums = _kernels(cfg, max_k + 1)
+    d, moments, w, sums = _kernels(cfg, max_k + 1)
     rhs = [m * Fraction(d) ** (q - k) for k, m in enumerate(moments)]
     lhs = [r if s == w * m else Fraction(s, w) * Fraction(d) ** (q - k)
            for k, (s, m, r) in enumerate(zip(sums, moments, rhs))]
@@ -261,5 +258,5 @@ def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> InvZSer
     so b_n = -m_n/n off one moment table.
     """
     _check_truncation(cfg, truncation)
-    d, c = scale_to_integers(cfg.roots)
-    return series_from_moments(residue_moments(c, truncation + 1), d, cfg.q)
+    d = scale_to_integers(cfg.roots)[0]
+    return series_from_moments(residue_moments(cfg.roots, truncation + 1), d, cfg.q)

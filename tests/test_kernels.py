@@ -27,8 +27,8 @@ from poleint import (
 )
 from poleint.cli import main
 from poleint.integrate import (
-    _derivative_values,
     _lcm,
+    _pole_differences,
     cross_checked,
     reduced_coefficients,
     residue_moments,
@@ -43,8 +43,10 @@ from oracles import closed_form, moments_direct, symmetric_recurrence
 
 _NONZERO = st.integers(-40, 40).filter(bool)
 _PRIMES = (2, 3, 5, 7, 11, 13)
+_PRIMES_30_BITS = (536870923, 536870951, 1073741717, 1073741723, 1073741789)
 # Each family is drawn on its own, so that every run covers integer roots
-# (D = 1), one shared denominator, and pairwise coprime prime denominators.
+# (D = 1), one shared denominator, pairwise coprime prime denominators, and
+# 30-bit numerators over 30-bit primes, the integrate-tall shape.
 _INTEGER_ROOTS = st.lists(_NONZERO, min_size=1, max_size=6, unique=True)
 _SHARED_DENOMINATOR = st.builds(
     lambda nums, d: [F(n, d) for n in nums],
@@ -54,7 +56,16 @@ _SHARED_DENOMINATOR = st.builds(
 _COPRIME_DENOMINATORS = st.lists(
     st.builds(F, _NONZERO, st.sampled_from(_PRIMES)), min_size=1, max_size=6
 ).map(lambda roots: list(dict.fromkeys(roots)))
-_ROOTS = st.one_of(_INTEGER_ROOTS, _SHARED_DENOMINATOR, _COPRIME_DENOMINATORS)
+_WIDE_PRIME_DENOMINATORS = st.lists(
+    st.builds(
+        F, st.integers(-(2**30), 2**30).filter(bool), st.sampled_from(_PRIMES_30_BITS)
+    ),
+    min_size=1,
+    max_size=5,
+).map(lambda roots: list(dict.fromkeys(roots)))
+_ROOTS = st.one_of(
+    _INTEGER_ROOTS, _SHARED_DENOMINATOR, _COPRIME_DENOMINATORS, _WIDE_PRIME_DENOMINATORS
+)
 
 
 def _assert_shared_factor_divides(c, p):
@@ -63,18 +74,6 @@ def _assert_shared_factor_divides(c, p):
     g, q = poleint.symmetric._shared_factor(c), len(c)
     assert g >= 1
     assert all(p[q + 1 - i] % g ** (i - 1) == 0 for i in range(1, q + 1))
-
-
-def _assert_residue_factor_divides(c, count):
-    """F = gcd(W, G^q) divides W = lcm Q_c'(p) and every running term
-    w_p p^q, and the residue kernel returns W / F once count > q, W before."""
-    poles, q = (0, *c), len(c)
-    dq = _derivative_values(poles)
-    w = math.lcm(*dq)
-    f = math.gcd(w, poleint.symmetric._shared_factor(c) ** q)
-    assert w % f == 0
-    assert all(w // x * p**q % f == 0 for x, p in zip(dq, poles))
-    assert residue_sums(c, count)[0] == (w // f if count > q else w)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -87,6 +86,7 @@ def _assert_residue_factor_divides(c, count):
 @example([6, -10, 15, 30], 4)  # G = 30: each of 2, 3, 5 divides three roots
 @example([F(4, 9), F(-8, 9), F(16, 9)], 5)  # G = 8 on c = (4, -8, 16)
 @example([F(35, 2), F(-21, 5), F(15, 7)], 5)  # G = 3 * 5 * 7 * D
+@example([F(2**30 - 1, 1073741789), F(-(2**29), 536870923)], 3)  # 30-bit
 def test_kernels_match_fraction_oracles(roots, extra):
     cfg = RootConfig(tuple(roots))
     q, n = cfg.q, cfg.q + 1 + extra
@@ -96,8 +96,7 @@ def test_kernels_match_fraction_oracles(roots, extra):
 
     p, moments = integer_expansion(c, n + 1)
     _assert_shared_factor_divides(c, p)
-    _assert_residue_factor_divides(c, n + 1)
-    assert moments == residue_moments(c, n + 1)
+    assert moments == residue_moments(cfg.roots, n + 1)
     assert moments == [0] * q + list(symmetric_recurrence(c, n - q)[1])
 
     series = integrate_via_expansion(cfg, n)
@@ -117,7 +116,7 @@ def test_kernels_match_fraction_oracles(roots, extra):
     assert [row.rhs for row in report.rows] == direct
 
 
-# -- W off a balanced lcm tree ------------------------------------------------
+# -- the residue kernel on the pole differences ------------------------------
 
 
 def _distinct_roots(rng, q):
@@ -127,20 +126,39 @@ def _distinct_roots(rng, q):
     return tuple(roots)
 
 
-# 2 to 21 poles: every shape of the tree, odd counts (a lone value carried up
-# a level) included.  Past n = q, W is the lcm over F = gcd(lcm, G^q), and
-# S_q = W * m_q = W, S_(q+1) = W * h_1(c).
+# 2 to 21 poles: every shape of the lcm tree, odd counts (a lone value carried
+# up a level) included.  1/Q'(a_i) = d_i^(q-1) P / Delta_i against the Fraction
+# product over the other poles; W = lcm |Delta_i| and the weights u_i = W /
+# Delta_i; below q the sums vanish, S_q = W * m_q = W and S_(q+1) = W * h_1(c).
 @pytest.mark.parametrize("q", range(1, 21))
 def test_residue_weights_off_the_lcm_tree(q):
-    _, c = scale_to_integers(_distinct_roots(random.Random(q), q))
-    dq = _derivative_values((0, *c))
-    w, sums = residue_sums(c, 1)
-    assert w == math.lcm(*dq) > 0
-    assert all(w // x * x == w for x in dq)  # w_p * Q_c'(p) == W
-    assert sums == [0]
-    _assert_residue_factor_divides(c, q + 2)
-    w, sums = residue_sums(c, q + 2)
+    roots = _distinct_roots(random.Random(q), q)
+    _, c = scale_to_integers(roots)
+    poles, p, deltas = _pole_differences(roots)
+    assert poles == [(0, 1)] + [(a.numerator, a.denominator) for a in roots]
+    assert p == math.prod(a.denominator for a in roots)
+    for a, (_, d), x in zip((0, *roots), poles, deltas):
+        derivative = math.prod(a - b for b in (0, *roots) if b != a)  # Q'(a)
+        assert F(d ** (q - 1) * p, x) == 1 / derivative
+    w, sums = residue_sums(roots, q + 2)
+    assert w == math.lcm(*map(abs, deltas)) > 0
+    assert all(w // x * x == w for x in deltas)  # u_i * Delta_i == W
     assert sums == [0] * q + [w, w * sum(c)]
+    assert residue_sums(roots, 1) == (w, [0])
+
+
+@pytest.mark.parametrize("roots", [(5,), (F(-7, 3),), (1, F(2, 3), F(-5, 7))])
+def test_no_step_q_term_below_q(roots):
+    # count <= q returns exactly count sums, with no n = q term appended; at
+    # q = 1, d_i^(q-1) = 1 and pole 0 contributes at n = 0 only.
+    cfg, q = RootConfig(roots), len(roots)
+    for count in range(1, q + 2):
+        w, sums = residue_sums(cfg.roots, count)
+        assert sums == ([0] * q + [w])[:count]
+    assert [moment(cfg, k) for k in range(q + 1)] == [0] * q + [1]
+    if q == 1:  # Delta_0 = 0 * d_1 - n_1, Delta_1 = n_1 - 0
+        n = cfg.roots[0].numerator
+        assert _pole_differences(cfg.roots)[2] == [-n, n]
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -259,9 +277,9 @@ def _perturb_expansion(l):
 def _perturb_residues(l):
     # S_(q+l) += W is m_(q+l) += 1 on the residue side: the CLI compares the
     # sums themselves, and the library divides them by W.
-    def kernel(c, count):
-        w, sums = residue_sums(c, count)
-        sums[len(c) + l] += w
+    def kernel(roots, count):
+        w, sums = residue_sums(roots, count)
+        sums[len(roots) + l] += w
         return w, sums
 
     return residue_sums, kernel
@@ -311,26 +329,37 @@ def test_a_wrong_shared_factor_exits_3(monkeypatch):
         assert err == "error: G^(i-1) must divide e_i(c); exact arithmetic is broken\n"
 
 
-def test_a_wrong_residue_factor_exits_3(monkeypatch):
-    # At c = (21, 14, -15), W = 767340 and G = 21.  With G = 42 the residue
-    # kernel reads F = gcd(W, 42^3) = 5292, which does not divide
-    # w_p p^3 = 1342845 at p = 21, so it refuses before either route prints
-    # anything; the expansion kernel keeps the right G.
-    original = poleint.integrate._shared_factor
-    monkeypatch.setattr(poleint.integrate, "_shared_factor", lambda c: 2 * original(c))
-    for argv in (ARGV, ["identities", "--roots", "1,2/3,-5/7", "--max-k", "9"]):
+@pytest.mark.parametrize("i", [0, 2])
+def test_a_wrong_pole_difference_exits_3(monkeypatch, i):
+    # Delta_i off by one: the residues no longer sum to zero, so integrate's
+    # residue self-check refuses before printing, and the identity report and
+    # pfd's reconstruction read the wrong residues and fail.
+    def broken(roots):
+        poles, p, deltas = _pole_differences(roots)
+        deltas[i] += 1
+        return poles, p, deltas
+
+    monkeypatch.setattr(poleint.integrate, "_pole_differences", broken)
+    code, out, err = _run(ARGV)
+    assert code == 3 and out == ""
+    assert err == (
+        "error: residue sums must vanish at n = 0 and be multiples of W; "
+        "exact arithmetic is broken\n"
+    )
+    for argv in (
+        ["identities", "--roots", "1,2/3,-5/7", "--max-k", "9"],
+        ["pfd", "--roots", "1,2/3,-5/7", "--num", "1"],
+    ):
         code, out, err = _run(argv)
-        assert code == 3 and out == ""
-        assert err == (
-            "error: gcd(W, G^q) must divide every w_p p^q; exact arithmetic is broken\n"
-        )
+        assert code == 3 and err == ""
+        assert "false" in out
 
 
 @pytest.mark.parametrize("n", [0, 5])
 def test_a_failed_residue_self_check_exits_3(monkeypatch, n):
     # S_0 off by W breaks the residue sum; S_5 off by one leaves a remainder.
-    def broken(c, count):
-        w, sums = residue_sums(c, count)
+    def broken(roots, count):
+        w, sums = residue_sums(roots, count)
         sums[n] += w if n == 0 else 1
         return w, sums
 
@@ -342,13 +371,29 @@ def test_a_failed_residue_self_check_exits_3(monkeypatch, n):
 
 
 def test_a_failed_scaling_law_check_in_limit_exits_3(monkeypatch):
-    # Every scale gets the t = 1 series, so b_(q+1) does not scale by t.
-    original = poleint.asymptotics.integrate_via_expansion
+    # Every scaled row gets the t = 1 series, so b_(q+1) does not scale by t.
+    original = poleint.asymptotics.integrate_via_partial_fractions
     monkeypatch.setattr(
         poleint.asymptotics,
-        "integrate_via_expansion",
+        "integrate_via_partial_fractions",
         lambda cfg, n: original(RootConfig((1, 2)), n),
     )
     code, out, err = _run(["limit", "--roots=1,2", "--scales=1,1/2", "--terms=6"])
     assert code == 3 and out == ""
     assert err == "error: t^l scaling law failed at l = 1\n"
+
+
+@pytest.mark.parametrize("l", [0, 4])
+@pytest.mark.parametrize(
+    "perturb", [_perturb_expansion, _perturb_residues], ids=["expansion", "residues"]
+)
+def test_a_perturbed_kernel_fails_the_limit_checks(monkeypatch, perturb, l):
+    # limit's base row comes off the expansion route and its scaled rows off
+    # the residue route.  Both scales give the same integer roots c = D * a,
+    # so if one route built every row, only a perturbed leading coefficient
+    # (the expansion kernel at l = 0) would fail.
+    original, kernel = perturb(l)
+    _replace_everywhere(monkeypatch, original, kernel)
+    code, out, err = _run(["limit", "--roots", "1,2/3,-5/7", "--scales", "1,1/2"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
