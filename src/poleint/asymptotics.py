@@ -78,12 +78,12 @@ def scaling_limit_table(
     q = cfg.q
     largest = max(abs(t * a) for t in t_scales for a in cfg.roots)
     bound = float(largest) if largest <= sys.float_info.max else math.inf
+    if not math.isfinite(radius):
+        raise ValueError("radius must be finite")
     if not radius > bound:
         raise ValueError(
             f"radius must exceed every scaled root magnitude (need > {bound})"
         )
-    if not math.isfinite(radius):
-        raise ValueError("radius must be finite")
 
     depth = truncation - q
     if max_l is not None:

@@ -14,14 +14,16 @@ it is 1); the only floating-point outputs are the sup errors of `limit`,
 printed with 17 significant digits.  `integrate` prints the coefficients
 and cross-check of `integrate.cross_checked`, each b_n off its factored
 denominator s * D^k, with the powers of D multiplied in Decimal and the
-numerator split on bits (`polynomial.format_quotient`).
+numerator printed by `polynomial.format_quotient`.  Its document is one
+f-string, byte for byte what `json.dumps(doc, indent=2)` would print: every
+field is an int, a bool or a string of digits, "-" and "/".
 
 `main` builds its parser on its first call and reuses it for every later
 call in the process; `build_parser` returns a fresh one each time.
 `entry`, which owns the process, freezes the objects alive before `main`
 runs (`gc.freeze`), so that no later collection walks them again, the one
-at interpreter shutdown included.  `json` is imported by `_print_json`, on
-the first JSON output, not by importing this module.
+at interpreter shutdown included.  `json` is imported by `pfd`, the one
+subcommand that prints through it, not by importing this module.
 
 Exit codes: 0 success, 1 domain error (invalid roots and similar),
 2 usage or parse error, 3 any exact identity check failed.
@@ -161,12 +163,6 @@ def _terms_below_minimum(cfg: RootConfig, terms: int) -> bool:
     return terms <= cfg.q
 
 
-def _print_json(doc: dict) -> None:
-    import json  # only integrate and pfd print JSON
-
-    print(json.dumps(doc, indent=2))
-
-
 def _cmd_integrate(args: argparse.Namespace) -> int:
     cfg = _root_config(args)
     if _terms_below_minimum(cfg, args.terms):
@@ -175,20 +171,28 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     powers = [Decimal(1)]  # D^k for k = 0..N-q, one exact product each
     powers += accumulate(repeat(Decimal(d), args.terms - cfg.q), EXACT.multiply)
     values = [format_quotient(x, EXACT.multiply(s, powers[k])) for x, s, k in reduced]
-    doc = {
-        "q": cfg.q,
-        "roots": [format_rational(r) for r in cfg.roots],
-        "truncation": args.terms,
-        "b0_convention": "zero",
-        "coefficients": [{"n": n, "value": v} for n, v in enumerate(["0", *values])],
-        "valuation": next(n for n, (num, _, _) in enumerate(reduced, 1) if num),
-        "paths_agree": agree,
-    }
-    _print_json(doc)
+    roots = ",".join(f'\n    "{format_rational(r)}"' for r in cfg.roots)
+    rows = ",".join(f'\n    {{\n      "n": {n},\n      "value": "{v}"\n    }}'
+                    for n, v in enumerate(["0", *values]))
+    valuation = next(n for n, (num, _, _) in enumerate(reduced, 1) if num)
+    # json.dumps(doc, indent=2) of the document, whose strings need no escaping
+    print(f"""{{
+  "q": {cfg.q},
+  "roots": [{roots}
+  ],
+  "truncation": {args.terms},
+  "b0_convention": "zero",
+  "coefficients": [{rows}
+  ],
+  "valuation": {valuation},
+  "paths_agree": {"true" if agree else "false"}
+}}""")
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 
 def _cmd_pfd(args: argparse.Namespace) -> int:
+    import json  # only pfd prints through json
+
     cfg = _root_config(args)
     numerator = parse_poly(args.num)
     pf = partial_fractions(numerator, cfg)
@@ -204,7 +208,7 @@ def _cmd_pfd(args: argparse.Namespace) -> int:
         "coefficient_sum": format_rational(pf.coefficient_sum()),
         "reconstruction_ok": ok,
     }
-    _print_json(doc)
+    print(json.dumps(doc, indent=2))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -213,10 +217,9 @@ def _print_checks(checks: list[tuple[str, Fraction, Fraction]], noun: str) -> in
     of those that hold; the exit code."""
     oks = [lhs == rhs for _, lhs, rhs in checks]
     for (label, lhs, rhs), ok in zip(checks, oks):
-        print(
-            f"{label} lhs={format_rational(lhs)} "
-            f"rhs={format_rational(rhs)} pass={'true' if ok else 'false'}"
-        )
+        left = format_rational(lhs)
+        right = left if ok else format_rational(rhs)  # a holding row prints one value
+        print(f"{label} lhs={left} rhs={right} pass={'true' if ok else 'false'}")
     print(f"{sum(oks)}/{len(oks)} {noun} hold")
     return EXIT_OK if all(oks) else EXIT_CHECK_FAILED
 

@@ -158,7 +158,9 @@ def reduced_coefficients(moments: list[int], d: int, q: int) -> list[tuple[int, 
     otherwise against the whole denominator, with k = 0."""
     out = []
     for n, m in enumerate(moments[1:], start=1):
-        num, k = -m * d ** max(q - n, 0), max(n - q, 0)
+        # below q, m_n(c) is 0 unless the arithmetic is broken: skip its D^(q-n)
+        num = -m * d ** (q - n) if m and n < q else -m
+        k = max(n - q, 0)
         den, k = (n, k) if math.gcd(num % d, d) == 1 else (n * d**k, 0)
         g = math.gcd(num % den, den)
         out.append((num // g, den // g, k))

@@ -30,7 +30,16 @@ def as_rat(value: Rat | int | str) -> Fraction:
 # Integer products in Decimal, exact at any size: a rounding would raise.
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
 
-_SPLIT_BITS = 2048  # S: integers of at most 2*S bits convert directly
+_LEAF_DIGITS = 300  # L: str leaves of at most 2L + 1 digits, under any legal limit
+_SPLIT_BITS = 16384  # S: integers of at most 2*S bits print by divmod alone
+
+
+@cache
+def _power_of_ten(i: int) -> int:
+    """10^(L * 2^i), each level the square of the one below."""
+    if not i:
+        return 10**_LEAF_DIGITS
+    return _power_of_ten(i - 1) ** 2
 
 
 @cache
@@ -40,6 +49,23 @@ def _power_of_two(i: int) -> Decimal:
         return Decimal(1 << _SPLIT_BITS)
     half = _power_of_two(i - 1)
     return EXACT.multiply(half, half)
+
+
+def _digits(x: int) -> str:
+    """str(x) for 0 <= x < 2^(2S), free of the int-to-str digit limit.
+
+    With m = floor((x.bit_length() - 1) * 1233 / 4096), 10^m <= x, as
+    1233/4096 < log10(2).  Below m = 2L, str prints x, at most 2L + 1
+    digits.  Otherwise x splits by divmod on 10^k, k = L * 2^i the largest
+    such k with 2k <= m, into halves that print the same way, the low one
+    zero-padded to k digits.  Below 2^(2S) the ladder stops at 10^(16L).
+    """
+    m = (x.bit_length() - 1) * 1233 >> 12
+    if m < 2 * _LEAF_DIGITS:
+        return str(x)
+    i = (m // (2 * _LEAF_DIGITS)).bit_length() - 1
+    hi, lo = divmod(x, _power_of_ten(i))
+    return _digits(hi) + _digits(lo).zfill(_LEAF_DIGITS << i)
 
 
 def _decimal(x: int) -> Decimal:
@@ -53,26 +79,37 @@ def _decimal(x: int) -> Decimal:
     """
     n = x.bit_length()
     if n <= 2 * _SPLIT_BITS:
-        return Decimal(x)
+        return Decimal(_integer(x))
     i = (n // (2 * _SPLIT_BITS)).bit_length() - 1
     k = _SPLIT_BITS << i
     hi, lo = _decimal(x >> k), _decimal(x & ((1 << k) - 1))
     return EXACT.add(EXACT.multiply(hi, _power_of_two(i)), lo)
 
 
+def _integer(x: int) -> str:
+    """str(x), free of the int-to-str digit limit: by `_digits` up to 2*S
+    bits, through `_decimal` above."""
+    if x.bit_length() > 2 * _SPLIT_BITS:
+        return str(_decimal(x))
+    return f"-{_digits(-x)}" if x < 0 else _digits(x)
+
+
 def format_quotient(numerator: int, denominator: int | Decimal = 1) -> str:
     """"p/q" for a numerator p over a positive denominator q it has no common
     factor with, or just "p" when q is 1.
 
-    Integers are printed through Decimal, which is exact and, unlike str(int),
-    not bound by the interpreter's int-to-str digit limit; large ones are
-    split on bits first (`_decimal`).  A Decimal denominator must be an
-    integer of exponent 0; it prints as it is.
+    Integers of at most 2*S bits print by divmod on a ladder of powers of ten
+    (`_digits`), larger ones through Decimal, split on bits first
+    (`_decimal`); neither is bound by the interpreter's int-to-str digit
+    limit.  A Decimal denominator must be an integer of exponent 0; it prints
+    as it is.
     """
-    text = str(_decimal(numerator))
+    text = _integer(numerator)
+    if denominator == 1:
+        return text
     if isinstance(denominator, int):
-        denominator = _decimal(denominator)
-    return text if denominator == 1 else f"{text}/{denominator}"
+        denominator = _integer(denominator)
+    return f"{text}/{denominator}"
 
 
 def format_rational(value: Fraction) -> str:

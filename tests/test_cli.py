@@ -4,9 +4,11 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +21,8 @@ import poleint.cli
 from poleint import RootConfig, format_rational, integrate_via_partial_fractions
 from poleint.cli import main
 from poleint.parser import MAX_NESTING, MAX_POWER_BITS
+
+from conftest import root_tuples
 
 HUGE = "1" + "0" * 400  # beyond the double range
 TINY = "1" + "0" * 77  # roots near 1e-77 put radius**4 below the normal range
@@ -67,6 +71,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_main(argv):
+    """main(argv) with its output captured, for tests without capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _den(roots) -> str:
+    """The factored denominator z*(z-r1)*(z+r2)*... of `--den`."""
+    return "*".join(["z"] + [f"(z-{r})".replace("--", "+") for r in roots])
+
+
+def _tall_roots(q: int) -> list[Fraction]:
+    """q roots over distinct 30-bit primes, about 30 bits each."""
+    primes = list(itertools.islice(filter(_is_prime, range(2**30 - 1, 0, -2)), q))
+    return [Fraction((-1) ** j * (2**29 + 7 * j), p) for j, p in enumerate(primes)]
 
 
 class TestIntegrateCommand:
@@ -127,6 +150,17 @@ class TestIntegrateCommand:
         assert len(denominator) > 4300
         assert _int_from_digits(denominator) == (-a**499 / 500).denominator
 
+    # integrate prints its document from a template of its own: it must be
+    # what json.dumps(doc, indent=2) prints, whichever flag gives the roots
+    @settings(max_examples=60, deadline=None)
+    @given(root_tuples, st.integers(1, 4), st.booleans())
+    def test_document_is_its_own_json_dumps(self, roots, extra, den):
+        flag = f"--den={_den(roots)}" if den else f"--roots={','.join(map(str, roots))}"
+        terms = str(len(roots) + extra)
+        code, out, err = run_main(["integrate", flag, "--terms", terms])
+        assert code == 0 and err == ""
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_den_with_zero_root_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "integrate", "--den", "z*(z-0)", "--terms", "6"
@@ -138,8 +172,7 @@ class TestIntegrateCommand:
         # q = 12 roots over distinct 30-bit primes, so D^k is the whole
         # denominator of most coefficients; the CLI prints it off a Decimal
         # power table, the reference off the partial-fraction route's Fractions.
-        primes = list(itertools.islice(filter(_is_prime, range(2**30 - 1, 0, -2)), 12))
-        roots = [Fraction((-1) ** j * (2**29 + 7 * j), p) for j, p in enumerate(primes)]
+        roots = _tall_roots(12)
         cfg, terms = RootConfig(tuple(roots)), 36
         series = integrate_via_partial_fractions(cfg, terms)
         expected = {
@@ -334,6 +367,12 @@ class TestLimitCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    # nan fails every comparison, so it must meet the finiteness test first
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_nonfinite_radius_reads_must_be_finite(self, capsys, radius):
+        code, out, err = run_cli(capsys, "limit", "--roots", "1,2", "--radius", radius)
+        assert (code, out, err) == (1, "", "error: radius must be finite\n")
 
     def test_coefficients_beyond_float_range(self, capsys):
         # b_n = -1000^(n-1)/n passes 1e308 near n = 104, while the scaled
@@ -559,7 +598,8 @@ def test_cli_import_loads_no_dataclasses_inspect_typing_or_json():
 
 
 # Importing the CLI builds nothing that a request may not need: main's parser
-# is built on its first call, and the printer's powers of two on first use.
+# is built on its first call, and the printer's powers of ten and of two on
+# first use.
 def test_cli_import_builds_no_parser_and_no_decimal_power():
     code = (
         "import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
@@ -567,7 +607,8 @@ def test_cli_import_builds_no_parser_and_no_decimal_power():
         "    built.append(1); init(self, *args, **kwargs)\n"
         "argparse.ArgumentParser.__init__ = counted\n"
         "import poleint.cli, poleint.polynomial as p\n"
-        "print(len(built), p._power_of_two.cache_info().currsize)"
+        "print(len(built), p._power_of_ten.cache_info().currsize,"
+        " p._power_of_two.cache_info().currsize)"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -576,7 +617,43 @@ def test_cli_import_builds_no_parser_and_no_decimal_power():
         env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 0\n"
+    assert proc.stdout == "0 0 0\n"
+
+
+# The printer calls str(int) on leaves of at most about 600 digits, under the
+# strictest int-to-str limit the interpreter accepts (640): a 90k-bit
+# numerator and a q = 16 integrate request print the same under it as under
+# the default.
+_DIGIT_LIMIT_CHILD = (
+    "import random, sys\n"
+    "from poleint.cli import main\n"
+    "from poleint.polynomial import format_quotient\n"
+    "print(format_quotient(-random.Random(90).getrandbits(90_000)))\n"
+    "sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_output_is_free_of_the_int_to_str_digit_limit():
+    roots = ",".join(map(str, _tall_roots(16)))
+    argv = ["integrate", f"--roots={roots}", "--terms", "48"]
+    runs = []
+    for limit in ("640", None):
+        env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        if limit:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGIT_LIMIT_CHILD, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
+    first, document = runs[0].split("\n", 1)
+    assert first == str(Decimal(-random.Random(90).getrandbits(90_000)))
+    values = [c["value"] for c in json.loads(document)["coefficients"]]
+    assert max(map(len, values)) > 4300  # past the default limit too
 
 
 # The second numerator prints more than stdout's 8 KiB buffer, so the write

@@ -3,6 +3,7 @@ oracles, and the guard that keeps the two routes independent."""
 
 import contextlib
 import io
+import json
 import math
 import random
 import sys
@@ -297,6 +298,7 @@ def test_a_perturbed_kernel_breaks_route_agreement(monkeypatch, perturb, l):
     code, out, err = _run(ARGV)
     assert code == 3 and err == ""
     assert '"paths_agree": false' in out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
     cfg = RootConfig((1, F(2, 3), F(-5, 7)))
     assert integrate_via_expansion(cfg, 9) != integrate_via_partial_fractions(cfg, 9)
     # The identity report reads the same two kernels, one per column, so the

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given
 
 from poleint import Poly
-from poleint.polynomial import _SPLIT_BITS, _power_of_two, format_quotient
+from poleint.polynomial import (
+    _LEAF_DIGITS,
+    _SPLIT_BITS,
+    _power_of_ten,
+    _power_of_two,
+    format_quotient,
+)
 
 from conftest import polys, nonzero_polys, rationals, root_tuples
 from oracles import gcd, is_squarefree, poly_divmod, poly_mod
@@ -192,19 +198,27 @@ class TestRingProperties:
         assert g.leading_coefficient == 1
 
 
-# Integers above 2*S bits print off halves split on bits and joined in
-# Decimal: the edges of the direct conversion, both sides of every power
-# 2^(S * 2^i) the join multiplies by (2^(S * 2^i) - 1 is also the first width
-# that splits at level i - 1), and a 90k-bit value, in both signs.
-_S = _SPLIT_BITS
+# Integers of at most 2*S bits print by divmod on the powers of ten
+# 10^(L * 2^i), str taking the leaves of at most 1994 bits; larger ones split
+# on bits and join in Decimal on the powers 2^(S * 2^i).  The edges, in both
+# signs: both sides of the widest leaf, of 2*S bits and of every power of ten
+# the ladder divides by (10^(2L) among them), both sides of the powers of two
+# 2^(2^11) .. 2^(2^18), every 2^(S * 2^i) up to about 300k bits among them,
+# and a 90k-bit value.
+_S, _L = _SPLIT_BITS, _LEAF_DIGITS
 _EDGES = [pytest.param(x, id=str(x)) for x in (0, 1, 2**30)]
 _EDGES += [
     pytest.param((1 << (bits - 1)) | 1, id=f"{bits}-bits")
-    for bits in (2 * _S - 1, 2 * _S, 2 * _S + 1)
+    for bits in (1994, 1995, 4095, 4096, 4097, 2 * _S - 1, 2 * _S, 2 * _S + 1)
+]
+_EDGES += [
+    pytest.param(10**k + e, id=f"10^{k}{e:+d}")
+    for k in (_L << i for i in range(6))
+    for e in (-1, 0, 1)
 ]
 _EDGES += [
     pytest.param(2**k + e, id=f"2^{k}{e:+d}")
-    for k in (_S << i for i in range(8))
+    for k in (2**11 << i for i in range(8))
     for e in (-1, 0, 1)
 ]
 _EDGES += [pytest.param(random.Random(90).getrandbits(90_000) | 1 << 89_999, id="90k-bits")]
@@ -216,6 +230,13 @@ class TestNumeratorPrinting:
     def test_prints_as_decimal_of_the_whole_integer(self, x, sign):
         assert format_quotient(sign * x) == str(Decimal(sign * x))
 
+    def test_the_ladder_stops_at_level_4(self):
+        # the largest integer that prints by divmod alone reaches 10^(L * 16)
+        _power_of_ten.cache_clear()
+        x = (1 << 2 * _S) - 1
+        assert format_quotient(x) == str(Decimal(x))
+        assert _power_of_ten.cache_info().currsize == 5
+
     def test_random_sizes_and_both_slots(self):
         rng = random.Random(7)
         for _ in range(40):
@@ -224,7 +245,7 @@ class TestNumeratorPrinting:
             assert format_quotient(-x, x + 2) == f"{Decimal(-x)}/{Decimal(x + 2)}"
 
     def test_threads_share_the_power_table(self):
-        # every thread grows the emptied table at once; a level stored under
+        # every thread grows the emptied tables at once; a level stored under
         # the wrong index would print a wrong digit string
         values = [random.Random(i).getrandbits(30_000 + 9_000 * i) for i in range(8)]
         want = [str(Decimal(x)) for x in values]
@@ -233,6 +254,7 @@ class TestNumeratorPrinting:
         def convert(i):
             got[i] = format_quotient(values[i])
 
+        _power_of_ten.cache_clear()
         _power_of_two.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
