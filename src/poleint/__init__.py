@@ -9,7 +9,6 @@ limit toward -1/(q z^q).
 
 from .asymptotics import ScaleRow, scaling_limit_table
 from .integrate import (
-    MomentIdentityReport,
     MomentIdentityRow,
     PartialFractions,
     RootConfig,
@@ -44,7 +43,6 @@ __all__ = [
     "ExactCheckError",
     "INFINITY",
     "InvZSeries",
-    "MomentIdentityReport",
     "MomentIdentityRow",
     "NotIntegrableInRing",
     "PartialFractions",

@@ -227,7 +227,7 @@ def _print_checks(checks: list[tuple[str, Fraction, Fraction]], noun: str) -> in
 def _cmd_identities(args: argparse.Namespace) -> int:
     cfg = _root_config(args)
     max_k = args.max_k if args.max_k is not None else cfg.q + 10
-    rows = check_moment_identities(cfg, max_k).rows
+    rows = check_moment_identities(cfg, max_k)
     return _print_checks([(f"k={r.k}", r.lhs, r.rhs) for r in rows], "identities")
 
 

@@ -29,9 +29,11 @@ Both routes compute the integer moments m_n(c) of 1/Q_c, c = D * a (D the lcm
 of the root denominators), each its own way; the residue route reads the roots
 and their pole differences, and its sums (`residue_sums`) are S_n = W * m_n(c)
 from n = q on, W * m_n(a) / P below q, vanishing exactly when m_n(c) does.
-`cross_checked` runs both kernels once and compares them exactly, and the
-identity report reads the same two kernels: its lhs from the residue sums,
-its rhs from the expansion kernel.
+`cross_checked` runs both kernels once and compares them exactly; only on a
+mismatch does it divide its sums by W, through `residue_moments`, the one
+checked S_n / W, which the partial-fraction route and `moment` read too.
+The identity check reads its lhs off the residue sums, its rhs off the
+expansion kernel.
 """
 
 from __future__ import annotations
@@ -138,10 +140,9 @@ def residue_sums(roots: tuple[Rat, ...], count: int) -> tuple[int, list[int]]:
     return w, sums
 
 
-def residue_moments(roots: tuple[Rat, ...], count: int) -> list[int]:
-    """m_0(c)..m_(count-1)(c) as S_n / W, from the poles alone; S_0 = 0
-    (the residues sum to zero) and W | S_n must hold."""
-    w, sums = residue_sums(roots, count)
+def residue_moments(w: int, sums: list[int]) -> list[int]:
+    """m_n(c) = S_n / W off `residue_sums`; S_0 = 0 (the residues sum to
+    zero) and W | S_n must hold."""
     moments = [divmod(s, w) for s in sums]
     if sums[0] or any(r for _, r in moments):
         raise ExactCheckError(
@@ -183,22 +184,22 @@ def _kernels(cfg: RootConfig, count: int) -> tuple:
 
 def cross_checked(cfg: RootConfig, truncation: int) -> tuple:
     """D, the `reduced_coefficients` b_1..b_N and paths_agree, which holds iff
-    S_n = W * m_n for every n; a mismatch runs the residue self-check (raises)."""
+    S_n = W * m_n for every n; a mismatch self-checks those sums (raises)."""
     _check_truncation(cfg, truncation)
     d, moments, w, sums = _kernels(cfg, truncation + 1)
     agree = not sums[0] and sums == [w * m for m in moments]
     if not agree:
-        residue_moments(cfg.roots, truncation + 1)
+        residue_moments(w, sums)
     return d, reduced_coefficients(moments, d, cfg.q), agree
 
 
 def moment(cfg: RootConfig, k: int) -> Fraction:
-    """The weighted power sum m_k = sum_p p^k / Q'(p) over the residues of 1/Q."""
+    """The weighted power sum m_k = sum_p p^k / Q'(p), the checked S_k / W."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    w, sums = residue_sums(cfg.roots, k + 1)
     d = scale_to_integers(cfg.roots)[0]
-    return Fraction(sums[k], w) * Fraction(d) ** (cfg.q - k)
+    m = residue_moments(*residue_sums(cfg.roots, k + 1))[k]
+    return m * Fraction(d) ** (cfg.q - k)
 
 
 class MomentIdentityRow(Value):
@@ -207,14 +208,10 @@ class MomentIdentityRow(Value):
     __slots__ = ("k", "lhs", "rhs")
 
 
-class MomentIdentityReport(Value):
-    """The identity check of one configuration of q roots: rows k = 0..max_k."""
-
-    __slots__ = ("q", "rows")
-
-
-def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport:
-    """Compare every m_k for 0 <= k <= max_k against its closed form:
+def check_moment_identities(
+    cfg: RootConfig, max_k: int
+) -> tuple[MomentIdentityRow, ...]:
+    """Rows k = 0..max_k, each comparing m_k against its closed form:
     0 below k = q, then the complete homogeneous values h_(k-q) (h_0 = 1).
 
     The rhs comes off the expansion kernel, the lhs off the residue sums (the
@@ -227,8 +224,7 @@ def check_moment_identities(cfg: RootConfig, max_k: int) -> MomentIdentityReport
     rhs = [m * Fraction(d) ** (q - k) for k, m in enumerate(moments)]
     lhs = [r if s == w * m else Fraction(s, w) * Fraction(d) ** (q - k)
            for k, (s, m, r) in enumerate(zip(sums, moments, rhs))]
-    rows = tuple(map(MomentIdentityRow, range(max_k + 1), lhs, rhs))
-    return MomentIdentityReport(q=q, rows=rows)
+    return tuple(map(MomentIdentityRow, range(max_k + 1), lhs, rhs))
 
 
 def _check_truncation(cfg: RootConfig, truncation: int) -> None:
@@ -261,4 +257,5 @@ def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> InvZSer
     """
     _check_truncation(cfg, truncation)
     d = scale_to_integers(cfg.roots)[0]
-    return series_from_moments(residue_moments(cfg.roots, truncation + 1), d, cfg.q)
+    moments = residue_moments(*residue_sums(cfg.roots, truncation + 1))
+    return series_from_moments(moments, d, cfg.q)

@@ -94,10 +94,12 @@ class SymmetricTable(Value):
 
 
 def complete_homogeneous(values: Sequence[Rat | int | str], degree: int) -> Fraction:
-    """h_degree of the inputs, the z^-(q+1+degree) coefficient of 1/P."""
+    """h_degree of the inputs, the z^-(q+1+degree) coefficient of 1/P: the
+    kernel's last moment m_(q+degree)(c) = h_degree(c), over D^degree."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    return SymmetricTable.build(values, degree).h[degree]
+    d, c = scale_to_integers(values)
+    return Fraction(integer_expansion(c, len(c) + 1 + degree)[1][-1], d**degree)
 
 
 def vandermonde_matrix(

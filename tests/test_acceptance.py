@@ -70,13 +70,13 @@ def test_criterion_1_moment_identity_suite():
     start = time.perf_counter()
     ok = True
     for cfg in CORPUS:
-        report = check_moment_identities(cfg, cfg.q + 10)
-        ok &= all(row.lhs == row.rhs for row in report.rows)
+        rows = check_moment_identities(cfg, cfg.q + 10)
+        ok &= all(row.lhs == row.rhs for row in rows)
         if cfg.q <= 5:
             for l in range(1, 11):
                 direct = complete_homogeneous_direct(cfg.roots, l)
-                ok &= report.rows[cfg.q + l].rhs == direct
-                ok &= report.rows[cfg.q + l].lhs == direct
+                ok &= rows[cfg.q + l].rhs == direct
+                ok &= rows[cfg.q + l].lhs == direct
     elapsed = time.perf_counter() - start
     _report(
         "criterion 1 (moment identities, 200 configs, k <= q+10)",

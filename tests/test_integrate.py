@@ -98,15 +98,15 @@ class TestMoments:
 
 class TestMomentIdentities:
     def test_pair_report(self):
-        report = check_moment_identities(RootConfig((1, 2)), 6)
-        assert all(row.lhs == row.rhs for row in report.rows)
-        assert [row.lhs for row in report.rows] == [0, 0, 1, 3, 7, 15, 31]
+        rows = check_moment_identities(RootConfig((1, 2)), 6)
+        assert all(row.lhs == row.rhs for row in rows)
+        assert [row.lhs for row in rows] == [0, 0, 1, 3, 7, 15, 31]
 
     def test_single_root_report(self):
         a = F(4, 3)
-        report = check_moment_identities(RootConfig((a,)), 3)
-        assert all(row.lhs == row.rhs for row in report.rows)
-        assert [row.rhs for row in report.rows] == [0, 1, a, a * a]
+        rows = check_moment_identities(RootConfig((a,)), 3)
+        assert all(row.lhs == row.rhs for row in rows)
+        assert [row.rhs for row in rows] == [0, 1, a, a * a]
 
     def test_max_k_below_q_rejected(self):
         with pytest.raises(ValueError, match="max_k"):
@@ -115,8 +115,8 @@ class TestMomentIdentities:
     @given(root_configs)
     @settings(max_examples=50)
     def test_random_configs_pass(self, cfg):
-        report = check_moment_identities(cfg, cfg.q + 6)
-        assert all(row.lhs == row.rhs for row in report.rows)
+        rows = check_moment_identities(cfg, cfg.q + 6)
+        assert all(row.lhs == row.rhs for row in rows)
 
 
 class TestIntegration:

@@ -16,12 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 
 import poleint.asymptotics
+import poleint.cli
 import poleint.integrate
 import poleint.symmetric
 from poleint import (
+    ExactCheckError,
     RootConfig,
     SymmetricTable,
     check_moment_identities,
+    complete_homogeneous,
     integrate_via_expansion,
     integrate_via_partial_fractions,
     moment,
@@ -97,7 +100,7 @@ def test_kernels_match_fraction_oracles(roots, extra):
 
     p, moments = integer_expansion(c, n + 1)
     _assert_shared_factor_divides(c, p)
-    assert moments == residue_moments(cfg.roots, n + 1)
+    assert moments == residue_moments(*residue_sums(cfg.roots, n + 1))
     assert moments == [0] * q + list(symmetric_recurrence(c, n - q)[1])
 
     series = integrate_via_expansion(cfg, n)
@@ -112,9 +115,9 @@ def test_kernels_match_fraction_oracles(roots, extra):
 
     direct = moments_direct(cfg, n)
     assert [moment(cfg, k) for k in range(n + 1)] == direct
-    report = check_moment_identities(cfg, n)
-    assert [row.lhs for row in report.rows] == direct
-    assert [row.rhs for row in report.rows] == direct
+    rows = check_moment_identities(cfg, n)
+    assert [row.lhs for row in rows] == direct
+    assert [row.rhs for row in rows] == direct
 
 
 # -- the residue kernel on the pole differences ------------------------------
@@ -244,6 +247,74 @@ def test_symmetric_table_with_zero_and_repeated_values(values, depth):
     _assert_shared_factor_divides(c, integer_expansion(c, 0)[0])
 
 
+# -- complete_homogeneous off the expansion kernel -----------------------------
+
+_SPREAD = st.tuples(
+    st.one_of(
+        st.lists(rationals, max_size=5), _SHARED_DENOMINATOR, _COPRIME_DENOMINATORS
+    ),
+    st.booleans(),
+    st.booleans(),
+).map(lambda t: t[0] + [F(0)] * t[1] + t[0][:1] * t[2])  # a zero, a repeat
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_SPREAD, st.integers(0, 8))
+@example([], 0)
+@example([], 3)  # h_l of no values is 0 for l > 0
+@example([F(0), F(0)], 2)
+@example([F(1, 6), F(1, 6), F(-5, 6), F(0)], 4)  # repeated, shared denominator
+@example([F(1, 2), F(-2, 3), F(4, 5)], 0)
+def test_complete_homogeneous_is_the_table_entry(values, l):
+    assert complete_homogeneous(values, l) == SymmetricTable.build(values, l).h[l]
+
+
+def test_no_subcommand_builds_the_symmetric_table(monkeypatch):
+    def refuse(cls, values, depth):
+        raise AssertionError("SymmetricTable.build reached")
+
+    monkeypatch.setattr(SymmetricTable, "build", classmethod(refuse))
+    roots = "--roots=1,2/3,-5/7"
+    for argv in (
+        ARGV,
+        ["pfd", roots, "--num", "z^2-1"],
+        ["identities", roots],
+        ["vandermonde", "--points", "1,2/3,-5/7,0", "--degree", "3"],
+        ["limit", roots, "--scales", "1,1/2"],
+    ):
+        assert _run(argv)[::2] == (0, "")
+
+
+def _vandermonde_argv(rng, i):
+    """Points with integer, shared, coprime or mixed denominators by i % 4;
+    a repeated point now and then makes both determinants vanish."""
+    n = rng.randint(1, 8)
+    nums = [rng.randint(-30, 30) for _ in range(n)]
+    dens = [
+        [1] * n,
+        [rng.randint(2, 12)] * n,
+        [rng.choice(_PRIMES) for _ in range(n)],
+        [rng.randint(1, 40) for _ in range(n)],
+    ][i % 4]
+    points = [F(a, b) for a, b in zip(nums, dens)]
+    return ["vandermonde", "--points=" + ",".join(map(str, points)),
+            "--degree", str(rng.randint(1, 5))]
+
+
+def test_vandermonde_degree_prints_what_the_table_printed(monkeypatch):
+    # complete_homogeneous read h_l off SymmetricTable.build; every argument
+    # list prints the same bytes with that reader put back in the CLI.
+    rng = random.Random(18)
+    argvs = [_vandermonde_argv(rng, i) for i in range(100)]
+    new = [_run(argv) for argv in argvs]
+    monkeypatch.setattr(
+        poleint.cli, "complete_homogeneous",
+        lambda values, l: SymmetricTable.build(values, l).h[l],
+    )
+    assert new == [_run(argv) for argv in argvs]
+    assert {code for code, _, _ in new} == {0}
+
+
 # -- route independence -------------------------------------------------------
 
 ARGV = ["integrate", "--roots", "1,2/3,-5/7", "--terms", "9"]  # q = 3
@@ -301,13 +372,46 @@ def test_a_perturbed_kernel_breaks_route_agreement(monkeypatch, perturb, l):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     cfg = RootConfig((1, F(2, 3), F(-5, 7)))
     assert integrate_via_expansion(cfg, 9) != integrate_via_partial_fractions(cfg, 9)
-    # The identity report reads the same two kernels, one per column, so the
+    # The identity check reads the same two kernels, one per column, so the
     # perturbed row, and only that row, fails there too.
     code, out, err = _run(["identities", "--roots", "1,2/3,-5/7", "--max-k", "9"])
     assert code == 3 and err == ""
     rows = out.splitlines()[:-1]
     assert len(rows) == 10
     assert [r.split()[0] for r in rows if r.endswith("pass=false")] == [f"k={3 + l}"]
+
+
+@pytest.mark.parametrize("l", [0, 4])
+def test_a_mismatch_runs_the_residue_kernel_once(monkeypatch, l):
+    # A failed cross-check self-checks the residue sums it already holds
+    # rather than running the residue kernel a second time.
+    original, kernel = _perturb_expansion(l)
+    _replace_everywhere(monkeypatch, original, kernel)
+    counts = []
+
+    def counted(roots, count):
+        counts.append(count)
+        return residue_sums(roots, count)
+
+    _replace_everywhere(monkeypatch, residue_sums, counted)
+    for argv in (ARGV, ["identities", "--roots", "1,2/3,-5/7", "--max-k", "9"]):
+        counts.clear()
+        assert _run(argv)[0] == 3
+        assert counts == [10]
+
+
+@pytest.mark.parametrize("k", [0, 2, 3, 5])
+def test_moment_checks_its_residue_sum(monkeypatch, k):
+    # S_k off by one is not a multiple of W: moment raises, as both routes
+    # do, rather than return a wrong Fraction.
+    def broken(roots, count):
+        w, sums = residue_sums(roots, count)
+        sums[k] += 1
+        return w, sums
+
+    _replace_everywhere(monkeypatch, residue_sums, broken)
+    with pytest.raises(ExactCheckError, match="multiples of W"):
+        moment(RootConfig((1, F(2, 3), F(-5, 7))), k)
 
 
 def test_a_broken_scaling_step_raises(monkeypatch):
@@ -334,7 +438,7 @@ def test_a_wrong_shared_factor_exits_3(monkeypatch):
 @pytest.mark.parametrize("i", [0, 2])
 def test_a_wrong_pole_difference_exits_3(monkeypatch, i):
     # Delta_i off by one: the residues no longer sum to zero, so integrate's
-    # residue self-check refuses before printing, and the identity report and
+    # residue self-check refuses before printing, and the identity check and
     # pfd's reconstruction read the wrong residues and fail.
     def broken(roots):
         poles, p, deltas = _pole_differences(roots)

@@ -12,7 +12,6 @@ import pytest
 
 from poleint import (
     InvZSeries,
-    MomentIdentityReport,
     MomentIdentityRow,
     PartialFractions,
     Poly,
@@ -20,8 +19,6 @@ from poleint import (
     ScaleRow,
     SymmetricTable,
 )
-
-ROW = MomentIdentityRow(2, F(1), F(1))
 
 # (type, field names, arguments, arguments of an unequal value, repr)
 SAMPLES = [
@@ -46,11 +43,6 @@ SAMPLES = [
     (
         MomentIdentityRow, ("k", "lhs", "rhs"), (2, F(1), F(1)), (2, F(1), F(2)),
         "MomentIdentityRow(k=2, lhs=Fraction(1, 1), rhs=Fraction(1, 1))",
-    ),
-    (
-        MomentIdentityReport, ("q", "rows"), (2, (ROW,)), (2, ()),
-        "MomentIdentityReport(q=2, rows=(MomentIdentityRow(k=2,"
-        " lhs=Fraction(1, 1), rhs=Fraction(1, 1)),))",
     ),
     (
         SymmetricTable, ("q", "depth", "e", "h"),
