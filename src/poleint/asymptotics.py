@@ -11,9 +11,9 @@ scaling law
 so the far-field error |g_t(z) + 1/(q z^q)|, the tail sum_{n>q} b_n z^-n, on
 a circle |z| = R is dominated by the l = 1 term and shrinks linearly in t.
 
-This is the only module that touches floating point; everything it reports
-numerically is double precision with the tolerances owned by the caller.
-The exact coefficient checks stay exact.
+Floating point lives here and in `InvZSeries.evaluate` / `evaluate_all`
+(module `series`), the double-precision Horner sums this module reads; the
+tolerances are the caller's, and the exact coefficient checks stay exact.
 """
 
 from __future__ import annotations

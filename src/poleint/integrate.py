@@ -111,23 +111,16 @@ def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
     ))
 
 
-def _lcm(values: list[int]) -> int:
-    """math.lcm(*values), taken pairwise over a balanced tree, so that each
-    lcm meets operands of like size instead of a running total."""
-    while len(values) > 2:
-        values = [math.lcm(*values[i : i + 2]) for i in range(0, len(values), 2)]
-    return math.lcm(*values)
-
-
 def residue_sums(roots: tuple[Rat, ...], count: int) -> tuple[int, list[int]]:
-    """W = lcm |Delta_i| and S_0..S_(count-1) over the poles a_i = n_i/d_i, 0/1
-    included, with u_i = W / Delta_i (`_pole_differences`).  Below q, S_n =
-    sum_i u_i n_i^n d_i^(q-1-n) = W * m_n(a) / P, which vanishes exactly when
-    m_n(c) does; from q on, S_n = sum_i u_i n_i^n (P/d_i) (D/d_i)^(n-q) =
-    W * m_n(c), each term times c_i = n_i D/d_i a step."""
+    """W = lcm |Delta_i| = math.lcm(*Delta_i) and S_0..S_(count-1) over the
+    poles a_i = n_i/d_i, 0/1 included, with u_i = W / Delta_i
+    (`_pole_differences`).  Below q, S_n = sum_i u_i n_i^n d_i^(q-1-n) =
+    W * m_n(a) / P, which vanishes exactly when m_n(c) does; from q on, S_n =
+    sum_i u_i n_i^n (P/d_i) (D/d_i)^(n-q) = W * m_n(c), each term times
+    c_i = n_i D/d_i a step."""
     q = len(roots)
     poles, p, deltas = _pole_differences(roots)
-    w, d = _lcm(deltas), math.lcm(*(e for _, e in poles))
+    w, d = math.lcm(*deltas), math.lcm(*(e for _, e in poles))
     at_q, c = ([m * (x // e) for m, e in poles] for x in (p, d))
     terms = [w // x * e ** (q - 1) for x, (_, e) in zip(deltas, poles)]
     sums = [sum(terms)]
@@ -169,9 +162,8 @@ def reduced_coefficients(moments: list[int], d: int, q: int) -> list[tuple[int, 
 
 
 def series_from_moments(moments: list[int], d: int, q: int) -> InvZSeries:
-    """b_0 = 0 and b_n = -m_n(c) * D^(q-n) / n, each reduced once, in its Fraction."""
-    b = [Fraction(-m * d ** max(q - n, 0), n * d ** max(n - q, 0))
-         for n, m in enumerate(moments[1:], start=1)]
+    """b_0 = 0 and each b_n = num / (s * D^k) of `reduced_coefficients`."""
+    b = [Fraction(num, s * d**k) for num, s, k in reduced_coefficients(moments, d, q)]
     return InvZSeries(len(b), [Fraction(0)] + b)
 
 

@@ -20,6 +20,11 @@ root_tuples = st.lists(
 ).map(tuple)
 root_configs = root_tuples.map(RootConfig)
 
+# Denominators of the seeded root families: small primes, and 30-bit primes,
+# the denominator size of the integrate-tall workload.
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+PRIMES_30_BITS = (536870923, 536870951, 1073741717, 1073741723, 1073741789)
+
 
 def random_fraction(rng: random.Random, bound: int = 1000) -> Fraction:
     num = 0

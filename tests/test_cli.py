@@ -22,7 +22,7 @@ from poleint import RootConfig, format_rational, integrate_via_partial_fractions
 from poleint.cli import main
 from poleint.parser import MAX_NESTING, MAX_POWER_BITS
 
-from conftest import root_tuples
+from conftest import PRIMES_30_BITS, SMALL_PRIMES, root_tuples
 
 HUGE = "1" + "0" * 400  # beyond the double range
 TINY = "1" + "0" * 77  # roots near 1e-77 put radius**4 below the normal range
@@ -423,6 +423,43 @@ class TestLimitCommand:
         args = ("limit", "--roots", "1,2", "--scales", "1,1/2", "--samples", "8",
                 "--terms", "6")
         assert run_cli(capsys, *args) == run_cli(capsys, *args)
+
+    # limit's exact_b at t = 1 and integrate's values come off one reduction
+    # of b_n: for l = 0..N-q the column is the value strings of n = q..N
+    @pytest.mark.parametrize("family", ["integer", "shared", "coprime", "tall"])
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_exact_b_is_what_integrate_prints(self, family, q):
+        rng = random.Random(f"{family}-{q}")
+        roots = _spread_roots(rng, q, family)
+        terms = str(q + rng.randint(1, 8))
+        for flag in (f"--roots={','.join(map(str, roots))}", f"--den={_den(roots)}"):
+            code, out, err = run_main(["integrate", flag, "--terms", terms])
+            assert (code, err) == (0, "")
+            values = [c["value"] for c in json.loads(out)["coefficients"][q:]]
+            code, out, err = run_main(
+                ["limit", flag, "--scales", "1", "--terms", terms,
+                 "--radius", "100", "--samples", "4"]
+            )
+            assert (code, err) == (0, "")
+            rows = [row.split(",")[:3] for row in out.splitlines()[1:]]
+            assert rows == [["1", str(l), v] for l, v in enumerate(values)]
+
+
+def _spread_roots(rng, q, family):
+    """q distinct nonzero roots: integers, over one shared denominator, over
+    small primes, or 30-bit numerators over 30-bit primes."""
+    shared, roots = rng.randint(2, 12), {}
+    while len(roots) < q:
+        if family == "tall":
+            root = Fraction(rng.randrange(-(2**30), 2**30),
+                            rng.choice(PRIMES_30_BITS))
+        else:
+            den = {"integer": 1, "shared": shared,
+                   "coprime": rng.choice(SMALL_PRIMES)}[family]
+            root = Fraction(rng.randint(-9, 9), den)
+        if root:
+            roots[root] = None
+    return list(roots)
 
 
 class TestUsageErrors:

@@ -31,7 +31,6 @@ from poleint import (
 )
 from poleint.cli import main
 from poleint.integrate import (
-    _lcm,
     _pole_differences,
     cross_checked,
     reduced_coefficients,
@@ -42,12 +41,10 @@ from poleint.integrate import (
 from poleint.polynomial import EXACT, format_quotient, format_rational
 from poleint.symmetric import integer_expansion, scale_to_integers
 
-from conftest import rationals
+from conftest import PRIMES_30_BITS, SMALL_PRIMES, rationals
 from oracles import closed_form, moments_direct, symmetric_recurrence
 
 _NONZERO = st.integers(-40, 40).filter(bool)
-_PRIMES = (2, 3, 5, 7, 11, 13)
-_PRIMES_30_BITS = (536870923, 536870951, 1073741717, 1073741723, 1073741789)
 # Each family is drawn on its own, so that every run covers integer roots
 # (D = 1), one shared denominator, pairwise coprime prime denominators, and
 # 30-bit numerators over 30-bit primes, the integrate-tall shape.
@@ -58,11 +55,11 @@ _SHARED_DENOMINATOR = st.builds(
     st.integers(2, 12),
 )
 _COPRIME_DENOMINATORS = st.lists(
-    st.builds(F, _NONZERO, st.sampled_from(_PRIMES)), min_size=1, max_size=6
+    st.builds(F, _NONZERO, st.sampled_from(SMALL_PRIMES)), min_size=1, max_size=6
 ).map(lambda roots: list(dict.fromkeys(roots)))
 _WIDE_PRIME_DENOMINATORS = st.lists(
     st.builds(
-        F, st.integers(-(2**30), 2**30).filter(bool), st.sampled_from(_PRIMES_30_BITS)
+        F, st.integers(-(2**30), 2**30).filter(bool), st.sampled_from(PRIMES_30_BITS)
     ),
     min_size=1,
     max_size=5,
@@ -126,14 +123,15 @@ def test_kernels_match_fraction_oracles(roots, extra):
 def _distinct_roots(rng, q):
     roots = set()
     while len(roots) < q:
-        roots.add(F(rng.randrange(-(2**30), 2**30) or 1, rng.choice(_PRIMES)))
+        roots.add(F(rng.randrange(-(2**30), 2**30) or 1, rng.choice(SMALL_PRIMES)))
     return tuple(roots)
 
 
-# 2 to 21 poles: every shape of the lcm tree, odd counts (a lone value carried
-# up a level) included.  1/Q'(a_i) = d_i^(q-1) P / Delta_i against the Fraction
-# product over the other poles; W = lcm |Delta_i| and the weights u_i = W /
-# Delta_i; below q the sums vanish, S_q = W * m_q = W and S_(q+1) = W * h_1(c).
+# 2 to 21 poles; the Delta_i alternate in sign along the sorted poles, so W =
+# math.lcm(*Delta_i) meets negative ones.  1/Q'(a_i) = d_i^(q-1) P / Delta_i
+# against the Fraction product over the other poles; W = lcm |Delta_i| and the
+# weights u_i = W / Delta_i; below q the sums vanish, S_q = W * m_q = W and
+# S_(q+1) = W * h_1(c).
 @pytest.mark.parametrize("q", range(1, 21))
 def test_residue_weights_off_the_lcm_tree(q):
     roots = _distinct_roots(random.Random(q), q)
@@ -163,12 +161,6 @@ def test_no_step_q_term_below_q(roots):
     if q == 1:  # Delta_0 = 0 * d_1 - n_1, Delta_1 = n_1 - 0
         n = cfg.roots[0].numerator
         assert _pole_differences(cfg.roots)[2] == [-n, n]
-
-
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=21))
-def test_lcm_tree_is_math_lcm(values):
-    assert _lcm(values) == math.lcm(*values)
 
 
 # -- the reduced coefficients and their printer --------------------------------
@@ -293,7 +285,7 @@ def _vandermonde_argv(rng, i):
     dens = [
         [1] * n,
         [rng.randint(2, 12)] * n,
-        [rng.choice(_PRIMES) for _ in range(n)],
+        [rng.choice(SMALL_PRIMES) for _ in range(n)],
         [rng.randint(1, 40) for _ in range(n)],
     ][i % 4]
     points = [F(a, b) for a, b in zip(nums, dens)]
