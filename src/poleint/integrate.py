@@ -26,9 +26,9 @@ antidifferentiating term by term, and summing the residue-weighted log
 series of the partial fractions, whose coefficients are b_n = -m_n/n.
 
 Both routes compute the integer moments m_n(c) of 1/Q_c, c = D * a (D the lcm
-of the root denominators), each its own way; the residue route reads the roots
-and their pole differences, and its sums (`residue_sums`) are S_n = W * m_n(c)
-from n = q on, W * m_n(a) / P below q, vanishing exactly when m_n(c) does.
+of the root denominators), each its own way and with its own D; `residue_sums`
+reads the poles alone and gives D, W and S_n = W * m_n(c) from n = q on, and
+W * m_n(a) / P below q, vanishing exactly when m_n(c) does.
 `cross_checked` runs both kernels once and compares them exactly; only on a
 mismatch does it divide its sums by W, through `residue_moments`, the one
 checked S_n / W, which the partial-fraction route and `moment` read too.
@@ -111,9 +111,9 @@ def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
     ))
 
 
-def residue_sums(roots: tuple[Rat, ...], count: int) -> tuple[int, list[int]]:
-    """W = lcm |Delta_i| = math.lcm(*Delta_i) and S_0..S_(count-1) over the
-    poles a_i = n_i/d_i, 0/1 included, with u_i = W / Delta_i
+def residue_sums(roots: tuple[Rat, ...], count: int) -> tuple[int, int, list[int]]:
+    """D = lcm d_i, W = lcm |Delta_i| = math.lcm(*Delta_i) and S_0..S_(count-1)
+    over the poles a_i = n_i/d_i, 0/1 included, with u_i = W / Delta_i
     (`_pole_differences`).  Below q, S_n = sum_i u_i n_i^n d_i^(q-1-n) =
     W * m_n(a) / P, which vanishes exactly when m_n(c) does; from q on, S_n =
     sum_i u_i n_i^n (P/d_i) (D/d_i)^(n-q) = W * m_n(c), each term times
@@ -130,7 +130,7 @@ def residue_sums(roots: tuple[Rat, ...], count: int) -> tuple[int, list[int]]:
         else:
             terms = list(map(mul, terms, at_q if n == q else c))
         sums.append(sum(terms))
-    return w, sums
+    return d, w, sums
 
 
 def residue_moments(w: int, sums: list[int]) -> list[int]:
@@ -168,10 +168,10 @@ def series_from_moments(moments: list[int], d: int, q: int) -> InvZSeries:
 
 
 def _kernels(cfg: RootConfig, count: int) -> tuple:
-    """D, and for n < count the expansion kernel's m_n(c) and the residue
-    kernel's W and S_n, all unchecked."""
+    """The expansion route's D, and for n < count the expansion kernel's m_n(c)
+    and the residue kernel's W and S_n, all unchecked."""
     d, c = scale_to_integers(cfg.roots)
-    return (d, integer_expansion(c, count)[1], *residue_sums(cfg.roots, count))
+    return (d, integer_expansion(c, count)[1], *residue_sums(cfg.roots, count)[1:])
 
 
 def cross_checked(cfg: RootConfig, truncation: int) -> tuple:
@@ -189,9 +189,8 @@ def moment(cfg: RootConfig, k: int) -> Fraction:
     """The weighted power sum m_k = sum_p p^k / Q'(p), the checked S_k / W."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d = scale_to_integers(cfg.roots)[0]
-    m = residue_moments(*residue_sums(cfg.roots, k + 1))[k]
-    return m * Fraction(d) ** (cfg.q - k)
+    d, w, sums = residue_sums(cfg.roots, k + 1)
+    return residue_moments(w, sums)[k] * Fraction(d) ** (cfg.q - k)
 
 
 class MomentIdentityRow(Value):
@@ -248,6 +247,5 @@ def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> InvZSer
     so b_n = -m_n/n off one moment table.
     """
     _check_truncation(cfg, truncation)
-    d = scale_to_integers(cfg.roots)[0]
-    moments = residue_moments(*residue_sums(cfg.roots, truncation + 1))
-    return series_from_moments(moments, d, cfg.q)
+    d, w, sums = residue_sums(cfg.roots, truncation + 1)
+    return series_from_moments(residue_moments(w, sums), d, cfg.q)

@@ -32,9 +32,9 @@ class ExactCheckError(ArithmeticError):
 
 
 def scale_to_integers(values: Sequence[Rat | int | str]) -> tuple[int, tuple[int, ...]]:
-    """The scaling step: D, the lcm of the denominators, and c = D * a.  The
-    expansion route reads c and both routes are scaled back by D, so here they
-    could agree on a wrong answer; it checks that each D * a_j is an integer."""
+    """The scaling step: D, the lcm of the denominators, and c = D * a.  Only
+    the expansion route reads them (the residue route takes D off its pole
+    denominators); it checks that each D * a_j is an integer."""
     vals = [as_rat(v) for v in values]
     d = math.lcm(*(v.denominator for v in vals))
     c = [d * v for v in vals]

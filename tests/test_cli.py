@@ -21,6 +21,7 @@ import poleint.cli
 from poleint import RootConfig, format_rational, integrate_via_partial_fractions
 from poleint.cli import main
 from poleint.parser import MAX_NESTING, MAX_POWER_BITS
+from poleint.series import InvZSeries
 
 from conftest import PRIMES_30_BITS, SMALL_PRIMES, root_tuples
 
@@ -367,6 +368,21 @@ class TestLimitCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_a_tail_overflow_is_the_far_field_error(self, capsys, monkeypatch):
+        # A real input needs a tail coefficient C(q+l-1, l) (rho/R)^l above
+        # 1e308, about q + N >= 1000 with every root near the radius, so the
+        # tail's double-precision sum raises OverflowError here by fiat.
+        def overflow(series, points):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(InvZSeries, "evaluate_all", overflow)
+        assert run_cli(capsys, "limit", "--roots", "1,2/3,-5/7") == (
+            1,
+            "",
+            "error: radius**q must keep the far field within the double range "
+            "(q = 3)\n",
+        )
 
     # nan fails every comparison, so it must meet the finiteness test first
     @pytest.mark.parametrize("radius", ["nan", "inf"])

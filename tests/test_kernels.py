@@ -33,12 +33,13 @@ from poleint.cli import main
 from poleint.integrate import (
     _pole_differences,
     cross_checked,
+    partial_fractions,
     reduced_coefficients,
     residue_moments,
     residue_sums,
     series_from_moments,
 )
-from poleint.polynomial import EXACT, format_quotient, format_rational
+from poleint.polynomial import EXACT, Poly, format_quotient, format_rational
 from poleint.symmetric import integer_expansion, scale_to_integers
 
 from conftest import PRIMES_30_BITS, SMALL_PRIMES, rationals
@@ -97,7 +98,7 @@ def test_kernels_match_fraction_oracles(roots, extra):
 
     p, moments = integer_expansion(c, n + 1)
     _assert_shared_factor_divides(c, p)
-    assert moments == residue_moments(*residue_sums(cfg.roots, n + 1))
+    assert moments == residue_moments(*residue_sums(cfg.roots, n + 1)[1:])
     assert moments == [0] * q + list(symmetric_recurrence(c, n - q)[1])
 
     series = integrate_via_expansion(cfg, n)
@@ -129,11 +130,11 @@ def _distinct_roots(rng, q):
 
 # 2 to 21 poles; the Delta_i alternate in sign along the sorted poles, so W =
 # math.lcm(*Delta_i) meets negative ones.  1/Q'(a_i) = d_i^(q-1) P / Delta_i
-# against the Fraction product over the other poles; W = lcm |Delta_i| and the
-# weights u_i = W / Delta_i; below q the sums vanish, S_q = W * m_q = W and
-# S_(q+1) = W * h_1(c).
+# against the Fraction product over the other poles; D = lcm d_i, W = lcm
+# |Delta_i| and the weights u_i = W / Delta_i; below q the sums vanish, S_q =
+# W * m_q = W and S_(q+1) = W * h_1(c).
 @pytest.mark.parametrize("q", range(1, 21))
-def test_residue_weights_off_the_lcm_tree(q):
+def test_residue_weights_off_the_pole_differences(q):
     roots = _distinct_roots(random.Random(q), q)
     _, c = scale_to_integers(roots)
     poles, p, deltas = _pole_differences(roots)
@@ -142,11 +143,12 @@ def test_residue_weights_off_the_lcm_tree(q):
     for a, (_, d), x in zip((0, *roots), poles, deltas):
         derivative = math.prod(a - b for b in (0, *roots) if b != a)  # Q'(a)
         assert F(d ** (q - 1) * p, x) == 1 / derivative
-    w, sums = residue_sums(roots, q + 2)
+    d, w, sums = residue_sums(roots, q + 2)
+    assert d == math.lcm(*(a.denominator for a in roots))
     assert w == math.lcm(*map(abs, deltas)) > 0
     assert all(w // x * x == w for x in deltas)  # u_i * Delta_i == W
     assert sums == [0] * q + [w, w * sum(c)]
-    assert residue_sums(roots, 1) == (w, [0])
+    assert residue_sums(roots, 1) == (d, w, [0])
 
 
 @pytest.mark.parametrize("roots", [(5,), (F(-7, 3),), (1, F(2, 3), F(-5, 7))])
@@ -155,7 +157,7 @@ def test_no_step_q_term_below_q(roots):
     # q = 1, d_i^(q-1) = 1 and pole 0 contributes at n = 0 only.
     cfg, q = RootConfig(roots), len(roots)
     for count in range(1, q + 2):
-        w, sums = residue_sums(cfg.roots, count)
+        _, w, sums = residue_sums(cfg.roots, count)
         assert sums == ([0] * q + [w])[:count]
     assert [moment(cfg, k) for k in range(q + 1)] == [0] * q + [1]
     if q == 1:  # Delta_0 = 0 * d_1 - n_1, Delta_1 = n_1 - 0
@@ -342,9 +344,9 @@ def _perturb_residues(l):
     # S_(q+l) += W is m_(q+l) += 1 on the residue side: the CLI compares the
     # sums themselves, and the library divides them by W.
     def kernel(roots, count):
-        w, sums = residue_sums(roots, count)
+        d, w, sums = residue_sums(roots, count)
         sums[len(roots) + l] += w
-        return w, sums
+        return d, w, sums
 
     return residue_sums, kernel
 
@@ -392,14 +394,60 @@ def test_a_mismatch_runs_the_residue_kernel_once(monkeypatch, l):
         assert counts == [10]
 
 
+@pytest.mark.parametrize(
+    "roots",
+    [
+        (1, F(2, 3), F(-5, 7)),
+        tuple(F(n, p) for n, p in zip(
+            (2**30 - 1, -(2**29), 987654321, -123456789, 3), PRIMES_30_BITS
+        )),
+    ],
+    ids=["small", "30-bit"],
+)
+def test_the_residue_route_reads_only_the_residues(monkeypatch, roots):
+    # The partial-fraction route, moment and partial_fractions take D off the
+    # pole denominators: with the scaling step and the expansion kernel both
+    # refusing, each returns what it returned before.
+    cfg = RootConfig(roots)
+
+    def refuse(*args):
+        raise AssertionError("the residue route reached the expansion side")
+
+    def residue_side():
+        return (
+            integrate_via_partial_fractions(cfg, 9),
+            [moment(cfg, k) for k in range(10)],
+            partial_fractions(Poly.one(), cfg),
+        )
+
+    want = residue_side()
+    for original in (scale_to_integers, integer_expansion):
+        _replace_everywhere(monkeypatch, original, refuse)
+    assert residue_side() == want
+
+
+def test_limit_runs_the_scaling_step_once(monkeypatch):
+    # Only the expansion-route base row scales the roots; each of the four
+    # default scales runs the residue kernel alone.
+    calls = []
+
+    def counted(values):
+        calls.append(values)
+        return scale_to_integers(values)
+
+    _replace_everywhere(monkeypatch, scale_to_integers, counted)
+    assert _run(["limit", "--roots", "1,2/3,-5/7"])[::2] == (0, "")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("k", [0, 2, 3, 5])
 def test_moment_checks_its_residue_sum(monkeypatch, k):
     # S_k off by one is not a multiple of W: moment raises, as both routes
     # do, rather than return a wrong Fraction.
     def broken(roots, count):
-        w, sums = residue_sums(roots, count)
+        d, w, sums = residue_sums(roots, count)
         sums[k] += 1
-        return w, sums
+        return d, w, sums
 
     _replace_everywhere(monkeypatch, residue_sums, broken)
     with pytest.raises(ExactCheckError, match="multiples of W"):
@@ -457,9 +505,9 @@ def test_a_wrong_pole_difference_exits_3(monkeypatch, i):
 def test_a_failed_residue_self_check_exits_3(monkeypatch, n):
     # S_0 off by W breaks the residue sum; S_5 off by one leaves a remainder.
     def broken(roots, count):
-        w, sums = residue_sums(roots, count)
+        d, w, sums = residue_sums(roots, count)
         sums[n] += w if n == 0 else 1
-        return w, sums
+        return d, w, sums
 
     _replace_everywhere(monkeypatch, residue_sums, broken)
     code, out, err = _run(ARGV)
