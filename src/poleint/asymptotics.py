@@ -22,10 +22,9 @@ import cmath
 import math
 import sys
 from collections.abc import Sequence
-from fractions import Fraction
 
-from .integrate import (RootConfig, integrate_via_expansion,
-                        integrate_via_partial_fractions)
+from .integrate import (RootConfig, integrate_via_expansion, residue_moments,
+                        residue_sums)
 from .polynomial import Rat, Value, as_rat
 from .series import InvZSeries
 from .symmetric import ExactCheckError
@@ -49,11 +48,11 @@ def scaling_limit_table(
     """For each scale t, integrate 1/Q with roots t*a and measure the sup of
     |g_t(z) + 1/(q z^q)| over equispaced points on the circle |z| = radius.
 
-    The exact side re-verifies, per row, that the leading coefficient is
-    -1/q regardless of t and that b_{q+l}(t a) = t^l b_{q+l}(a), the base
-    off the expansion route and each row off the residue route, so that each
-    row sets one route against the other; any violation would be an
-    arithmetic bug and raises.  The numeric side sums
+    The exact side reduces one series, the base b_{q+l}(a) off the expansion
+    route; row t is t^l b_{q+l}(a), checked on integers against the residue
+    kernel on t a, whose D_t and x_l = m_{q+l}(c_t) must give x_0 = 1 (that
+    is, b_q = -1/q) and x_l den(b_l) = -(q+l) D_t^l num(b_l): each row sets
+    one route against the other, and a violation raises.  The numeric side sums
     the tail b_{q+1} z^-(q+1) + ... + b_N z^-N alone, as the series
     b_{q+1} z^-1 + ... + b_N z^-(N-q) divided by z^q, so the two terms of
     size 1/(q R^q) that cancel in g_t(z) + 1/(q z^q) never meet in floating
@@ -88,7 +87,7 @@ def scaling_limit_table(
     depth = truncation - q
     if max_l is not None:
         depth = min(depth, max_l)
-    base = integrate_via_expansion(cfg, truncation)
+    base = integrate_via_expansion(cfg, truncation).coefficients[q:]
     points = [radius * cmath.exp(2j * cmath.pi * k / samples) for k in range(samples)]
     far_field = f"radius**q must keep the far field within the double range (q = {q})"
     try:
@@ -101,18 +100,20 @@ def scaling_limit_table(
 
     rows = []
     for t in t_scales:
-        res = integrate_via_partial_fractions(cfg.scaled(t), truncation)
-        if res.coefficient(q) != Fraction(-1, q):
+        d, w, sums = residue_sums(cfg.scaled(t).roots, truncation + 1)
+        moments = residue_moments(w, sums)[q:]
+        if moments[0] != 1:
             raise ExactCheckError("leading coefficient drifted from -1/q")
-        for l, (b, b0) in enumerate(zip(res.coefficients[q:], base.coefficients[q:])):
-            if b != t**l * b0:
+        b = [t**l * b0 for l, b0 in enumerate(base)]
+        for l, (x, y) in enumerate(zip(moments, b)):
+            if x * y.denominator != -(q + l) * d**l * y.numerator:
                 raise ExactCheckError(f"t^l scaling law failed at l = {l}")
-        tail = InvZSeries(truncation - q, (0, *res.coefficients[q + 1 :]))
+        tail = InvZSeries(truncation - q, (0, *b[1:]))
         try:
             errors = [abs(s / zq) for s, zq in zip(tail.evaluate_all(points), powers)]
         except OverflowError:
             errors = [math.inf]
         if not all(map(math.isfinite, errors)):
             raise ValueError(far_field)
-        rows.append(ScaleRow(t, res.coefficients[q : q + depth + 1], max(errors)))
+        rows.append(ScaleRow(t, tuple(b[: depth + 1]), max(errors)))
     return tuple(rows)

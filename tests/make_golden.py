@@ -1,0 +1,159 @@
+"""Write tests/golden.json, the byte-identity corpus of the command line.
+
+    PYTHONPATH=src python3 tests/make_golden.py
+
+RULE: a change that means to change an output regenerates golden.json with
+this script and lists each changed argv in CHANGES.md.  A change that does
+not mean to change an output leaves golden.json alone.
+
+For each argv the file holds the exit code of `cli.main`, its stderr
+verbatim, and the byte length and SHA-256 of its stdout.  The argvs are
+drawn from a seeded generator over `conftest.PRIMES_30_BITS`:
+
+* `integrate` at q = 8, 12 and 16, N = 3q, 30-bit roots;
+* the five README examples;
+* the error exits of each subcommand;
+* `limit --scales 1,1/3 --terms 3q` and
+  `limit --scales 2/3,5/7,1/1024 --max-l 3` at q = 1..8, and `limit` at
+  its default scales.
+
+`tests/test_golden.py` runs every argv in process and compares.  The
+argparse usage lines on stderr depend on the terminal width, so both sides
+run with COLUMNS=80.  The sup errors that `limit` prints go through the
+platform's `cmath.exp`, so another libm may move their last digits.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden.json"
+RULE = (
+    "A change that means to change an output regenerates this file with "
+    "tests/make_golden.py and lists each changed argv in CHANGES.md; a change "
+    "that does not mean to leaves it alone."
+)
+COLUMNS = "80"
+
+if __name__ == "__main__":
+    sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+from conftest import PRIMES_30_BITS  # noqa: E402
+
+from poleint.cli import main  # noqa: E402
+
+
+def _roots(rng: random.Random, q: int) -> list[Fraction]:
+    """q distinct +-n/p, n below 2^30 and p one of the 30-bit primes."""
+    roots: dict[Fraction, None] = {}
+    while len(roots) < q:
+        root = Fraction(rng.randrange(-(2**30), 2**30), rng.choice(PRIMES_30_BITS))
+        if root:
+            roots[root] = None
+    return list(roots)
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _den(roots) -> str:
+    """The factored form z*(z-r1)*(z+r2)*... accepted by --den."""
+    return "*".join(["z"] + [f"(z{'-' if r > 0 else '+'}{abs(r)})" for r in roots])
+
+
+README_EXAMPLES = [
+    ["integrate", "--roots", "1,2", "--terms", "6", "--format", "json"],
+    ["pfd", "--roots", "1,2", "--num", "z"],
+    ["identities", "--roots", "1,2", "--max-k", "6"],
+    ["vandermonde", "--points", "0,1,2", "--degree", "2"],
+    ["limit", "--roots", "1,2", "--scales", "1,1/2,1/4", "--radius", "10",
+     "--samples", "64", "--terms", "24", "--max-l", "3"],
+]
+
+HUGE = "1" + "0" * 400  # beyond the double range
+ERROR_EXITS = [
+    [],
+    ["frobnicate"],
+    ["integrate", "--roots", "1,2"],
+    ["integrate", "--roots", "1", "--den", "z*(z-1)", "--terms", "4"],
+    ["integrate", "--roots", "1,2,x", "--terms", "4"],
+    ["integrate", "--roots", "1, 2/0", "--terms", "4"],
+    ["integrate", "--roots", "1,2,3", "--terms", "3"],
+    ["integrate", "--roots", "1,1", "--terms", "6"],
+    ["integrate", "--roots", "0,1", "--terms", "4"],
+    ["integrate", "--den=--", "--terms", "3"],
+    ["integrate", "--den", "z*(z-1)*(z-1)", "--terms", "4"],
+    ["pfd", "--roots=--"],
+    ["pfd", "--roots", "1,2", "--num", "z^3"],
+    ["pfd", "--roots", "1,2", "--num", "z+"],
+    ["pfd", "--roots", "١,2"],
+    ["identities", "--roots", "1,2,3", "--max-k", "2"],
+    ["identities", "--roots", "1,2,1"],
+    ["identities", "--roots=1", "--max-k=--"],
+    ["vandermonde"],
+    ["vandermonde", "--points", "1,2,3/0"],
+    ["vandermonde", "--points=--"],
+    ["limit", "--roots", "1,2,3", "--terms", "3"],
+    ["limit", "--roots", "1,2", "--scales", "1", "--radius", "1"],
+    ["limit", "--roots", "1,2", "--radius", "nan"],
+    ["limit", "--roots", "1,2", "--radius", "1e200", "--samples", "4", "--terms", "6"],
+    ["limit", "--roots", "1,2", "--scales", "1,0"],
+    ["limit", "--roots", "1,2", "--samples", "0"],
+    ["limit", "--roots", "1,2", "--max-l", "-1"],
+    ["limit", "--roots", f"1/{HUGE},-1/{HUGE}", "--scales", "1", "--radius", "1e-200"],
+    ["limit", "--roots", "1", "--scales", "1,1/0"],
+    ["limit", "--roots=1", "--scales=--"],
+]
+
+
+def argvs() -> list[list[str]]:
+    rng = random.Random(20261019)
+    out = []
+    for q in (8, 12, 16):
+        for den in (False, True):
+            roots = _roots(rng, q)
+            flag = f"--den={_den(roots)}" if den else f"--roots={_csv(roots)}"
+            out.append(["integrate", flag, "--terms", str(3 * q)])
+    out += README_EXAMPLES
+    out += ERROR_EXITS
+    for q in range(1, 9):
+        roots = _csv(_roots(rng, q))
+        out.append(["limit", f"--roots={roots}", "--scales=1,1/3", f"--terms={3 * q}"])
+        out.append(["limit", f"--roots={roots}", "--scales=2/3,5/7,1/1024",
+                    "--max-l=3"])
+        if q % 4 == 0:
+            out.append(["limit", f"--roots={roots}"])
+    return out
+
+
+def outcome(argv: list[str]) -> dict:
+    """Exit code, stderr and stdout's size and SHA-256 of `main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    stdout = out.getvalue().encode()
+    return {
+        "argv": argv,
+        "exit": code,
+        "stderr": err.getvalue(),
+        "stdout_bytes": len(stdout),
+        "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+    }
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = COLUMNS
+    cases = [outcome(argv) for argv in argvs()]
+    lines = ",\n".join(json.dumps(case) for case in cases)  # one argv a line
+    GOLDEN.write_text(f'{{"rule": {json.dumps(RULE)},\n "cases": [\n{lines}\n]}}\n')
+    print(f"wrote {len(cases)} cases to {GOLDEN}")

@@ -31,6 +31,7 @@ from poleint import (
     vandermonde_product,
 )
 from poleint.cli import main as cli_main
+from poleint.integrate import _pole_differences, residue_moments, residue_sums
 
 from conftest import random_fraction, random_root_config
 from oracles import closed_form, complete_homogeneous_direct, derivative, log_potential
@@ -316,3 +317,53 @@ def test_criterion_9_cli_and_parser(capsys):
 
     _report("criterion 9 (CLI byte stability, exit codes, parser corpus)", ok)
     assert ok
+
+
+def test_criterion_10_vandermonde_expansion_is_the_residue_moment(capsys):
+    # The paper's proof step on the q+1 poles x = (0, a_1, ..., a_q): expand
+    # V_l(x) along its last column (x_i^(q+l)).  Each cofactor is
+    # V(x) / Q'(x_i), the residue weight, so V_l(x) = V(x) * m_(q+l)(a).
+    # The first 40 configurations cover q = 1..8 five times each; the first
+    # 8 also tie the two subcommands: vandermonde's generalized lhs over its
+    # determinant is the lhs of identities row k = q+l.
+    def lhs_column(argv):  # the lhs= values of a checks table, tally dropped
+        cli_main(argv)
+        rows = capsys.readouterr().out.splitlines()[:-1]
+        return [F(row.split()[1].removeprefix("lhs=")) for row in rows]
+
+    start = time.perf_counter()
+    ok = True
+    for cfg in CORPUS[:40]:
+        q, pts = cfg.q, [F(0), *cfg.roots]
+        v = vandermonde_product(pts)
+        rows = vandermonde_matrix(pts)
+        poles, p, deltas = _pole_differences(cfg.roots)
+        cofactors = []
+        for i, ((_, e), delta) in enumerate(zip(poles, deltas)):
+            minor = [row[:-1] for k, row in enumerate(rows) if k != i]
+            cofactors.append((-1) ** (i + q) * determinant(minor))
+            ok &= cofactors[i] == v * F(e ** (q - 1) * p, delta)
+        d, w, sums = residue_sums(cfg.roots, q + 7)
+        moments = residue_moments(w, sums)
+        for l in range(1, 7):
+            v_l = generalized_vandermonde(pts, l)
+            ok &= v_l == v * F(moments[q + l], d**l)
+            ok &= v_l == sum(x ** (q + l) * c for x, c in zip(pts, cofactors))
+
+    for cfg in CORPUS[:8]:
+        roots = ",".join(map(str, cfg.roots))
+        moments = lhs_column(["identities", f"--roots={roots}", f"--max-k={cfg.q + 6}"])
+        for l in range(1, 7):
+            det, v_l = lhs_column(
+                ["vandermonde", f"--points=0,{roots}", f"--degree={l}"]
+            )
+            ok &= v_l / det == moments[cfg.q + l]
+    elapsed = time.perf_counter() - start
+    _report(
+        "criterion 10 (V_l(0, a) = V(0, a) * m_(q+l)(a), cofactors 1/Q'(p), "
+        "l <= 6, 40 configs, 8 through the CLI)",
+        ok and elapsed < 2.0,
+        f"{elapsed:.2f}s",
+    )
+    assert ok
+    assert elapsed < 2.0

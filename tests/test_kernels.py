@@ -427,17 +427,22 @@ def test_the_residue_route_reads_only_the_residues(monkeypatch, roots):
 
 
 def test_limit_runs_the_scaling_step_once(monkeypatch):
-    # Only the expansion-route base row scales the roots; each of the four
-    # default scales runs the residue kernel alone.
+    # Only the expansion-route base row scales the roots and reduces its
+    # coefficients; each of the four default scales runs the residue kernel
+    # alone and checks t^l times the base on integers.
     calls = []
 
-    def counted(values):
-        calls.append(values)
-        return scale_to_integers(values)
+    def counted(original):
+        def run(*args):
+            calls.append(original.__name__)
+            return original(*args)
 
-    _replace_everywhere(monkeypatch, scale_to_integers, counted)
+        return run
+
+    for original in (scale_to_integers, reduced_coefficients):
+        _replace_everywhere(monkeypatch, original, counted(original))
     assert _run(["limit", "--roots", "1,2/3,-5/7"])[::2] == (0, "")
-    assert len(calls) == 1
+    assert sorted(calls) == ["reduced_coefficients", "scale_to_integers"]
 
 
 @pytest.mark.parametrize("k", [0, 2, 3, 5])
@@ -517,12 +522,13 @@ def test_a_failed_residue_self_check_exits_3(monkeypatch, n):
 
 
 def test_a_failed_scaling_law_check_in_limit_exits_3(monkeypatch):
-    # Every scaled row gets the t = 1 series, so b_(q+1) does not scale by t.
-    original = poleint.asymptotics.integrate_via_partial_fractions
+    # Every scaled row gets the t = 1 residue sums, so b_(q+1) does not scale
+    # by t.
+    original = poleint.asymptotics.residue_sums
     monkeypatch.setattr(
         poleint.asymptotics,
-        "integrate_via_partial_fractions",
-        lambda cfg, n: original(RootConfig((1, 2)), n),
+        "residue_sums",
+        lambda roots, n: original(RootConfig((1, 2)).roots, n),
     )
     code, out, err = _run(["limit", "--roots=1,2", "--scales=1,1/2", "--terms=6"])
     assert code == 3 and out == ""
@@ -535,11 +541,18 @@ def test_a_failed_scaling_law_check_in_limit_exits_3(monkeypatch):
 )
 def test_a_perturbed_kernel_fails_the_limit_checks(monkeypatch, perturb, l):
     # limit's base row comes off the expansion route and its scaled rows off
-    # the residue route.  Both scales give the same integer roots c = D * a,
-    # so if one route built every row, only a perturbed leading coefficient
-    # (the expansion kernel at l = 0) would fail.
+    # the residue route.  At 1/2 both scales give the same integer roots
+    # c = D * a, so if one route built every row, only a perturbed leading
+    # coefficient (the expansion kernel at l = 0) would fail.  At 2/3,
+    # D_t * t != D and t^l has an odd denominator.  A residue kernel off at
+    # l = 0 fails the row's own -1/q check, before the scaling law.
     original, kernel = perturb(l)
     _replace_everywhere(monkeypatch, original, kernel)
-    code, out, err = _run(["limit", "--roots", "1,2/3,-5/7", "--scales", "1,1/2"])
-    assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    message = (
+        "leading coefficient drifted from -1/q"
+        if perturb is _perturb_residues and l == 0
+        else f"t^l scaling law failed at l = {l}"
+    )
+    for scales in ("1,1/2", "1,2/3"):
+        code, out, err = _run(["limit", "--roots", "1,2/3,-5/7", "--scales", scales])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
