@@ -18,12 +18,15 @@ numerator printed by `polynomial.format_quotient`.  Its document is one
 f-string, byte for byte what `json.dumps(doc, indent=2)` would print: every
 field is an int, a bool or a string of digits, "-" and "/".
 
-`main` builds its parser on its first call and reuses it for every later
-call in the process; `build_parser` returns a fresh one each time.
+The flags are declared once, in `_SUBCOMMANDS`.  `main` hands argv first to
+`_match_argv`, which reads the canonical form (exact flags, each at most
+once, plain values) into the namespace argparse would give.  Any other argv
+goes to the parser `build_parser` makes from the same table, built on first
+need and reused, so argparse loads only for help and errors.  No success
+path imports argparse or `json`: `pfd` prints one f-string, as `integrate`.
 `entry`, which owns the process, freezes the objects alive before `main`
 runs (`gc.freeze`), so that no later collection walks them again, the one
-at interpreter shutdown included.  `json` is imported by `pfd`, the one
-subcommand that prints through it, not by importing this module.
+at interpreter shutdown included.
 
 Exit codes: 0 success, 1 domain error (invalid roots and similar),
 2 usage or parse error, 3 any exact identity check failed.
@@ -31,7 +34,6 @@ Exit codes: 0 success, 1 domain error (invalid roots and similar),
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -39,6 +41,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
+from types import SimpleNamespace
 
 from .asymptotics import scaling_limit_table
 from .integrate import (
@@ -83,76 +86,105 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return values
 
 
-def _root_config(args: argparse.Namespace) -> RootConfig:
+def _root_config(args: SimpleNamespace) -> RootConfig:
     if args.roots is not None:
-        roots = _parse_rational_list(args.roots)
-    else:
-        roots = parse_factored_denominator(args.den)
-    return RootConfig(tuple(roots))
+        return RootConfig(tuple(_parse_rational_list(args.roots)))
+    return RootConfig(tuple(parse_factored_denominator(args.den)))
 
 
-def _add_root_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--roots", help="comma-separated nonzero roots, e.g. 1,2,-3/4")
-    group.add_argument(
-        "--den",
-        help="denominator in explicit factored form, e.g. 'z*(z-1)*(z-2)'",
-    )
+# The CLI's flags, read by build_parser and by _match_argv.  A subcommand has
+# its help, whether it takes the required group --roots | --den, and its other
+# flags.  A flag maps to its add_argument keywords: type (default str),
+# default (None), required, choices and help; its dest is the flag without
+# "--", "-" read as "_", as argparse derives it.
+_ROOT_GROUP = {
+    "--roots": dict(help="comma-separated nonzero roots, e.g. 1,2,-3/4"),
+    "--den": dict(help="denominator in explicit factored form, e.g. 'z*(z-1)*(z-2)'"),
+}
+_SUBCOMMANDS = {
+    "integrate": ("antiderivative of 1/Q by two routes, with cross-check", True, {
+        "--terms": dict(type=int, required=True,
+                        help="series truncation N (need N >= q+1)"),
+        "--format": dict(choices=["json"], default="json"),
+    }),
+    "pfd": ("partial fraction decomposition of P/Q", True, {
+        "--num": dict(default="1", help="numerator expression (default 1)"),
+    }),
+    "identities": ("moment identity table", True, {
+        "--max-k": dict(type=int, help="largest moment index to check (default q+10)"),
+    }),
+    "vandermonde": ("determinant vs product, generalized factorization", False, {
+        "--points": dict(required=True, help="comma-separated points"),
+        "--degree": dict(type=int,
+                         help="also check the generalized determinant of this degree"),
+    }),
+    "limit": ("shrinking-root far-field table (CSV)", True, {
+        "--scales": dict(default="1,1/2,1/4,1/8"),
+        "--radius": dict(type=float, default=10.0),
+        "--samples": dict(type=int, default=64),
+        "--terms": dict(type=int, default=24),
+        "--max-l": dict(type=int, help="largest l to tabulate (default N-q)"),
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="poleint",
-        description=(
-            "Exact series-at-infinity integration of 1/(z(z-a_1)...(z-a_q)) "
-            "and the identities behind it"
-        ),
-    )
+def build_parser():
+    """A fresh argparse parser of the flag table."""
+    import argparse  # only help and errors need it: _match_argv reads the rest
+
+    parser = argparse.ArgumentParser(prog="poleint", description=(
+        "Exact series-at-infinity integration of 1/(z(z-a_1)...(z-a_q)) "
+        "and the identities behind it"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_int = sub.add_parser(
-        "integrate", help="antiderivative of 1/Q by two routes, with cross-check"
-    )
-    _add_root_flags(p_int)
-    p_int.add_argument(
-        "--terms", type=int, required=True, help="series truncation N (need N >= q+1)"
-    )
-    p_int.add_argument("--format", choices=["json"], default="json")
-
-    p_pfd = sub.add_parser("pfd", help="partial fraction decomposition of P/Q")
-    _add_root_flags(p_pfd)
-    p_pfd.add_argument("--num", default="1", help="numerator expression (default 1)")
-
-    p_id = sub.add_parser("identities", help="moment identity table")
-    _add_root_flags(p_id)
-    p_id.add_argument(
-        "--max-k",
-        type=int,
-        default=None,
-        help="largest moment index to check (default q+10)",
-    )
-
-    p_vdm = sub.add_parser(
-        "vandermonde", help="determinant vs product, generalized factorization"
-    )
-    p_vdm.add_argument("--points", required=True, help="comma-separated points")
-    p_vdm.add_argument(
-        "--degree",
-        type=int,
-        default=None,
-        help="also check the generalized determinant of this degree",
-    )
-
-    p_lim = sub.add_parser("limit", help="shrinking-root far-field table (CSV)")
-    _add_root_flags(p_lim)
-    p_lim.add_argument("--scales", default="1,1/2,1/4,1/8")
-    p_lim.add_argument("--radius", type=float, default=10.0)
-    p_lim.add_argument("--samples", type=int, default=64)
-    p_lim.add_argument("--terms", type=int, default=24)
-    p_lim.add_argument(
-        "--max-l", type=int, default=None, help="largest l to tabulate (default N-q)"
-    )
+    for command, (text, rooted, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if rooted:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, keywords in _ROOT_GROUP.items():
+                group.add_argument(flag, **keywords)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def _match_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse reads from a canonical argv, or None.
+
+    Canonical: the subcommand, then each of its flags at most once, spelled
+    exactly, as --flag=value or as --flag value with a value not starting
+    with "-".  No value is "--", each converts by its type and is one of its
+    choices, and the required flags and one of --roots and --den are given.
+    This never prints and picks no exit code.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, rooted, flags = _SUBCOMMANDS[argv[0]]
+    spec = {**_ROOT_GROUP, **flags} if rooted else flags
+    given, rest = {}, iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        value = value if eq else next(rest, "-")
+        if flag not in spec or flag in given or value == "--" or (
+                not eq and value.startswith("-")):
+            return None
+        given[flag] = value
+    if rooted and ("--roots" in given) == ("--den" in given):
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, keywords in spec.items():
+        if flag not in given:
+            if keywords.get("required"):
+                return None
+            value = keywords.get("default")
+        else:
+            try:
+                value = keywords.get("type", str)(given[flag])
+            except ValueError:
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def _terms_below_minimum(cfg: RootConfig, terms: int) -> bool:
@@ -163,7 +195,7 @@ def _terms_below_minimum(cfg: RootConfig, terms: int) -> bool:
     return terms <= cfg.q
 
 
-def _cmd_integrate(args: argparse.Namespace) -> int:
+def _cmd_integrate(args: SimpleNamespace) -> int:
     cfg = _root_config(args)
     if _terms_below_minimum(cfg, args.terms):
         return EXIT_USAGE
@@ -190,25 +222,27 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 
-def _cmd_pfd(args: argparse.Namespace) -> int:
-    import json  # only pfd prints through json
-
+def _cmd_pfd(args: SimpleNamespace) -> int:
     cfg = _root_config(args)
     numerator = parse_poly(args.num)
     pf = partial_fractions(numerator, cfg)
     ok = pf.reconstructed_numerator() == numerator
-    doc = {
-        "q": cfg.q,
-        "roots": [format_rational(r) for r in cfg.roots],
-        "numerator": str(numerator),
-        "terms": [
-            {"pole": format_rational(p), "coefficient": format_rational(c)}
-            for p, c in pf.terms
-        ],
-        "coefficient_sum": format_rational(pf.coefficient_sum()),
-        "reconstruction_ok": ok,
-    }
-    print(json.dumps(doc, indent=2))
+    roots = ",".join(f'\n    "{format_rational(r)}"' for r in cfg.roots)
+    terms = ",".join(f'\n    {{\n      "pole": "{format_rational(p)}",\n'
+                     f'      "coefficient": "{format_rational(c)}"\n    }}'
+                     for p, c in pf.terms)
+    # json.dumps(doc, indent=2) of the document.  Its strings need no escaping:
+    # format_rational output and str(Poly) hold only digits, z ^ * + - / and spaces.
+    print(f"""{{
+  "q": {cfg.q},
+  "roots": [{roots}
+  ],
+  "numerator": "{numerator}",
+  "terms": [{terms}
+  ],
+  "coefficient_sum": "{format_rational(pf.coefficient_sum())}",
+  "reconstruction_ok": {"true" if ok else "false"}
+}}""")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -224,14 +258,14 @@ def _print_checks(checks: list[tuple[str, Fraction, Fraction]], noun: str) -> in
     return EXIT_OK if all(oks) else EXIT_CHECK_FAILED
 
 
-def _cmd_identities(args: argparse.Namespace) -> int:
+def _cmd_identities(args: SimpleNamespace) -> int:
     cfg = _root_config(args)
     max_k = args.max_k if args.max_k is not None else cfg.q + 10
     rows = check_moment_identities(cfg, max_k)
     return _print_checks([(f"k={r.k}", r.lhs, r.rhs) for r in rows], "identities")
 
 
-def _cmd_vandermonde(args: argparse.Namespace) -> int:
+def _cmd_vandermonde(args: SimpleNamespace) -> int:
     points = _parse_rational_list(args.points)
     det = determinant(vandermonde_matrix(points))
     prod = vandermonde_product(points)
@@ -243,25 +277,18 @@ def _cmd_vandermonde(args: argparse.Namespace) -> int:
     return _print_checks(checks, "checks")
 
 
-def _cmd_limit(args: argparse.Namespace) -> int:
+def _cmd_limit(args: SimpleNamespace) -> int:
     cfg = _root_config(args)
     if _terms_below_minimum(cfg, args.terms):
         return EXIT_USAGE
-    rows = scaling_limit_table(
-        cfg,
-        _parse_rational_list(args.scales),
-        radius=args.radius,
-        samples=args.samples,
-        truncation=args.terms,
-        max_l=args.max_l,
-    )
+    rows = scaling_limit_table(cfg, _parse_rational_list(args.scales),
+                               radius=args.radius, samples=args.samples,
+                               truncation=args.terms, max_l=args.max_l)
     print("t,l,exact_b,numeric_sup_error")
     for row in rows:
         for l, b in enumerate(row.coefficients):
-            print(
-                f"{format_rational(row.scale)},{l},{format_rational(b)},"
-                f"{row.sup_error:.17g}"
-            )
+            print(f"{format_rational(row.scale)},{l},{format_rational(b)},"
+                  f"{row.sup_error:.17g}")
     return EXIT_OK
 
 
@@ -274,22 +301,24 @@ _COMMANDS = {
 }
 
 
-# main's parser, built on its first call and reused by every later one.
-# Parsing leaves no state in it, and help text reads the terminal width when
-# it is formatted, not when the parser is built.
+# main's parser, built on first need and reused.  Parsing leaves no state in
+# it, and help reads the terminal width when it is formatted, not when built.
 _main_parser = cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _main_parser()
-    try:
-        args = parser.parse_args(argv)
-        # argparse reads an option value of exactly "--" as an empty list
-        for name, value in vars(args).items():
-            if value == []:
-                parser.error(f"argument --{name.replace('_', '-')}: expected a value")
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args = _match_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = _main_parser()
+        try:
+            args = parser.parse_args(argv)
+            # argparse reads an option value of exactly "--" as an empty list
+            for name, value in vars(args).items():
+                if value == []:
+                    parser.error(f"argument --{name.replace('_', '-')}: "
+                                 "expected a value")
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except PolyParseError as exc:

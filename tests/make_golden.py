@@ -15,7 +15,9 @@ drawn from a seeded generator over `conftest.PRIMES_30_BITS`:
 * the error exits of each subcommand;
 * `limit --scales 1,1/3 --terms 3q` and
   `limit --scales 2/3,5/7,1/1024 --max-l 3` at q = 1..8, and `limit` at
-  its default scales.
+  its default scales;
+* `--help` at the top level and for each subcommand;
+* three more `pfd` successes: `--den`, a rational numerator, q = 4.
 
 `tests/test_golden.py` runs every argv in process and compares.  The
 argparse usage lines on stderr depend on the terminal width, so both sides
@@ -115,6 +117,9 @@ ERROR_EXITS = [
     ["limit", "--roots=1", "--scales=--"],
 ]
 
+SUBCOMMANDS = ("integrate", "pfd", "identities", "vandermonde", "limit")
+HELP_REQUESTS = [["--help"]] + [[command, "--help"] for command in SUBCOMMANDS]
+
 
 def argvs() -> list[list[str]]:
     rng = random.Random(20261019)
@@ -133,6 +138,10 @@ def argvs() -> list[list[str]]:
                     "--max-l=3"])
         if q % 4 == 0:
             out.append(["limit", f"--roots={roots}"])
+    out += HELP_REQUESTS
+    out.append(["pfd", "--den", "z*(z-1)*(z+1/2)", "--num", "3/4*z^2+1"])
+    out.append(["pfd", "--roots", "1/3,-2,5/7,4", "--num", "z^3-2/5*z+7"])
+    out.append(["pfd", f"--den={_den(_roots(rng, 4))}", "--num=-7/3*z^4+z-1/2"])
     return out
 
 

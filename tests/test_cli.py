@@ -18,12 +18,20 @@ from hypothesis import given, settings
 
 import poleint
 import poleint.cli
-from poleint import RootConfig, format_rational, integrate_via_partial_fractions
+from poleint import (
+    PartialFractions,
+    RootConfig,
+    format_rational,
+    integrate_via_partial_fractions,
+    parse_poly,
+    partial_fractions,
+)
 from poleint.cli import main
 from poleint.parser import MAX_NESTING, MAX_POWER_BITS
 from poleint.series import InvZSeries
 
 from conftest import PRIMES_30_BITS, SMALL_PRIMES, root_tuples
+from make_golden import GOLDEN
 
 HUGE = "1" + "0" * 400  # beyond the double range
 TINY = "1" + "0" * 77  # roots near 1e-77 put radius**4 below the normal range
@@ -234,6 +242,39 @@ class TestPfdCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["terms"][0] == {"pole": "0", "coefficient": "0"}
+
+    # pfd prints its document from a template of its own: it must be what
+    # json.dumps(doc, indent=2) prints of the library's decomposition, with
+    # the reconstruction holding (exit 0) or not (exit 3)
+    @pytest.mark.parametrize(
+        "roots,den,num",
+        [
+            ((1, 2), False, "1"),
+            ((1, Fraction(-1, 2)), True, "3/4*z^2+1"),
+            ((Fraction(1, 3), -2, Fraction(5, 7), 4), False, "z^3-2/5*z+7"),
+            ((Fraction(-7, 3), Fraction(5, 11), 9, Fraction(1, 2)), True,
+             "-7/3*z^4+z-1/2"),
+        ],
+    )
+    @pytest.mark.parametrize("holds", [True, False])
+    def test_document_is_its_own_json_dumps(self, monkeypatch, roots, den, num, holds):
+        numerator = parse_poly(num)
+        pf = partial_fractions(numerator, RootConfig(tuple(map(Fraction, roots))))
+        if not holds:
+            monkeypatch.setattr(PartialFractions, "reconstructed_numerator",
+                                lambda self: parse_poly("z^7"))
+        doc = {
+            "q": len(roots),
+            "roots": [format_rational(Fraction(r)) for r in roots],
+            "numerator": str(numerator),
+            "terms": [{"pole": format_rational(p), "coefficient": format_rational(c)}
+                      for p, c in pf.terms],
+            "coefficient_sum": format_rational(pf.coefficient_sum()),
+            "reconstruction_ok": holds,
+        }
+        flag = f"--den={_den(roots)}" if den else f"--roots={','.join(map(str, roots))}"
+        assert run_main(["pfd", flag, f"--num={num}"]) == (
+            0 if holds else 3, json.dumps(doc, indent=2) + "\n", "")
 
     def test_numerator_degree_error(self, capsys):
         code, _, err = run_cli(capsys, "pfd", "--roots", "1,2", "--num", "z^5")
@@ -531,6 +572,61 @@ class TestUsageErrors:
         assert err.startswith(f"parse error at offset {offset}:")
 
 
+def _typed(args) -> dict:
+    """vars(args), each value as its type and repr, so that nan equals nan."""
+    return {name: (type(value), repr(value)) for name, value in vars(args).items()}
+
+
+def _matched(argv):
+    """The matcher's namespace for argv, checked against argparse's."""
+    args = poleint.cli._match_argv(argv)
+    if args is not None:
+        try:
+            expected = poleint.cli._main_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the matcher takes {argv}, which argparse refuses")
+        assert _typed(args) == _typed(expected)
+    return args
+
+
+# The matcher reads each golden argv it takes as argparse does.  It takes
+# none that argparse helps or refuses, and every golden success.
+def test_matcher_reads_each_golden_argv_as_argparse_does():
+    for case in json.loads(GOLDEN.read_text())["cases"]:
+        taken = _matched(case["argv"]) is not None
+        if "--help" in case["argv"] or case["stderr"].startswith("usage:"):
+            assert not taken, case["argv"]
+        elif case["exit"] == 0:
+            assert taken, case["argv"]
+
+
+@pytest.mark.parametrize(
+    "argv,taken",
+    [
+        (["limit", "--roots", "1,2", "--rad", "5"], False),
+        (["pfd", "--root=1"], False),
+        (["integrate", "--roots", "1,2", "--terms", "5", "--terms", "6"], False),
+        (["integrate", "--roots", "1", "--terms", "-2"], False),
+        (["pfd", "--roots", "-1,2"], False),
+        (["pfd", "--roots=--"], False),
+        (["pfd", "--roots="], True),
+        (["pfd", "--roots", "1, 2", "--num=z + 1"], True),
+        (["-h"], False),
+        (["integrate", "--help"], False),
+        (["integrate", "--roots", "1", "--terms", "4", "--format", "xml"], False),
+        (["integrate", "--roots", "1", "--den", "z*(z-1)", "--terms", "4"], False),
+        (["integrate", "--terms", "4"], False),
+        (["frobnicate", "--roots", "1"], False),
+        ([], False),
+        (["pfd", "--roots", "1,2", "extra"], False),
+        (["limit", "--roots=1", "--radius", "nan", "--max-l=2"], True),
+        (["integrate", "--roots", "1", "--terms", "4", "--format=json"], True),
+    ],
+)
+def test_matcher_takes_only_the_canonical_form(argv, taken):
+    assert (_matched(argv) is not None) == taken
+
+
 # A child interpreter imports the same poleint as this suite, installed or not.
 SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(poleint.__file__).parents[1])}
 
@@ -631,13 +727,13 @@ def test_threads_share_main_parser():
 
 
 # Every `python -m poleint` run pays for the modules its import loads: the
-# first three once took longer to import than the checks the CLI runs, and
-# json is loaded only by the subcommands that print it.  -S keeps
-# site-packages, which may load typing first, out of the child.
-def test_cli_import_loads_no_dataclasses_inspect_typing_or_json():
+# first three once took longer to import than the checks the CLI runs, json
+# is loaded by no subcommand, and argparse only for help and errors.  -S
+# keeps site-packages, which may load typing first, out of the child.
+def test_cli_import_loads_no_argparse_dataclasses_inspect_typing_or_json():
     code = (
         "import sys; before = set(sys.modules); import poleint.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'json'}"
+        "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing', 'json'}"
         " & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
@@ -648,6 +744,53 @@ def test_cli_import_loads_no_dataclasses_inspect_typing_or_json():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# A well-formed request of each subcommand, run by `entry` as the `poleint`
+# command runs it, takes the matcher and loads neither argparse nor json; a
+# request missing a flag, in a fresh process, still gets argparse's usage
+# error.
+_WELL_FORMED = [
+    ["integrate", "--roots", "1,2", "--terms", "6"],
+    ["pfd", "--den=z*(z-1)*(z+1/2)", "--num", "3/4*z^2+1"],
+    ["identities", "--roots=1,2", "--max-k", "6"],
+    ["vandermonde", "--points", "0,1,2", "--degree=2"],
+    ["limit", "--roots", "1,2", "--radius=32", "--samples", "8", "--terms", "8"],
+]
+_ENTRY_CHILD = (
+    "import contextlib, io, sys\n"
+    "from poleint import cli\n"
+    "codes = []\n"
+    "for argv in {argvs!r}:\n"
+    "    sys.argv[1:] = argv\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        try:\n"
+    "            cli.entry()\n"
+    "        except SystemExit as exc:\n"
+    "            codes.append(exc.code)\n"
+    "print(codes, sorted({{'argparse', 'json'}} & set(sys.modules)))\n"
+)
+
+
+def test_well_formed_requests_load_no_argparse_or_json():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _ENTRY_CHILD.format(argvs=_WELL_FORMED)],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[0, 0, 0, 0, 0] []\n"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "poleint", "integrate", "--roots", "1,2"],
+        capture_output=True,
+        text=True,
+        env={**SUBPROCESS_ENV, "COLUMNS": "80"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: poleint integrate [-h]")
+    assert proc.stderr.endswith(
+        "poleint integrate: error: the following arguments are required: --terms\n")
 
 
 # Importing the CLI builds nothing that a request may not need: main's parser
@@ -799,5 +942,6 @@ def test_fuzz_main_exits_with_a_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
         io.StringIO()
     ):
+        _matched(argv)
         code = main(argv)
     assert code in {0, 1, 2, 3}
