@@ -18,12 +18,12 @@ numerator printed by `polynomial.format_quotient`.  Its document is one
 f-string, byte for byte what `json.dumps(doc, indent=2)` would print: every
 field is an int, a bool or a string of digits, "-" and "/".
 
-The flags are declared once, in `_SUBCOMMANDS`.  `main` hands argv first to
-`_match_argv`, which reads the canonical form (exact flags, each at most
-once, plain values) into the namespace argparse would give.  Any other argv
-goes to the parser `build_parser` makes from the same table, built on first
-need and reused, so argparse loads only for help and errors.  No success
-path imports argparse or `json`: `pfd` prints one f-string, as `integrate`.
+`_SUBCOMMANDS` declares each subcommand once: its handler and its flags.
+`main` hands argv first to `_match_argv`, which reads the canonical form
+(exact flags, each at most once, plain values) into the namespace argparse
+would give.  Any other argv goes to a parser `build_parser` makes from the
+same table for that call, so argparse loads only for help and errors.  No
+success path imports argparse or `json`: `pfd` prints one f-string too.
 `entry`, which owns the process, freezes the objects alive before `main`
 runs (`gc.freeze`), so that no later collection walks them again, the one
 at interpreter shutdown included.
@@ -39,7 +39,6 @@ import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate, repeat
 from types import SimpleNamespace
 
@@ -92,42 +91,6 @@ def _root_config(args: SimpleNamespace) -> RootConfig:
     return RootConfig(tuple(parse_factored_denominator(args.den)))
 
 
-# The CLI's flags, read by build_parser and by _match_argv.  A subcommand has
-# its help, whether it takes the required group --roots | --den, and its other
-# flags.  A flag maps to its add_argument keywords: type (default str),
-# default (None), required, choices and help; its dest is the flag without
-# "--", "-" read as "_", as argparse derives it.
-_ROOT_GROUP = {
-    "--roots": dict(help="comma-separated nonzero roots, e.g. 1,2,-3/4"),
-    "--den": dict(help="denominator in explicit factored form, e.g. 'z*(z-1)*(z-2)'"),
-}
-_SUBCOMMANDS = {
-    "integrate": ("antiderivative of 1/Q by two routes, with cross-check", True, {
-        "--terms": dict(type=int, required=True,
-                        help="series truncation N (need N >= q+1)"),
-        "--format": dict(choices=["json"], default="json"),
-    }),
-    "pfd": ("partial fraction decomposition of P/Q", True, {
-        "--num": dict(default="1", help="numerator expression (default 1)"),
-    }),
-    "identities": ("moment identity table", True, {
-        "--max-k": dict(type=int, help="largest moment index to check (default q+10)"),
-    }),
-    "vandermonde": ("determinant vs product, generalized factorization", False, {
-        "--points": dict(required=True, help="comma-separated points"),
-        "--degree": dict(type=int,
-                         help="also check the generalized determinant of this degree"),
-    }),
-    "limit": ("shrinking-root far-field table (CSV)", True, {
-        "--scales": dict(default="1,1/2,1/4,1/8"),
-        "--radius": dict(type=float, default=10.0),
-        "--samples": dict(type=int, default=64),
-        "--terms": dict(type=int, default=24),
-        "--max-l": dict(type=int, help="largest l to tabulate (default N-q)"),
-    }),
-}
-
-
 def build_parser():
     """A fresh argparse parser of the flag table."""
     import argparse  # only help and errors need it: _match_argv reads the rest
@@ -136,7 +99,7 @@ def build_parser():
         "Exact series-at-infinity integration of 1/(z(z-a_1)...(z-a_q)) "
         "and the identities behind it"))
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, rooted, flags) in _SUBCOMMANDS.items():
+    for command, (_, text, rooted, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=text)
         if rooted:
             group = p.add_mutually_exclusive_group(required=True)
@@ -158,7 +121,7 @@ def _match_argv(argv: list[str]) -> SimpleNamespace | None:
     """
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
-    _, rooted, flags = _SUBCOMMANDS[argv[0]]
+    _, _, rooted, flags = _SUBCOMMANDS[argv[0]]
     spec = {**_ROOT_GROUP, **flags} if rooted else flags
     given, rest = {}, iter(argv[1:])
     for arg in rest:
@@ -292,24 +255,46 @@ def _cmd_limit(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "integrate": _cmd_integrate,
-    "pfd": _cmd_pfd,
-    "identities": _cmd_identities,
-    "vandermonde": _cmd_vandermonde,
-    "limit": _cmd_limit,
+# Each subcommand once: its handler, help, whether it takes the required group
+# --roots | --den, and its other flags, each with its add_argument keywords
+# (type str and default None unless given); its dest is as argparse derives it.
+_ROOT_GROUP = {
+    "--roots": dict(help="comma-separated nonzero roots, e.g. 1,2,-3/4"),
+    "--den": dict(help="denominator in explicit factored form, e.g. 'z*(z-1)*(z-2)'"),
 }
-
-
-# main's parser, built on first need and reused.  Parsing leaves no state in
-# it, and help reads the terminal width when it is formatted, not when built.
-_main_parser = cache(build_parser)
+_SUBCOMMANDS = {
+    "integrate": (_cmd_integrate,
+                  "antiderivative of 1/Q by two routes, with cross-check", True, {
+        "--terms": dict(type=int, required=True,
+                        help="series truncation N (need N >= q+1)"),
+        "--format": dict(choices=["json"], default="json"),
+    }),
+    "pfd": (_cmd_pfd, "partial fraction decomposition of P/Q", True, {
+        "--num": dict(default="1", help="numerator expression (default 1)"),
+    }),
+    "identities": (_cmd_identities, "moment identity table", True, {
+        "--max-k": dict(type=int, help="largest moment index to check (default q+10)"),
+    }),
+    "vandermonde": (_cmd_vandermonde,
+                    "determinant vs product, generalized factorization", False, {
+        "--points": dict(required=True, help="comma-separated points"),
+        "--degree": dict(type=int,
+                         help="also check the generalized determinant of this degree"),
+    }),
+    "limit": (_cmd_limit, "shrinking-root far-field table (CSV)", True, {
+        "--scales": dict(default="1,1/2,1/4,1/8"),
+        "--radius": dict(type=float, default=10.0),
+        "--samples": dict(type=int, default=64),
+        "--terms": dict(type=int, default=24),
+        "--max-l": dict(type=int, help="largest l to tabulate (default N-q)"),
+    }),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _match_argv(sys.argv[1:] if argv is None else argv)
     if args is None:
-        parser = _main_parser()
+        parser = build_parser()
         try:
             args = parser.parse_args(argv)
             # argparse reads an option value of exactly "--" as an empty list
@@ -320,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except PolyParseError as exc:
         print(f"parse error at offset {exc.position}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,7 +22,8 @@ is the error's offset, and constant powers such as 9^9999999 are bounded too.
 A product is charged the same measure, H + (degree + 1).bit_length(), for
 each of its factors, and the '*' that takes the sum above MAX_POWER_BITS is
 a parse error, so 9^50000*9^50000 is refused at its '*' although each power
-alone passes.
+alone passes.  A digit run reads free of the int-to-str digit limit, and one
+above MAX_POWER_BITS bits is a parse error at its first digit.
 Every parse error carries the byte offset it occurred at.
 """
 
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 # format_rational, the inverse of parse_rational, lives with Poly, which
 # prints through it; it is offered here with the other text conversions.
-from .polynomial import Poly, format_rational
+from .polynomial import Poly, format_quotient, format_rational
 
 # str.isdigit also accepts non-ASCII digits such as '²' or '١', which int()
 # then rejects or silently reads; the grammar's digits are ASCII only.
@@ -51,6 +52,17 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+def _literal(digits: str, offset: int) -> int:
+    """int(digits) for the ASCII digit run at `offset`, at most MAX_POWER_BITS bits."""
+    if len(digits) <= 640:  # int() reads 640 digits under any int-to-str limit
+        return int(digits)
+    low = len(digits) // 2
+    value = _literal(digits[:-low], offset) * 10**low + _literal(digits[-low:], offset)
+    if value.bit_length() > MAX_POWER_BITS:
+        raise PolyParseError(f"literal above {MAX_POWER_BITS} bits", offset)
+    return value
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an optionally signed integer or p/q literal into a reduced value."""
     i = 0
@@ -63,7 +75,7 @@ def parse_rational(text: str) -> Fraction:
         i += 1
     if i == start:
         raise PolyParseError("expected digits", i)
-    numerator = int(text[start:i])
+    numerator = _literal(text[start:i], start)
     denominator = 1
     if i < len(text) and text[i] == "/":
         i += 1
@@ -72,7 +84,7 @@ def parse_rational(text: str) -> Fraction:
             i += 1
         if i == dstart:
             raise PolyParseError("expected digits after '/'", i)
-        denominator = int(text[dstart:i])
+        denominator = _literal(text[dstart:i], dstart)
         if denominator == 0:
             raise PolyParseError("denominator must be nonzero", dstart)
     if i != len(text):
@@ -102,7 +114,7 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _literal(text[i:j], i), i))
             i = j
             continue
         if c.isalpha():
@@ -229,7 +241,9 @@ def parse_poly(text: str) -> Poly:
     poly = parser.expr()
     trailing = parser._peek()
     if trailing is not None:
-        raise PolyParseError(f"unexpected token {trailing[1]!r}", trailing[2])
+        kind, value, offset = trailing
+        shown = format_quotient(value) if kind == "int" else repr(value)
+        raise PolyParseError(f"unexpected token {shown}", offset)
     return poly
 
 

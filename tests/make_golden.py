@@ -17,7 +17,10 @@ drawn from a seeded generator over `conftest.PRIMES_30_BITS`:
   `limit --scales 2/3,5/7,1/1024 --max-l 3` at q = 1..8, and `limit` at
   its default scales;
 * `--help` at the top level and for each subcommand;
-* three more `pfd` successes: `--den`, a rational numerator, q = 4.
+* three more `pfd` successes: `--den`, a rational numerator, q = 4;
+* digit literals past the int-to-str digit limit: a 5000-digit root for
+  `integrate`, `pfd --den` and `vandermonde`, a 5000-digit `--num` constant
+  and trailing token, and a literal above `MAX_POWER_BITS` bits.
 
 `tests/test_golden.py` runs every argv in process and compares.  The
 argparse usage lines on stderr depend on the terminal width, so both sides
@@ -142,6 +145,13 @@ def argvs() -> list[list[str]]:
     out.append(["pfd", "--den", "z*(z-1)*(z+1/2)", "--num", "3/4*z^2+1"])
     out.append(["pfd", "--roots", "1/3,-2,5/7,4", "--num", "z^3-2/5*z+7"])
     out.append(["pfd", f"--den={_den(_roots(rng, 4))}", "--num=-7/3*z^4+z-1/2"])
+    digits = rng.choice("123456789") + "".join(rng.choices("0123456789", k=4999))
+    out.append(["integrate", f"--roots={digits},-1/{digits}", "--terms", "3"])
+    out.append(["pfd", f"--den=z*(z-{digits})"])
+    out.append(["vandermonde", f"--points={digits},1"])
+    out.append(["pfd", "--roots", "1", "--num", digits])
+    out.append(["pfd", "--roots", "1", "--num", f"z {digits}"])
+    out.append(["pfd", "--roots", "1", "--num", "9" * 80000])
     return out
 
 

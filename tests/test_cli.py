@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +34,7 @@ from make_golden import GOLDEN
 
 HUGE = "1" + "0" * 400  # beyond the double range
 TINY = "1" + "0" * 77  # roots near 1e-77 put radius**4 below the normal range
+_SEVENS = "7" * 5000  # past the interpreter's default 4300-digit limit
 
 EXPECTED_INTEGRATE_DOC = {
     "q": 2,
@@ -158,6 +158,17 @@ class TestIntegrateCommand:
         assert numerator == "-1"
         assert len(denominator) > 4300
         assert _int_from_digits(denominator) == (-a**499 / 500).denominator
+
+    def test_root_beyond_int_str_digit_limit(self, capsys):
+        # once exited 1 with the int-to-str digit limit's message
+        code, out, err = run_cli(
+            capsys, "integrate", "--roots", f"1/{_SEVENS}", "--terms", "3"
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["roots"] == [f"1/{_SEVENS}"] and doc["paths_agree"]
+        b3 = Fraction(-1, 3 * _int_from_digits(_SEVENS) ** 2)  # -a^2/3
+        assert doc["coefficients"][3]["value"] == format_rational(b3)
 
     # integrate prints its document from a template of its own: it must be
     # what json.dumps(doc, indent=2) prints, whichever flag gives the roots
@@ -289,6 +300,34 @@ class TestPfdCommand:
         assert len(numerator) > 4300
         assert _int_from_digits(numerator) == 7**6000
 
+    # a digit literal past the int-to-str digit limit once exited 1 with that
+    # limit's message, and a long trailing token tripped it in the error
+    def test_literals_beyond_int_str_digit_limit(self, capsys):
+        code, out, err = run_cli(capsys, "pfd", "--roots", "1", "--num", _SEVENS)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["numerator"] == _SEVENS
+        code, out, err = run_cli(capsys, "pfd", "--den", f"z*(z-{_SEVENS})")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["roots"] == [_SEVENS]
+        code, out, err = run_cli(capsys, "pfd", "--roots", "1", "--num", f"z {_SEVENS}")
+        assert (code, out) == (2, "")
+        assert err == f"parse error at offset 2: unexpected token {_SEVENS}\n"
+
+    @pytest.mark.parametrize(
+        "argv,offset",
+        [
+            (["pfd", "--roots", "1", "--num", "9" * 80000], 0),
+            (["integrate", "--roots", "1,-" + "9" * 80000, "--terms", "3"], 3),
+            (["vandermonde", "--points", "1,1/" + "9" * 80000], 4),
+        ],
+    )
+    def test_literal_above_max_power_bits_is_parse_error(self, capsys, argv, offset):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"parse error at offset {offset}: literal above {MAX_POWER_BITS} bits\n"
+        )
+
     @pytest.mark.parametrize("opener", ["(", "-"])
     def test_deep_nesting_is_parse_error(self, capsys, opener):
         closer = ")" if opener == "(" else ""
@@ -338,6 +377,16 @@ class TestVandermondeCommand:
         )
         assert code == 0
         assert "check=generalized_degree_2 lhs=7 rhs=7 pass=true" in out
+
+    def test_point_beyond_int_str_digit_limit(self, capsys):
+        # once exited 1 with the int-to-str digit limit's message
+        code, out, err = run_cli(capsys, "vandermonde", f"--points={_SEVENS},1")
+        assert (code, err) == (0, "")
+        det = format_rational(Fraction(1 - _int_from_digits(_SEVENS)))
+        assert out == (
+            f"check=determinant_vs_product lhs={det} rhs={det} pass=true\n"
+            "1/1 checks hold\n"
+        )
 
 
 class TestLimitCommand:
@@ -582,7 +631,7 @@ def _matched(argv):
     args = poleint.cli._match_argv(argv)
     if args is not None:
         try:
-            expected = poleint.cli._main_parser().parse_args(argv)
+            expected = poleint.cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"the matcher takes {argv}, which argparse refuses")
         assert _typed(args) == _typed(expected)
@@ -642,11 +691,10 @@ def test_module_entry_point_subprocess():
     assert proc.stdout == EXPECTED_IDENTITIES_TEXT
 
 
-# main builds its parser once and reuses it: every outcome of a request must
-# be the same whatever ran before it in the process, and the same as in a
-# fresh `python -m poleint`, which runs through entry and its gc.freeze.  The
-# last two requests end in a domain error (1) and a --terms usage error (2).
-# COLUMNS fixes the width help is wrapped to.
+# Every outcome of a request must be the same whatever ran before it in the
+# process, and the same as in a fresh `python -m poleint`, which runs through
+# entry and its gc.freeze.  The last two requests end in a domain error (1)
+# and a --terms usage error (2).  COLUMNS fixes the width help is wrapped to.
 _MAIN_ORDER = [
     ["integrate", "--roots", "1,2", "--terms", "6"],
     ["integrate", "--roots", "1,2"],
@@ -699,31 +747,6 @@ def test_entry_freezes_before_main_and_exits_with_its_code():
     )
     assert proc.returncode == 3, proc.stderr
     assert int(proc.stdout) > 0 and proc.stderr == ""
-
-
-def test_threads_share_main_parser():
-    # parsing leaves no state in the shared parser, so threads may use it at once
-    parser = poleint.cli._main_parser()
-    argvs = _MAIN_ORDER[0], _MAIN_ORDER[5], _MAIN_ORDER[6]
-    want = [vars(parser.parse_args(argv)) for argv in argvs]
-    got = []
-
-    def parse(k):
-        for i in range(k, k + 200):
-            got.append(vars(parser.parse_args(argvs[i % 3])) == want[i % 3])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=parse, args=(k,)) for k in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(got) == 1200 and all(got)
 
 
 # Every `python -m poleint` run pays for the modules its import loads: the
@@ -793,9 +816,9 @@ def test_well_formed_requests_load_no_argparse_or_json():
         "poleint integrate: error: the following arguments are required: --terms\n")
 
 
-# Importing the CLI builds nothing that a request may not need: main's parser
-# is built on its first call, and the printer's powers of ten and of two on
-# first use.
+# Importing the CLI builds nothing that a request may not need: main builds
+# a parser only for an argv the matcher does not take, and the printer its
+# powers of ten and of two on first use.
 def test_cli_import_builds_no_parser_and_no_decimal_power():
     code = (
         "import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
@@ -850,6 +873,21 @@ def test_output_is_free_of_the_int_to_str_digit_limit():
     assert first == str(Decimal(-random.Random(90).getrandbits(90_000)))
     values = [c["value"] for c in json.loads(document)["coefficients"]]
     assert max(map(len, values)) > 4300  # past the default limit too
+
+
+# The parser reads a literal of more digits than the strictest limit, 640,
+# under it; a 700-digit root once exited 1 there with the limit's message.
+def test_literals_are_free_of_the_int_to_str_digit_limit():
+    root = "3" * 700
+    proc = subprocess.run(
+        [sys.executable, "-m", "poleint",
+         "integrate", f"--roots=1/{root}", "--terms=3"],
+        capture_output=True,
+        text=True,
+        env={**SUBPROCESS_ENV, "PYTHONINTMAXSTRDIGITS": "640"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["roots"] == [f"1/{root}"]
 
 
 # The second numerator prints more than stdout's 8 KiB buffer, so the write

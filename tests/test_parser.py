@@ -61,8 +61,29 @@ class TestParseRational:
         assert exc.value.position == position
 
     def test_format_round_trip(self):
-        for value in (F(1, 2), F(-3), F(0), F(22, 7)):
+        # the last two have more digits than the int-to-str limit admits
+        huge = (F(-(7**6000), 3**5000), F(10**5000))
+        for value in (F(1, 2), F(-3), F(0), F(22, 7), *huge):
             assert parse_rational(format_rational(value)) == value
+
+    def test_literal_bits_boundary(self):
+        # 2^MAX_POWER_BITS - 1, of 78914 digits, is the largest literal
+        top = format_rational(F(2**MAX_POWER_BITS - 1))
+        assert parse_rational(f"-{top}") == 1 - 2**MAX_POWER_BITS
+        assert parse_poly(f"z+{top}") == Poly((2**MAX_POWER_BITS - 1, 1))
+        assert parse_rational("0" * 1000 + "1/" + "0" * 700 + "3") == F(1, 3)
+        over = format_rational(F(2**MAX_POWER_BITS))
+        for parse, text, position in [
+            (parse_rational, over, 0),
+            (parse_rational, f"-{over}", 1),
+            (parse_rational, f"1/{over}", 2),
+            (parse_poly, f"z+{over}", 2),
+            (parse_factored_denominator, f"z*(z-{over})", 5),
+        ]:
+            with pytest.raises(PolyParseError) as exc:
+                parse(text)
+            assert (str(exc.value), exc.value.position) == (
+                f"literal above {MAX_POWER_BITS} bits", position)
 
 
 class TestParsePoly:
