@@ -18,7 +18,6 @@ tolerances are the caller's, and the exact coefficient checks stay exact.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections.abc import Sequence
@@ -88,14 +87,16 @@ def scaling_limit_table(
     if max_l is not None:
         depth = min(depth, max_l)
     base = integrate_via_expansion(cfg, truncation).coefficients[q:]
-    points = [radius * cmath.exp(2j * cmath.pi * k / samples) for k in range(samples)]
+    points = [radius * complex(math.cos(a), math.sin(a))
+              for a in (2 * math.pi * k / samples for k in range(samples))]
     far_field = f"radius**q must keep the far field within the double range (q = {q})"
     try:
         powers = [z**q for z in points]
     except OverflowError:
         raise ValueError(f"radius**q must not overflow a double (q = {q})") from None
     # z**q underflowed to 0, or is so small that 1/(q z^q) overflows
-    if not all(zq and cmath.isfinite(1 / (q * zq)) for zq in powers):
+    inverses = (1 / (q * zq) if zq else math.inf for zq in powers)
+    if not all(math.isfinite(w.real) and math.isfinite(w.imag) for w in inverses):
         raise ValueError(far_field)
 
     rows = []

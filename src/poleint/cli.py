@@ -24,9 +24,10 @@ field is an int, a bool or a string of digits, "-" and "/".
 would give.  Any other argv goes to a parser `build_parser` makes from the
 same table for that call, so argparse loads only for help and errors.  No
 success path imports argparse or `json`: `pfd` prints one f-string too.
-`entry`, which owns the process, freezes the objects alive before `main`
-runs (`gc.freeze`), so that no later collection walks them again, the one
-at interpreter shutdown included.
+`entry` owns the process: it freezes the objects alive before `main` runs
+(`gc.freeze`), and once stdout and stderr are flushed it ends the process at
+`os._exit` with `main`'s code, so no `atexit` handler or finalizer runs after
+it.  Tools that wrap the module, such as cProfile or coverage, call `main`.
 
 Exit codes: 0 success, 1 domain error (invalid roots and similar),
 2 usage or parse error, 3 any exact identity check failed.
@@ -318,16 +319,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    # Every object alive now lives until exit: keep it out of every later
-    # collection, the one at interpreter shutdown included.
-    gc.freeze()
+    gc.freeze()  # what is alive now lives until exit: no collection walks it again
     try:
         code = main()
         sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
-        # The reader closed stdout early.  Point stdout at devnull so that the
-        # interpreter's own flush at exit cannot fail again, and exit 1
-        # (Python docs, signal module, "Note on SIGPIPE").
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    sys.exit(code)
+        code = 1  # the reader closed stdout early (signal docs, "Note on SIGPIPE")
+    os._exit(code)  # skips teardown, so nothing writes to the closed pipe again

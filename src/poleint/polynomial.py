@@ -35,11 +35,11 @@ _SPLIT_BITS = 16384  # S: integers of at most 2*S bits print by divmod alone
 
 
 @cache
-def _power_of_ten(i: int) -> int:
-    """10^(L * 2^i), each level the square of the one below."""
+def _power_of_five(i: int) -> int:
+    """5^(L * 2^i), each level the square of the one below."""
     if not i:
-        return 10**_LEAF_DIGITS
-    return _power_of_ten(i - 1) ** 2
+        return 5**_LEAF_DIGITS
+    return _power_of_five(i - 1) ** 2
 
 
 @cache
@@ -56,16 +56,18 @@ def _digits(x: int) -> str:
 
     With m = floor((x.bit_length() - 1) * 1233 / 4096), 10^m <= x, as
     1233/4096 < log10(2).  Below m = 2L, str prints x, at most 2L + 1
-    digits.  Otherwise x splits by divmod on 10^k, k = L * 2^i the largest
-    such k with 2k <= m, into halves that print the same way, the low one
-    zero-padded to k digits.  Below 2^(2S) the ladder stops at 10^(16L).
+    digits.  Otherwise x splits at 10^k = 5^k 2^k, k = L * 2^i the largest
+    such k with 2k <= m: (x >> k) divmod 5^k gives the high half, and the
+    remainder shifted back over x's k low bits the low one, zero-padded to k
+    digits; both print the same way.  Below 2^(2S) the ladder stops at 5^(16L).
     """
     m = (x.bit_length() - 1) * 1233 >> 12
     if m < 2 * _LEAF_DIGITS:
         return str(x)
     i = (m // (2 * _LEAF_DIGITS)).bit_length() - 1
-    hi, lo = divmod(x, _power_of_ten(i))
-    return _digits(hi) + _digits(lo).zfill(_LEAF_DIGITS << i)
+    k = _LEAF_DIGITS << i
+    hi, r = divmod(x >> k, _power_of_five(i))
+    return _digits(hi) + _digits(r << k | x & ((1 << k) - 1)).zfill(k)
 
 
 def _decimal(x: int) -> Decimal:
@@ -98,7 +100,7 @@ def format_quotient(numerator: int, denominator: int | Decimal = 1) -> str:
     """"p/q" for a numerator p over a positive denominator q it has no common
     factor with, or just "p" when q is 1.
 
-    Integers of at most 2*S bits print by divmod on a ladder of powers of ten
+    Integers of at most 2*S bits print by divmod on a ladder of powers of five
     (`_digits`), larger ones through Decimal, split on bits first
     (`_decimal`); neither is bound by the interpreter's int-to-str digit
     limit.  A Decimal denominator must be an integer of exponent 0; it prints

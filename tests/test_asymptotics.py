@@ -12,6 +12,7 @@ from poleint import (
     partial_fractions,
     scaling_limit_table,
 )
+from poleint.series import InvZSeries
 
 from conftest import root_configs
 from oracles import log_potential
@@ -163,3 +164,22 @@ class TestScalingLimit:
             RootConfig((1,)), [F(1), F(1, 2)], radius=1e200, samples=4, truncation=6
         )
         assert [row.sup_error for row in rows] == [0.0, 0.0]
+
+    def test_sample_points_are_the_cmath_circle_bit_for_bit(self, monkeypatch):
+        # radius * complex(cos a, sin a) is what cmath.exp(i a) gives, signed
+        # zeros included: exp of a zero real part scales both by exactly 1.0
+        seen = []
+        evaluate_all = InvZSeries.evaluate_all
+
+        def recorded(series, points):
+            seen.append(points)
+            return evaluate_all(series, points)
+
+        monkeypatch.setattr(InvZSeries, "evaluate_all", recorded)
+        for samples in [*range(1, 300), 1000, 4096, 65536]:
+            seen.clear()
+            scaling_limit_table(
+                RootConfig((1,)), [F(1)], radius=10.0, samples=samples, truncation=2
+            )
+            want = [10.0 * cmath.exp(2j * cmath.pi * k / samples) for k in range(samples)]
+            assert list(map(repr, seen[0])) == list(map(repr, want))

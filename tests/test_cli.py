@@ -772,7 +772,8 @@ def test_cli_import_loads_no_argparse_dataclasses_inspect_typing_or_json():
 # A well-formed request of each subcommand, run by `entry` as the `poleint`
 # command runs it, takes the matcher and loads neither argparse nor json; a
 # request missing a flag, in a fresh process, still gets argparse's usage
-# error.
+# error.  The child's os._exit is sys.exit, which raises SystemExit, so that
+# one process runs all five requests.
 _WELL_FORMED = [
     ["integrate", "--roots", "1,2", "--terms", "6"],
     ["pfd", "--den=z*(z-1)*(z+1/2)", "--num", "3/4*z^2+1"],
@@ -781,8 +782,9 @@ _WELL_FORMED = [
     ["limit", "--roots", "1,2", "--radius=32", "--samples", "8", "--terms", "8"],
 ]
 _ENTRY_CHILD = (
-    "import contextlib, io, sys\n"
+    "import contextlib, io, os, sys\n"
     "from poleint import cli\n"
+    "os._exit = sys.exit\n"
     "codes = []\n"
     "for argv in {argvs!r}:\n"
     "    sys.argv[1:] = argv\n"
@@ -816,9 +818,44 @@ def test_well_formed_requests_load_no_argparse_or_json():
         "poleint integrate: error: the following arguments are required: --terms\n")
 
 
+# entry ends the process at os._exit once its output is flushed: an atexit
+# handler never runs, and the exit code, stdout and stderr are main's, for a
+# document larger than the pipe buffer and for argparse's usage error alike.
+_ATEXIT_CHILD = (
+    "import atexit, sys\n"
+    "from poleint import cli\n"
+    "atexit.register(lambda: print('atexit handler ran', file=sys.stderr))\n"
+    "cli.entry()\n"
+)
+
+
+@pytest.mark.parametrize("argv, want_code, min_stdout", [
+    # q = 16, N = 48: a document larger than a 64 KiB pipe buffer
+    (["integrate", f"--roots={','.join(map(str, _tall_roots(16)))}", "--terms", "48"],
+     0, 65536),
+    (["integrate", "--roots", "1,2"], 2, 0),
+], ids=["integrate-q16", "usage-error"])
+def test_entry_exits_with_mains_output_and_runs_no_atexit_handler(
+        argv, want_code, min_stdout, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == want_code and len(out.getvalue()) >= min_stdout
+    proc = subprocess.run(
+        [sys.executable, "-c", _ATEXIT_CHILD, *argv],
+        capture_output=True,
+        text=True,
+        env={**SUBPROCESS_ENV, "COLUMNS": "80"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.getvalue(), err.getvalue())
+    assert "atexit handler ran" not in proc.stderr
+
+
 # Importing the CLI builds nothing that a request may not need: main builds
 # a parser only for an argv the matcher does not take, and the printer its
-# powers of ten and of two on first use.
+# powers of five and of two on first use.
 def test_cli_import_builds_no_parser_and_no_decimal_power():
     code = (
         "import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
@@ -826,7 +863,7 @@ def test_cli_import_builds_no_parser_and_no_decimal_power():
         "    built.append(1); init(self, *args, **kwargs)\n"
         "argparse.ArgumentParser.__init__ = counted\n"
         "import poleint.cli, poleint.polynomial as p\n"
-        "print(len(built), p._power_of_ten.cache_info().currsize,"
+        "print(len(built), p._power_of_five.cache_info().currsize,"
         " p._power_of_two.cache_info().currsize)"
     )
     proc = subprocess.run(

@@ -11,7 +11,7 @@ from poleint import Poly
 from poleint.polynomial import (
     _LEAF_DIGITS,
     _SPLIT_BITS,
-    _power_of_ten,
+    _power_of_five,
     _power_of_two,
     format_quotient,
 )
@@ -231,11 +231,11 @@ class TestNumeratorPrinting:
         assert format_quotient(sign * x) == str(Decimal(sign * x))
 
     def test_the_ladder_stops_at_level_4(self):
-        # the largest integer that prints by divmod alone reaches 10^(L * 16)
-        _power_of_ten.cache_clear()
+        # the largest integer that prints by divmod alone reaches 5^(L * 16)
+        _power_of_five.cache_clear()
         x = (1 << 2 * _S) - 1
         assert format_quotient(x) == str(Decimal(x))
-        assert _power_of_ten.cache_info().currsize == 5
+        assert _power_of_five.cache_info().currsize == 5
 
     def test_random_sizes_and_both_slots(self):
         rng = random.Random(7)
@@ -254,7 +254,7 @@ class TestNumeratorPrinting:
         def convert(i):
             got[i] = format_quotient(values[i])
 
-        _power_of_ten.cache_clear()
+        _power_of_five.cache_clear()
         _power_of_two.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
