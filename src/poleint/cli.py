@@ -24,10 +24,9 @@ field is an int, a bool or a string of digits, "-" and "/".
 would give.  Any other argv goes to a parser `build_parser` makes from the
 same table for that call, so argparse loads only for help and errors.  No
 success path imports argparse or `json`: `pfd` prints one f-string too.
-`entry` owns the process: it freezes the objects alive before `main` runs
-(`gc.freeze`), and once stdout and stderr are flushed it ends the process at
-`os._exit` with `main`'s code, so no `atexit` handler or finalizer runs after
-it.  Tools that wrap the module, such as cProfile or coverage, call `main`.
+`entry` owns the process: it flushes stdout and stderr and ends at `os._exit`
+with `main`'s code, so no `atexit` handler or finalizer runs after it.  Tools
+that wrap the module, such as cProfile or coverage, call `main`.
 
 Exit codes: 0 success, 1 domain error (invalid roots and similar),
 2 usage or parse error, 3 any exact identity check failed.
@@ -35,7 +34,6 @@ Exit codes: 0 success, 1 domain error (invalid roots and similar),
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 from decimal import Decimal
@@ -319,7 +317,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    gc.freeze()  # what is alive now lives until exit: no collection walks it again
     try:
         code = main()
         sys.stdout.flush()

@@ -80,12 +80,13 @@ class PartialFractions(Value):
         return sum((c for _, c in self.terms), Fraction(0))
 
     def reconstructed_numerator(self) -> Poly:
-        """sum_j c_j * prod_{k != j} (z - pole_k); equals the original
-        numerator whenever the decomposition is correct."""
-        total = Poly.zero()
+        """sum_j c_j * prod_{k != j} (z - pole_k); equals the numerator whenever
+        the decomposition is correct.  One pass, O(q^2) Fraction operations:
+        `product` is prod (z - pole) over the poles seen so far."""
+        total, product = Poly.zero(), Poly.one()
         for pole, c in self.terms:
-            others = [p for p, _ in self.terms if p != pole]
-            total = total + Poly.from_roots(others) * c
+            factor = Poly((-pole, 1))
+            total, product = total * factor + product * c, product * factor
         return total
 
 

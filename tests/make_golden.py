@@ -20,12 +20,15 @@ drawn from a seeded generator over `conftest.PRIMES_30_BITS`:
 * three more `pfd` successes: `--den`, a rational numerator, q = 4;
 * digit literals past the int-to-str digit limit: a 5000-digit root for
   `integrate`, `pfd --den` and `vandermonde`, a 5000-digit `--num` constant
-  and trailing token, and a literal above `MAX_POWER_BITS` bits.
+  and trailing token, and a literal above `MAX_POWER_BITS` bits;
+* `pfd` at size, 30-bit roots and integer numerators of degree q - 1:
+  `--roots` at q = 8 and 16, then `--den` at q = 8.
 
 `tests/test_golden.py` runs every argv in process and compares.  The
 argparse usage lines on stderr depend on the terminal width, so both sides
-run with COLUMNS=80.  The sup errors that `limit` prints go through the
-platform's `cmath.exp`, so another libm may move their last digits.
+run with COLUMNS=80.  The sup errors that `limit` prints are taken at points
+from the platform's `math.cos` and `math.sin`, so another libm may move
+their last digits.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ def _roots(rng: random.Random, q: int) -> list[Fraction]:
 
 def _csv(values) -> str:
     return ",".join(map(str, values))
+
+
+def _num(rng: random.Random, degree: int) -> str:
+    """A polynomial of the given degree with integer coefficients in [-9, 9]."""
+    coeffs = [rng.randint(-9, 9) for _ in range(degree)]
+    coeffs.append(rng.choice((-1, 1)) * rng.randint(1, 9))
+    terms = [f"{c}*z^{k}" for k, c in enumerate(coeffs) if c]
+    return "+".join(reversed(terms)).replace("+-", "-")
 
 
 def _den(roots) -> str:
@@ -152,6 +163,10 @@ def argvs() -> list[list[str]]:
     out.append(["pfd", "--roots", "1", "--num", digits])
     out.append(["pfd", "--roots", "1", "--num", f"z {digits}"])
     out.append(["pfd", "--roots", "1", "--num", "9" * 80000])
+    for q, den in ((8, False), (16, False), (8, True)):
+        roots = _roots(rng, q)
+        flag = f"--den={_den(roots)}" if den else f"--roots={_csv(roots)}"
+        out.append(["pfd", flag, f"--num={_num(rng, q - 1)}"])
     return out
 
 

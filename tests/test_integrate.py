@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from poleint import (
     InvZSeries,
+    PartialFractions,
     Poly,
     RootConfig,
     check_moment_identities,
@@ -70,12 +71,35 @@ class TestPartialFractions:
         pf = partial_fractions(Poly.one(), RootConfig((F(3, 5), -2, 7)))
         assert pf.coefficient_sum() == 0
 
-    @given(root_configs, st.lists(nonzero_rationals, max_size=3))
+    @given(root_configs, st.lists(nonzero_rationals, max_size=6))
     @settings(max_examples=60)
     def test_reconstruction(self, cfg, num_coeffs):
         numerator = Poly(num_coeffs[: cfg.q + 1])  # keep deg P < deg Q
         pf = partial_fractions(numerator, cfg)
         assert pf.reconstructed_numerator() == numerator
+
+    SIX_ROOTS = RootConfig((F(1, 3), -2, F(5, 7), 4, F(-9, 2), F(11, 13)))
+    DEGREE_FIVE = Poly((7, F(-2, 5), 0, 1, F(3, 4), -6))
+
+    # The check multiplies in one linear factor per pole; it never rebuilds
+    # the product of the other poles from scratch.
+    def test_reconstruction_builds_no_product_of_other_poles(self, monkeypatch):
+        pf = partial_fractions(self.DEGREE_FIVE, self.SIX_ROOTS)
+
+        def refuse(roots):
+            raise AssertionError("from_roots called")
+
+        monkeypatch.setattr(Poly, "from_roots", refuse)
+        assert pf.reconstructed_numerator() == self.DEGREE_FIVE
+
+    # poles 0 (first), a_3 (middle) and a_6 (last)
+    @pytest.mark.parametrize("index", [0, 3, 6])
+    def test_reconstruction_sees_a_changed_coefficient(self, index):
+        terms = list(partial_fractions(self.DEGREE_FIVE, self.SIX_ROOTS).terms)
+        pole, c = terms[index]
+        terms[index] = (pole, c + 1)
+        pf = PartialFractions(tuple(terms))
+        assert pf.reconstructed_numerator() != self.DEGREE_FIVE
 
 
 class TestMoments:
