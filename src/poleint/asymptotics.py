@@ -9,7 +9,9 @@ scaling law
     b_{q+l}(t a_1, ..., t a_q) = t^l b_{q+l}(a_1, ..., a_q),
 
 so the far-field error |g_t(z) + 1/(q z^q)|, the tail sum_{n>q} b_n z^-n, on
-a circle |z| = R is dominated by the l = 1 term and shrinks linearly in t.
+a circle |z| = R shrinks as t^l*, l* the least l >= 1 with b_{q+l}(a) != 0:
+linearly, as b_{q+1} = -(sum a_j)/(q+1), unless the roots sum to zero, and
+then quadratically, as b_{q+2} = -h_2(a)/(q+2), 2h_2 = (sum a_j)^2 + sum a_j^2.
 
 Floating point lives here and in `InvZSeries.evaluate` / `evaluate_all`
 (module `series`), the double-precision Horner sums this module reads; the
@@ -27,6 +29,8 @@ from .integrate import (RootConfig, integrate_via_expansion, residue_moments,
 from .polynomial import Rat, Value, as_rat
 from .series import InvZSeries
 from .symmetric import ExactCheckError
+
+__all__ = ["ScaleRow", "scaling_limit_table"]
 
 
 class ScaleRow(Value):

@@ -46,6 +46,10 @@ from .polynomial import Poly, Rat, Value, as_rat
 from .series import InvZSeries
 from .symmetric import ExactCheckError, integer_expansion, scale_to_integers
 
+__all__ = ["MomentIdentityRow", "PartialFractions", "RootConfig",
+           "check_moment_identities", "integrate_via_expansion",
+           "integrate_via_partial_fractions", "moment", "partial_fractions"]
+
 
 class RootConfig(Value):
     """The distinct nonzero roots a_1..a_q; the root at 0 is implicit."""

@@ -35,6 +35,9 @@ from fractions import Fraction
 # prints through it; it is offered here with the other text conversions.
 from .polynomial import Poly, format_quotient, format_rational
 
+__all__ = ["PolyParseError", "format_rational", "parse_factored_denominator",
+           "parse_poly", "parse_rational"]
+
 # str.isdigit also accepts non-ASCII digits such as '²' or '١', which int()
 # then rejects or silently reads; the grammar's digits are ASCII only.
 _DIGITS = frozenset("0123456789")

@@ -17,6 +17,8 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from functools import cache
 
+__all__ = ["Poly", "Rat"]
+
 Rat = Fraction
 
 

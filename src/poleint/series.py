@@ -26,6 +26,8 @@ from fractions import Fraction
 
 from .polynomial import Poly, Rat, Value, as_rat
 
+__all__ = ["INFINITY", "InvZSeries", "NotIntegrableInRing"]
+
 INFINITY = math.inf
 
 

@@ -26,6 +26,9 @@ from operator import mul
 
 from .polynomial import Rat, Value, as_rat
 
+__all__ = ["ExactCheckError", "SymmetricTable", "complete_homogeneous", "determinant",
+           "generalized_vandermonde", "vandermonde_matrix", "vandermonde_product"]
+
 
 class ExactCheckError(ArithmeticError):
     """An exact self-check failed: the arithmetic is broken, not the input."""

@@ -210,6 +210,51 @@ def test_criterion_8a_scaling_limit():
     assert ok
 
 
+def _zero_sum_family(seed: int) -> list[tuple[str, RootConfig, float]]:
+    # q = 2..8: q - 1 roots +-n/p with 30-bit n and p, and minus their sum.
+    rng = random.Random(seed)
+    bits30 = range(2**29, 2**30)
+    family = []
+    for q in range(2, 9):
+        roots = [rng.choice((-1, 1)) * F(rng.choice(bits30), rng.choice(bits30))
+                 for _ in range(q - 1)]
+        cfg = RootConfig((*roots, -sum(roots)))
+        family.append((f"seeded q={q}", cfg, 10 * float(max(map(abs, cfg.roots)))))
+    return family
+
+
+def test_criterion_8c_zero_sum_roots_decay_quadratically():
+    # The tail is sum_l t^l b_{q+l}(a) z^-(q+l) with b_{q+1} = -(sum a_j)/(q+1)
+    # and b_{q+2} = -h_2(a)/(q+2), 2h_2 = (sum a_j)^2 + sum a_j^2 > 0.  When
+    # the roots sum to zero the t^1 term vanishes exactly and the sup error
+    # falls as t^2: halving t divides it by about 4, where 8a's roots divide
+    # it by about 2.
+    configs = [
+        ("1,-1", RootConfig((1, -1)), 10.0),
+        ("1,2,-3", RootConfig((1, 2, -3)), 10.0),
+        *_zero_sum_family(27),
+    ]
+    ok = True
+    details = []
+    for label, cfg, radius in configs:
+        rows = scaling_limit_table(
+            cfg, [F(1), F(1, 2), F(1, 4), F(1, 8)], radius=radius, samples=64,
+            truncation=cfg.q + 8,
+        )
+        ok &= all(row.coefficients[1] == 0 and row.coefficients[2] < 0 for row in rows)
+        sups = [r.sup_error for r in rows]
+        ratios = [b / a for a, b in zip(sups, sups[1:])][-2:]
+        ok &= all(0.2 <= ratio <= 0.3 for ratio in ratios)
+        details.append(f"{label}: " + "/".join(f"{ratio:.4f}" for ratio in ratios))
+    _report(
+        "criterion 8c (zero-sum roots: b_(q+1) = 0, b_(q+2) < 0, "
+        "final ratios in [0.2, 0.3])",
+        ok,
+        ", ".join(details),
+    )
+    assert ok
+
+
 def test_criterion_8b_dipole_far_field_tolerance():
     # Stated tolerance: the pair potential at a = 1/100 matches its far
     # field -1/z + b_2 z^-2 at z = 10 to 1e-6 relative.  With q = 1 the
