@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto library entry points and add no math of
-their own:
+Subcommands map one-to-one onto library entry points.  Only `vandermonde`
+adds math of its own: the product prod * h_l, and its --degree size check.
 
     integrate    both antiderivative routes plus their cross-check (JSON)
     pfd          partial fraction decomposition of numerator/Q (JSON)
@@ -49,6 +49,8 @@ from .integrate import (
     partial_fractions,
 )
 from .parser import (
+    MAX_DEGREE,
+    MAX_POWER_BITS,
     PolyParseError,
     format_rational,
     parse_factored_denominator,
@@ -229,6 +231,12 @@ def _cmd_identities(args: SimpleNamespace) -> int:
 
 def _cmd_vandermonde(args: SimpleNamespace) -> int:
     points = _parse_rational_list(args.points)
+    if args.degree is not None:  # the parser's bound on base^e, for x^top
+        top = len(points) - 1 + args.degree
+        height = max(max(abs(x.numerator), x.denominator).bit_length() for x in points)
+        if top > MAX_DEGREE or top * (height + 1) > MAX_POWER_BITS:
+            raise ValueError(f"--degree needs x^{top} of {height}-bit points, above "
+                             f"degree {MAX_DEGREE} or {MAX_POWER_BITS} bits")
     det = determinant(vandermonde_matrix(points))
     prod = vandermonde_product(points)
     checks = [("check=determinant_vs_product", det, prod)]

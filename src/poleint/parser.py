@@ -219,11 +219,8 @@ class _Parser:
             return inner
         if kind == "z":
             return Poly.z()
-        if kind == "int":
-            return Poly.constant(self._rational_tail(value, offset))
-        raise PolyParseError(f"unexpected token {value!r}", offset)
-
-    def _rational_tail(self, numerator: int, offset: int) -> Fraction:
+        if kind != "int":
+            raise PolyParseError(f"unexpected token {value!r}", offset)
         # consume "/ int" only when it really is a rational literal
         if (
             self._at_symbol("/")
@@ -234,8 +231,8 @@ class _Parser:
             _, denom, dpos = self._next()
             if denom == 0:
                 raise PolyParseError("denominator must be nonzero", dpos)
-            return Fraction(numerator, denom)
-        return Fraction(numerator)
+            return Poly.constant(Fraction(value, denom))
+        return Poly.constant(Fraction(value))
 
 
 def parse_poly(text: str) -> Poly:
@@ -252,47 +249,32 @@ def parse_poly(text: str) -> Poly:
 
 def parse_factored_denominator(text: str) -> list[Fraction]:
     """Extract the nonzero roots from a denominator written in the explicit
-    factored form  z*(z-r1)*(z-r2)*...  (a '+' inside a factor negates the
-    root).  Exactly one bare z factor is required; no other shapes are
-    accepted, because recovering rational roots from an expanded polynomial
-    is out of scope.
+    factored form  z*(z-r1)*(z-r2)*...  : factors joined by '*', each an atom
+    of the grammar above, so its bounds hold inside a factor too.  A factor
+    that is the token z is the bare z, and exactly one is required.  Every
+    other factor must expand to a monic linear z - r, as (z-1/2), (z+3) or
+    (z-3^2) do, and gives the root r.  No other shape is accepted, because
+    recovering rational roots from an expanded polynomial is out of scope.
     """
     parser = _Parser(text)
     roots: list[Fraction] = []
     bare_z = 0
-
-    def unit() -> None:
-        nonlocal bare_z
-        kind, value, offset = parser._next()
-        if kind == "z":
+    while True:
+        first = parser._peek()
+        factor = parser.atom()  # at the end of input, atom raises
+        if first[0] == "z":
             bare_z += 1
-            return
-        if kind == "sym" and value == "(":
-            ztok = parser._next()
-            if ztok[0] != "z":
-                raise PolyParseError("expected 'z' inside factor", ztok[2])
-            op = parser._next()
-            if op[0] != "sym" or op[1] not in "+-":
-                raise PolyParseError("expected '+' or '-' after 'z'", op[2])
-            num = parser._next()
-            if num[0] != "int":
-                raise PolyParseError("expected a rational root", num[2])
-            root = parser._rational_tail(num[1], num[2])
-            closing = parser._next()
-            if closing[0] != "sym" or closing[1] != ")":
-                raise PolyParseError("expected ')'", closing[2])
-            roots.append(-root if op[1] == "+" else root)
-            return
-        raise PolyParseError(
-            "denominator must be factored as z*(z-r1)*(z-r2)*...", offset
-        )
-
-    unit()
-    while parser._peek() is not None:
-        star = parser._next()
-        if star[0] != "sym" or star[1] != "*":
+        elif factor.degree == 1 and factor.coefficients[1] == 1:
+            roots.append(-factor.coefficients[0])
+        else:
+            raise PolyParseError("denominator must be factored as z*(z-r1)*(z-r2)*...",
+                                 first[2])
+        star = parser._peek()
+        if star is None:
+            break
+        if star[:2] != ("sym", "*"):
             raise PolyParseError("expected '*' between factors", star[2])
-        unit()
+        parser._next()
     if bare_z != 1:
         raise PolyParseError("denominator must contain exactly one bare z factor", 0)
     return roots

@@ -2,8 +2,9 @@
 
 The coefficient field is `fractions.Fraction`: values are always stored
 reduced with a positive denominator, and every operation here is exact.
-Nothing below uses more than +, -, *, / and equality, so any exact field
-type speaking the Python number protocol could be dropped in.
+No other field type can be dropped in: `as_rat` makes every coefficient a
+Fraction, and printing and the parser's size bound read its numerator and
+denominator.
 
 Coefficients are stored lowest degree first, normalized so that a nonzero
 polynomial has a nonzero leading coefficient.  The zero polynomial is the

@@ -22,7 +22,9 @@ drawn from a seeded generator over `conftest.PRIMES_30_BITS`:
   `integrate`, `pfd --den` and `vandermonde`, a 5000-digit `--num` constant
   and trailing token, and a literal above `MAX_POWER_BITS` bits;
 * `pfd` at size, 30-bit roots and integer numerators of degree q - 1:
-  `--roots` at q = 8 and 16, then `--den` at q = 8.
+  `--roots` at q = 8 and 16, then `--den` at q = 8;
+* `identities --den` at q = 5 and `limit --den --max-l 3` at q = 3, 30-bit
+  roots.
 
 `tests/test_golden.py` runs every argv in process and compares.  The
 argparse usage lines on stderr depend on the terminal width, so both sides
@@ -167,6 +169,8 @@ def argvs() -> list[list[str]]:
         roots = _roots(rng, q)
         flag = f"--den={_den(roots)}" if den else f"--roots={_csv(roots)}"
         out.append(["pfd", flag, f"--num={_num(rng, q - 1)}"])
+    out.append(["identities", f"--den={_den(_roots(rng, 5))}"])
+    out.append(["limit", f"--den={_den(_roots(rng, 3))}", "--max-l=3"])
     return out
 
 

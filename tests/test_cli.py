@@ -26,7 +26,7 @@ from poleint import (
     partial_fractions,
 )
 from poleint.cli import main
-from poleint.parser import MAX_NESTING, MAX_POWER_BITS
+from poleint.parser import MAX_DEGREE, MAX_NESTING, MAX_POWER_BITS
 from poleint.series import InvZSeries
 
 from conftest import PRIMES_30_BITS, SMALL_PRIMES, root_tuples
@@ -187,6 +187,21 @@ class TestIntegrateCommand:
         )
         assert code == 1
         assert "nonzero" in err
+
+    def test_den_factor_z_is_a_zero_root(self, capsys):
+        # (z) is no bare z: it is the factor z - 0, so its root 0 is refused
+        code, out, err = run_cli(capsys, "integrate", "--den", "z*(z)", "--terms", "3")
+        assert (code, out) == (1, "")
+        assert "roots must be nonzero" in err
+
+    @pytest.mark.parametrize(
+        "den,offset", [("z*(z^2-2)", 2), ("z*(2*z-1)", 2), ("z*3", 2), ("(z-1)*(2-z)*z", 6)]
+    )
+    def test_den_factor_not_z_minus_r_is_parse_error_at_it(self, capsys, den, offset):
+        code, out, err = run_cli(capsys, "integrate", "--den", den, "--terms", "6")
+        assert (code, out) == (2, "")
+        assert err == (f"parse error at offset {offset}: "
+                       "denominator must be factored as z*(z-r1)*(z-r2)*...\n")
 
     def test_tall_prime_denominators_match_the_library_route(self, capsys):
         # q = 12 roots over distinct 30-bit primes, so D^k is the whole
@@ -377,6 +392,31 @@ class TestVandermondeCommand:
         )
         assert code == 0
         assert "check=generalized_degree_2 lhs=7 rhs=7 pass=true" in out
+
+    @pytest.mark.parametrize(
+        "points,degree,top,height",
+        [("0,1", 1000, 1001, 1), (f"{2**300},1", 900, 901, 301)],
+        ids=["degree", "bits"],
+    )
+    def test_degree_above_the_power_bounds_is_refused_before_any_work(
+            self, capsys, monkeypatch, points, degree, top, height):
+        # --points 0,1 --degree 4000000 once took 2.6 s, linear in the degree;
+        # the second case passes MAX_DEGREE but not 901 * (301 + 1) bits
+        def refuse(*args):
+            raise AssertionError("built a matrix or an h_l table")
+
+        for name in ("vandermonde_matrix", "generalized_vandermonde", "complete_homogeneous"):
+            monkeypatch.setattr(poleint.cli, name, refuse)
+        code, out, err = run_cli(
+            capsys, "vandermonde", f"--points={points}", f"--degree={degree}")
+        assert (code, out) == (1, "")
+        assert err == (f"error: --degree needs x^{top} of {height}-bit points, above "
+                       f"degree {MAX_DEGREE} or {MAX_POWER_BITS} bits\n")
+
+    def test_degree_at_the_degree_bound_runs(self, capsys):
+        code, out, err = run_cli(capsys, "vandermonde", "--points", "0,1", "--degree", "999")
+        assert (code, err) == (0, "")
+        assert out.endswith("2/2 checks hold\n")
 
     def test_point_beyond_int_str_digit_limit(self, capsys):
         # once exited 1 with the int-to-str digit limit's message

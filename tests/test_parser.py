@@ -14,7 +14,7 @@ from poleint import (
     parse_poly,
     parse_rational,
 )
-from poleint.parser import MAX_DEGREE, MAX_POWER_BITS
+from poleint.parser import MAX_DEGREE, MAX_NESTING, MAX_POWER_BITS
 
 from conftest import polys, root_tuples
 
@@ -237,6 +237,56 @@ class TestFactoredDenominator:
     def test_rejects_other_shapes(self, text):
         with pytest.raises(PolyParseError):
             parse_factored_denominator(text)
+
+    @pytest.mark.parametrize(
+        "text,roots",
+        [
+            ("z*((z-1))", [1]),
+            ("z*(z-(1))", [1]),
+            ("z*(1*z-1)", [1]),
+            ("z*(z-3^2)", [9]),
+            ("z*(z+-1/2)", [F(1, 2)]),
+            ("z*-(2-z)", [2]),
+            ("(z-1+1/3)*z", [F(2, 3)]),
+            ("z*(z)", [0]),  # a root of 0, which RootConfig refuses
+        ],
+    )
+    def test_any_factor_that_expands_to_z_minus_r_reads_r(self, text, roots):
+        assert parse_factored_denominator(text) == roots
+
+    def test_bare_z_is_the_token_not_the_value(self):
+        # (z-0) expands to z but is a factor z - 0, so the bare z is still one
+        assert parse_factored_denominator("z*(z-0)") == [0]
+        with pytest.raises(PolyParseError, match="exactly one bare z") as exc:
+            parse_factored_denominator("(z-0)*(z)")
+        assert exc.value.position == 0
+
+    def test_parser_bounds_hold_inside_a_factor(self):
+        with pytest.raises(PolyParseError, match=f"power above {MAX_POWER_BITS} bits") as exc:
+            parse_factored_denominator("z*(z-9^99999)")
+        assert exc.value.position == 7
+        text = "z*" + "(" * (MAX_NESTING + 1) + "z-1" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(PolyParseError, match=f"deeper than {MAX_NESTING}") as exc:
+            parse_factored_denominator(text)
+        assert exc.value.position == 2 + MAX_NESTING
+
+    def test_reads_the_roots_of_every_benchmark_den(self, monkeypatch):
+        # every --den four shape cycles of cli-cold draw, seeds 1 and 2, and
+        # the roots the workload drew for it (the first argument of its check)
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        from workloads import WORKLOADS
+
+        w = WORKLOADS["cli-cold"]
+        dens = [
+            (arg.removeprefix("--den="), list(req.check.args[0]))
+            for seed in (1, 2)
+            for req in itertools.islice(w.requests(seed), 4 * w.cycle)
+            for arg in req.argv
+            if arg.startswith("--den=")
+        ]
+        assert len(dens) == 2 * 4 * 8
+        for text, roots in dens:
+            assert parse_factored_denominator(text) == roots
 
     @given(root_tuples)
     def test_round_trip_reproduces_polynomial(self, roots):
