@@ -12,8 +12,8 @@ The expansion route of `integrate` runs the same integer kernel.  Each e_i(c)
 carries a factor G^(i-1), with D | G for pairwise coprime denominators; the
 kernel divides it out, checked, and multiplies it back in by Horner in G.
 
-Determinants use fraction-free Bareiss elimination (Bareiss 1968) at every
-size.
+Determinants use fraction-free Bareiss elimination (Bareiss 1968) on
+integers, each row scaled once.
 """
 
 from __future__ import annotations
@@ -117,13 +117,13 @@ def vandermonde_matrix(
 
 
 def vandermonde_product(points: Sequence[Rat | int | str]) -> Fraction:
-    """prod_{i<j} (x_j - x_i); zero iff two points coincide, 1 for n <= 1."""
+    """prod_{i<j} (x_j - x_i); zero iff two points coincide, 1 for n <= 1.  With
+    x_i = n_i / d_i it is prod_{i<j} (n_j d_i - n_i d_j) / prod(d_i)^(n-1)."""
     pts = [as_rat(p) for p in points]
-    out = Fraction(1)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            out *= pts[j] - pts[i]
-    return out
+    diffs = (b.numerator * a.denominator - a.numerator * b.denominator
+             for i, a in enumerate(pts) for b in pts[i + 1:])
+    scale = math.prod(p.denominator ** (len(pts) - 1) for p in pts)
+    return Fraction(math.prod(diffs), scale)
 
 
 def generalized_vandermonde(points: Sequence[Rat | int | str], degree: int) -> Fraction:
@@ -135,31 +135,28 @@ def generalized_vandermonde(points: Sequence[Rat | int | str], degree: int) -> F
 
 
 def determinant(matrix: Sequence[Sequence[Rat | int | str]]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Every division below is exact by the Sylvester identity, which keeps
-    intermediate entries from exploding the way plain elimination can.
-    """
-    m = [[as_rat(x) for x in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact determinant by fraction-free (Bareiss) elimination on integers,
+    each row scaled once by the lcm of its own denominators.  Every division
+    below is exact by the Sylvester identity, which keeps intermediate entries
+    from exploding the way plain elimination can; the last pivot is the
+    determinant of the scaled rows."""
+    rows = [[as_rat(x) for x in row] for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    m = [[x.numerator * (s // x.denominator) for x in row]
+         for row, s in zip(rows, scales)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
                 return Fraction(0)
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return Fraction(sign * prev, math.prod(scales))

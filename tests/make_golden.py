@@ -24,7 +24,9 @@ drawn from a seeded generator over `conftest.PRIMES_30_BITS`:
 * `pfd` at size, 30-bit roots and integer numerators of degree q - 1:
   `--roots` at q = 8 and 16, then `--den` at q = 8;
 * `identities --den` at q = 5 and `limit --den --max-l 3` at q = 3, 30-bit
-  roots.
+  roots;
+* `vandermonde` at size: 8 seeded 30-bit points with `--degree=3`, and the
+  points 1, 2, ..., 24.
 
 `tests/test_golden.py` runs every argv in process and compares.  The
 argparse usage lines on stderr depend on the terminal width, so both sides
@@ -171,6 +173,8 @@ def argvs() -> list[list[str]]:
         out.append(["pfd", flag, f"--num={_num(rng, q - 1)}"])
     out.append(["identities", f"--den={_den(_roots(rng, 5))}"])
     out.append(["limit", f"--den={_den(_roots(rng, 3))}", "--max-l=3"])
+    out.append(["vandermonde", f"--points={_csv(_roots(rng, 8))}", "--degree=3"])
+    out.append(["vandermonde", f"--points={_csv(range(1, 25))}"])
     return out
 
 

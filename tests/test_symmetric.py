@@ -1,3 +1,5 @@
+import fractions
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -127,6 +129,44 @@ class TestDeterminant:
     @settings(max_examples=60)
     def test_cofactor_and_bareiss_agree(self, m):
         assert determinant_cofactor(m) == determinant(m)
+
+    def test_zero_pivot_swap_in_rational_rows(self):
+        assert determinant([[0, F(1, 2)], [F(1, 3), 5]]) == F(-1, 6)
+
+    def test_hilbert_12_matches_closed_form(self):
+        # det H_n = c_n^4 / c_2n, with c_n = prod_{i<n} i!
+        def c(n):
+            return math.prod(math.factorial(i) for i in range(n))
+
+        hilbert = [[F(1, i + j + 1) for j in range(12)] for i in range(12)]
+        assert determinant(hilbert) == F(c(12) ** 4, c(24))
+
+
+class _GcdCountingMath:
+    """The `math` module, with its `gcd` calls counted."""
+
+    def __init__(self):
+        self.gcds = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def gcd(self, *args):
+        self.gcds += 1
+        return math.gcd(*args)
+
+
+@pytest.mark.parametrize("fn", [determinant, vandermonde_product],
+                         ids=["determinant", "vandermonde_product"])
+def test_integer_elimination_calls_gcd_at_most_once(monkeypatch, fn):
+    # Fraction normalizes through `math.gcd`: arithmetic on Fractions inside
+    # the loops would call it once per operation, the integer kernels once.
+    pts = [F(2 * k + 1, 3 * k + 2) for k in range(8)]
+    arg = vandermonde_matrix(pts, 2) if fn is determinant else pts
+    counting = _GcdCountingMath()
+    monkeypatch.setattr(fractions, "math", counting)
+    fn(arg)
+    assert counting.gcds <= 1
 
 
 class TestVandermonde:
