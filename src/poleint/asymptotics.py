@@ -78,7 +78,7 @@ def scaling_limit_table(
     if max_l is not None and max_l < 0:
         raise ValueError("max_l must be nonnegative")
     q = cfg.q
-    largest = max(abs(t * a) for t in t_scales for a in cfg.roots)
+    largest = max(t_scales) * max(map(abs, cfg.roots))  # max |t a|, as every t > 0
     bound = float(largest) if largest <= sys.float_info.max else math.inf
     if not math.isfinite(radius):
         raise ValueError("radius must be finite")
@@ -105,7 +105,7 @@ def scaling_limit_table(
 
     rows = []
     for t in t_scales:
-        d, w, sums = residue_sums(cfg.scaled(t).roots, truncation + 1)
+        d, w, sums = residue_sums(tuple(t * a for a in cfg.roots), truncation + 1)
         moments = residue_moments(w, sums)[q:]
         if moments[0] != 1:
             raise ExactCheckError("leading coefficient drifted from -1/q")

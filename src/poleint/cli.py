@@ -299,16 +299,16 @@ _SUBCOMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _match_argv(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _match_argv(argv)
     if args is None:
         parser = build_parser()
         try:
+            # argparse reads a --flag=-- value as [] or as "--" by version: refuse it
+            for flag, _, value in (arg.partition("=") for arg in argv):
+                if value == "--" and flag.startswith("--"):
+                    parser.error(f"argument {flag}: expected a value")
             args = parser.parse_args(argv)
-            # argparse reads an option value of exactly "--" as an empty list
-            for name, value in vars(args).items():
-                if value == []:
-                    parser.error(f"argument --{name.replace('_', '-')}: "
-                                 "expected a value")
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

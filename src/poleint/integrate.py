@@ -28,12 +28,12 @@ series of the partial fractions, whose coefficients are b_n = -m_n/n.
 Both routes compute the integer moments m_n(c) of 1/Q_c, c = D * a (D the lcm
 of the root denominators), each its own way and with its own D; `residue_sums`
 reads the poles alone and gives D, W and S_n = W * m_n(c) from n = q on, and
-W * m_n(a) / P below q, vanishing exactly when m_n(c) does.
-`cross_checked` runs both kernels once and compares them exactly; only on a
-mismatch does it divide its sums by W, through `residue_moments`, the one
-checked S_n / W, which the partial-fraction route and `moment` read too.
-The identity check reads its lhs off the residue sums, its rhs off the
-expansion kernel.
+W * m_n(a) / P below q, vanishing exactly when m_n(c) does.  `cross_checked`
+runs both kernels once and compares them exactly; only on a mismatch does it
+divide its sums by W, through `residue_moments`, the one checked S_n / W,
+which the partial-fraction route, `moment` and `asymptotics.scaling_limit_table`
+read too.  The identity check reads its lhs off the residue sums, its rhs off
+the expansion kernel.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class RootConfig(Value):
     @property
     def q(self) -> int:
         return len(self.roots)
-
-    def scaled(self, t: Rat | int | str) -> RootConfig:
-        tr = as_rat(t)
-        return RootConfig(tuple(tr * r for r in self.roots))
 
 
 class PartialFractions(Value):
@@ -180,9 +176,8 @@ def _kernels(cfg: RootConfig, count: int) -> tuple:
 
 
 def cross_checked(cfg: RootConfig, truncation: int) -> tuple:
-    """D, the `reduced_coefficients` b_1..b_N and paths_agree, which holds iff
-    S_n = W * m_n for every n; a mismatch self-checks those sums (raises)."""
-    _check_truncation(cfg, truncation)
+    """For N > q, as the caller checks: D, the `reduced_coefficients` b_1..b_N and
+    paths_agree, iff S_n = W * m_n for all n; a mismatch self-checks S_n (raises)."""
     d, moments, w, sums = _kernels(cfg, truncation + 1)
     agree = not sums[0] and sums == [w * m for m in moments]
     if not agree:

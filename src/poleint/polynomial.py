@@ -213,19 +213,13 @@ class Poly(Value):
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coefficients[-1] if self.coefficients else Fraction(0)
-
     def coefficient(self, n: int) -> Fraction:
         """Coefficient of z^n (zero outside the stored range)."""
         if 0 <= n < len(self.coefficients):
             return self.coefficients[n]
         return Fraction(0)
 
-    def __add__(self, other: Poly | Rat | int) -> Poly:
-        if not isinstance(other, Poly):
-            other = Poly.constant(other)
+    def __add__(self, other: Poly) -> Poly:
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
             a, b = b, a
@@ -234,22 +228,16 @@ class Poly(Value):
             out[i] += c
         return Poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> Poly:
         return Poly(tuple(-c for c in self.coefficients))
 
-    def __sub__(self, other: Poly | Rat | int) -> Poly:
-        if not isinstance(other, Poly):
-            other = Poly.constant(other)
+    def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly | Rat | int | str) -> Poly:
         if not isinstance(other, Poly):
             c = as_rat(other)
             return Poly(tuple(c * a for a in self.coefficients))
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
         out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
             if a == 0:
@@ -257,8 +245,6 @@ class Poly(Value):
             for j, b in enumerate(other.coefficients):
                 out[i + j] += a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
         if not isinstance(n, int) or n < 0:

@@ -85,7 +85,7 @@ class InvZSeries(Value):
             raise ValueError("denominator must be nonzero")
         if numerator.degree >= denominator.degree:
             raise ValueError("numerator degree must be below denominator degree")
-        lead = denominator.leading_coefficient
+        lead = denominator.coefficients[-1]
         if lead != 1:
             numerator = numerator * (1 / lead)
             denominator = denominator * (1 / lead)

@@ -26,7 +26,11 @@ drawn from a seeded generator over `conftest.PRIMES_30_BITS`:
 * `identities --den` at q = 5 and `limit --den --max-l 3` at q = 3, 30-bit
   roots;
 * `vandermonde` at size: 8 seeded 30-bit points with `--degree=3`, and the
-  points 1, 2, ..., 24.
+  points 1, 2, ..., 24;
+* the paths no argv above reaches: each `--num` parse error, the three
+  `--den` shape errors, a non-integer `--terms`, an unknown `--format`,
+  `vandermonde` at `--degree 0`, past its `--degree` bound and on a repeated
+  point (Bareiss swaps rows), the zero numerator, and `--terms=--` alone.
 
 `tests/test_golden.py` runs every argv in process and compares.  The
 argparse usage lines on stderr depend on the terminal width, so both sides
@@ -59,13 +63,13 @@ COLUMNS = "80"
 if __name__ == "__main__":
     sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from conftest import PRIMES_30_BITS  # noqa: E402
-
 from poleint.cli import main  # noqa: E402
 
 
 def _roots(rng: random.Random, q: int) -> list[Fraction]:
     """q distinct +-n/p, n below 2^30 and p one of the 30-bit primes."""
+    from conftest import PRIMES_30_BITS  # which imports hypothesis; replays skip it
+
     roots: dict[Fraction, None] = {}
     while len(roots) < q:
         root = Fraction(rng.randrange(-(2**30), 2**30), rng.choice(PRIMES_30_BITS))
@@ -135,6 +139,22 @@ ERROR_EXITS = [
     ["limit", "--roots=1", "--scales=--"],
 ]
 
+# Paths no argv above reaches, appended after every seeded draw so that the
+# entries before them keep their place.
+LATE_CASES = [
+    *(["pfd", "--roots", "1", "--num", num] for num in (
+        "y", "z$", "z^1001", "z^600*z^600", "9^99999", "9^50000*9^50000",
+        "(" * 101 + "z" + ")" * 101, "(z", "z^z", "z*)", "1/0")),
+    *(["pfd", "--den", den] for den in ("z*(z^2-2)", "z(z-1)", "(z-1)*(z-2)")),
+    ["integrate", "--roots", "1,2", "--terms", "abc"],
+    ["integrate", "--roots", "1,2", "--terms", "6", "--format", "xml"],
+    ["vandermonde", "--points", "1,2,3", "--degree", "0"],
+    ["vandermonde", "--points", "1,2", "--degree", "1000"],
+    ["vandermonde", "--points", "1,1,2"],
+    ["pfd", "--roots", "1,2", "--num", "0"],
+    ["integrate", "--terms=--"],
+]
+
 SUBCOMMANDS = ("integrate", "pfd", "identities", "vandermonde", "limit")
 HELP_REQUESTS = [["--help"]] + [[command, "--help"] for command in SUBCOMMANDS]
 
@@ -175,6 +195,7 @@ def argvs() -> list[list[str]]:
     out.append(["limit", f"--den={_den(_roots(rng, 3))}", "--max-l=3"])
     out.append(["vandermonde", f"--points={_csv(_roots(rng, 8))}", "--degree=3"])
     out.append(["vandermonde", f"--points={_csv(range(1, 25))}"])
+    out += LATE_CASES
     return out
 
 

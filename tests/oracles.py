@@ -150,7 +150,7 @@ def poly_divmod(p: Poly, d: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     quot = [Fraction(0)] * max(p.degree - d.degree + 1, 0)
     rem = list(p.coefficients)
-    lead = d.leading_coefficient
+    lead = d.coefficients[-1]
     while len(rem) - 1 >= d.degree and any(rem):
         while rem and rem[-1] == 0:
             rem.pop()
@@ -171,7 +171,7 @@ def poly_mod(p: Poly, d: Poly) -> Poly:
 def monic(p: Poly) -> Poly:
     if p.is_zero:
         raise ValueError("the zero polynomial has no monic form")
-    return p * (1 / p.leading_coefficient)
+    return p * (1 / p.coefficients[-1])
 
 
 def gcd(p: Poly, q: Poly) -> Poly:

@@ -7,9 +7,12 @@ that does not mean to change an output leaves golden.json alone.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import poleint
 from make_golden import COLUMNS, GOLDEN, HERE, RULE, argvs, outcome
@@ -37,14 +40,75 @@ _UNDER_LIMIT_CHILD = (
 )
 
 
-def test_every_golden_argv_reproduces_under_the_strictest_digit_limit():
+def _child_env(**extra: str) -> dict:
+    """The environment of a child that imports make_golden and poleint."""
     path = os.pathsep.join([str(HERE), str(Path(poleint.__file__).parents[1])])
+    return {**os.environ, "COLUMNS": COLUMNS, "PYTHONPATH": path, **extra}
+
+
+def test_every_golden_argv_reproduces_under_the_strictest_digit_limit():
     proc = subprocess.run(
         [sys.executable, "-c", _UNDER_LIMIT_CHILD],
         capture_output=True,
         text=True,
-        env={**os.environ, "COLUMNS": COLUMNS, "PYTHONINTMAXSTRDIGITS": "640",
-             "PYTHONPATH": path},
+        env=_child_env(PYTHONINTMAXSTRDIGITS="640"),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "640 []\n"
+
+
+# Another interpreter replays the corpus in a child that imports neither pytest
+# nor hypothesis.  Exit code and stdout must match on every argv; stderr only
+# where the CLI words the message itself, as argparse's own wording changes
+# between versions (3.13.13 no longer quotes the choices of "invalid choice").
+_REPLAY_CHILD = (
+    "import json, sys\n"
+    "from make_golden import GOLDEN, outcome\n"
+    "assert not {'hypothesis', 'pytest'} & sys.modules.keys()\n"
+    "cases = json.loads(GOLDEN.read_text())['cases']\n"
+    "print(json.dumps([outcome(case['argv']) for case in cases]))\n"
+)
+_PROBE = ("import os, sys\n"
+          "print(sys.implementation.name == 'cpython' and sys.version_info >= (3, 10),"
+          " os.path.realpath(sys.executable))\n")
+
+
+def _other_interpreters() -> list[str]:
+    """Each CPython >= 3.10 that starts from PATH, other than this one."""
+    seen = {os.path.realpath(sys.executable)}
+    found = []
+    for name in ["python3", *(f"python3.{minor}" for minor in range(10, 16))]:
+        path = shutil.which(name)
+        if path is None:
+            continue
+        proc = subprocess.run([path, "-c", _PROBE], capture_output=True, text=True)
+        eligible, _, real = proc.stdout.strip().partition(" ")
+        if proc.returncode == 0 and eligible == "True" and real not in seen:
+            seen.add(real)
+            found.append(path)
+    return found
+
+
+def _pinned(case: dict, golden: dict) -> tuple:
+    """What a replay must reproduce of a golden case: argv, exit code and
+    stdout, and stderr where the CLI, not argparse, words the message."""
+    stderr = golden["stderr"]
+    worded = stderr.startswith(("error:", "parse error")) or stderr.endswith(
+        "expected a value\n")
+    stdout = case["stdout_bytes"], case["stdout_sha256"]
+    return case["argv"], case["exit"], stdout, case["stderr"] if worded else None
+
+
+def test_every_other_interpreter_on_path_reproduces_the_corpus():
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 starts from PATH")
+    cases = json.loads(GOLDEN.read_text())["cases"]
+    for python in interpreters:
+        proc = subprocess.run([python, "-c", _REPLAY_CHILD], capture_output=True,
+                              text=True, env=_child_env())
+        assert (python, proc.returncode, proc.stderr) == (python, 0, "")
+        replayed = json.loads(proc.stdout)
+        changed = [case["argv"][:3] for case, got in zip(cases, replayed)
+                   if _pinned(got, case) != _pinned(case, case)]
+        assert (python, len(replayed), changed) == (python, len(cases), [])

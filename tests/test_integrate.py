@@ -40,10 +40,6 @@ class TestRootConfig:
         assert cfg.q == 2
         assert Poly.from_roots([0, *cfg.roots]) == Poly((0, 2, -3, 1))
 
-    def test_scaled(self):
-        cfg = RootConfig((1, 2)).scaled(F(1, 2))
-        assert cfg.roots == (F(1, 2), 1)
-
     @given(root_configs)
     def test_polynomial_is_squarefree(self, cfg):
         assert is_squarefree(Poly.from_roots([0, *cfg.roots]))
@@ -216,7 +212,7 @@ class TestClosedForm:
     @given(root_configs, nonzero_rationals, st.integers(0, 5))
     @settings(max_examples=50)
     def test_scaling_covariance(self, cfg, t, l):
-        scaled = cfg.scaled(t)
+        scaled = RootConfig(tuple(t * r for r in cfg.roots))
         assert closed_form_coefficient(scaled, l) == t**l * closed_form_coefficient(
             cfg, l
         )

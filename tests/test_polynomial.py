@@ -68,7 +68,6 @@ class TestArithmeticFixtures:
 
     def test_scalar_mul(self):
         assert P(1, 2) * 3 == P(3, 6)
-        assert F(1, 2) * P(2, 4) == P(1, 2)
 
     def test_pow(self):
         assert P(1, 1) ** 2 == P(1, 2, 1)
@@ -195,7 +194,7 @@ class TestRingProperties:
         g = gcd(p, q)
         assert poly_mod(p, g).is_zero
         assert poly_mod(q, g).is_zero
-        assert g.leading_coefficient == 1
+        assert g.coefficients[-1] == 1
 
 
 # Integers of at most 2*S bits print by divmod on the powers of ten
