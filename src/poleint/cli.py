@@ -1,13 +1,9 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto library entry points.  Only `vandermonde`
-adds math of its own: the product prod * h_l, and its --degree size check.
-
-    integrate    both antiderivative routes plus their cross-check (JSON)
-    pfd          partial fraction decomposition of numerator/Q (JSON)
-    identities   the moment identity table m_k vs 0 / 1 / h_l (text)
-    vandermonde  determinant vs product, generalized factorization (text)
-    limit        shrinking-root far-field table (CSV)
+Subcommands map one-to-one onto library entry points: `_SUBCOMMANDS` declares
+each once, its handler, help line and flags, and `poleint --help` lists them.
+Only `vandermonde` adds math of its own: the product prod * h_l, and its
+--degree size check.
 
 Exact values are printed as reduced "p/q" strings (denominator omitted when
 it is 1); the only floating-point outputs are the sup errors of `limit`,
@@ -18,12 +14,10 @@ numerator printed by `polynomial.format_quotient`.  Its document is one
 f-string, byte for byte what `json.dumps(doc, indent=2)` would print: every
 field is an int, a bool or a string of digits, "-" and "/".
 
-`_SUBCOMMANDS` declares each subcommand once: its handler and its flags.
-`main` hands argv first to `_match_argv`, which reads the canonical form
-(exact flags, each at most once, plain values) into the namespace argparse
-would give.  Any other argv goes to a parser `build_parser` makes from the
-same table for that call, so argparse loads only for help and errors.  No
-success path imports argparse or `json`: `pfd` prints one f-string too.
+`_read_argv` reads argv over that table into a namespace, or into the help
+or first usage error that `main` prints: the CLI words both itself, so they
+depend on neither the interpreter's version nor the terminal's width.  No
+subcommand imports `json`: `integrate` and `pfd` each print one f-string.
 `entry` owns the process: it flushes stdout and stderr and ends at `os._exit`
 with `main`'s code, so no `atexit` handler or finalizer runs after it.  Tools
 that wrap the module, such as cProfile or coverage, call `main`.
@@ -92,63 +86,72 @@ def _root_config(args: SimpleNamespace) -> RootConfig:
     return RootConfig(tuple(parse_factored_denominator(args.den)))
 
 
-def build_parser():
-    """A fresh argparse parser of the flag table."""
-    import argparse  # only help and errors need it: _match_argv reads the rest
-
-    parser = argparse.ArgumentParser(prog="poleint", description=(
-        "Exact series-at-infinity integration of 1/(z(z-a_1)...(z-a_q)) "
-        "and the identities behind it"))
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, text, rooted, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        if rooted:
-            group = p.add_mutually_exclusive_group(required=True)
-            for flag, keywords in _ROOT_GROUP.items():
-                group.add_argument(flag, **keywords)
-        for flag, keywords in flags.items():
-            p.add_argument(flag, **keywords)
-    return parser
+def _usage(command: str | None) -> str:
+    """The usage line of a command, or of the program if command is None."""
+    if command is None:
+        return "poleint {" + ",".join(_SUBCOMMANDS) + "} ..."
+    _, _, rooted, flags = _SUBCOMMANDS[command]
+    words = ["poleint", command] + ["(--roots ROOTS | --den DEN)"] * rooted
+    for flag, keywords in flags.items():
+        word = f"{flag} {flag[2:].upper().replace('-', '_')}"
+        words.append(word if keywords.get("required") else f"[{word}]")
+    return " ".join(words)
 
 
-def _match_argv(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse reads from a canonical argv, or None.
+def _help(command: str | None) -> tuple[int, str]:
+    """Exit 0 and the help text of a command, or of the program."""
+    head, rows = _DESCRIPTION, {c: entry[1] for c, entry in _SUBCOMMANDS.items()}
+    if command is not None:
+        _, head, rooted, flags = _SUBCOMMANDS[command]
+        rows = {flag: kw["help"] + f" (default {kw.get('default')})" * ("default" in kw)
+                for flag, kw in ({**_ROOT_GROUP, **flags} if rooted else flags).items()}
+    width = max(map(len, rows))
+    lines = [f"  {name:{width}}  {text}" for name, text in rows.items()]
+    return EXIT_OK, "\n".join([f"usage: {_usage(command)}", "", head, "", *lines])
 
-    Canonical: the subcommand, then each of its flags at most once, spelled
-    exactly, as --flag=value or as --flag value with a value not starting
-    with "-".  No value is "--", each converts by its type and is one of its
-    choices, and the required flags and one of --roots and --den are given.
-    This never prints and picks no exit code.
-    """
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return None
-    _, _, rooted, flags = _SUBCOMMANDS[argv[0]]
+
+def _refusal(command: str | None, message: str) -> tuple[int, str]:
+    return EXIT_USAGE, f"usage: {_usage(command)}\nerror: {message}"
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | tuple[int, str]:
+    """The namespace of argv, or the exit code and text of its help or of its
+    first usage error.  Each flag is --flag=value or --flag value, where the
+    word after a flag is its value even if it starts with "-", and no value
+    is "--".  A unique prefix names a flag, a repeated flag's last value wins,
+    and -h or --help where a flag may stand, before any error, asks for help."""
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    _, _, rooted, flags = _SUBCOMMANDS.get(command, (None, "", False, {}))
     spec = {**_ROOT_GROUP, **flags} if rooted else flags
-    given, rest = {}, iter(argv[1:])
-    for arg in rest:
-        flag, eq, value = arg.partition("=")
-        value = value if eq else next(rest, "-")
-        if flag not in spec or flag in given or value == "--" or (
-                not eq and value.startswith("-")):
-            return None
-        given[flag] = value
-    if rooted and ("--roots" in given) == ("--den" in given):
-        return None
-    args = SimpleNamespace(command=argv[0])
-    for flag, keywords in spec.items():
-        if flag not in given:
-            if keywords.get("required"):
-                return None
-            value = keywords.get("default")
-        else:
-            try:
-                value = keywords.get("type", str)(given[flag])
-            except ValueError:
-                return None
-            if "choices" in keywords and value not in keywords["choices"]:
-                return None
-        setattr(args, flag[2:].replace("-", "_"), value)
-    return args
+    given = {flag: keywords.get("default") for flag, keywords in spec.items()}
+    words = iter(argv[1:] if command else argv)
+    for word in words:
+        name, eq, value = word.partition("=")
+        found = [f for f in ("--help", *spec) if f.startswith(name) and len(name) > 2]
+        if name == "-h" or found == ["--help"]:
+            return _help(command)
+        if len(found) != 1:
+            return _refusal(command, f"argument {name}: could be {' or '.join(found)}"
+                            if found else f"unrecognized argument {word}")
+        flag, keywords = found[0], spec[found[0]]
+        value = value if eq else next(words, "--")
+        if value == "--":
+            return _refusal(command, f"argument {flag}: expected a value")
+        try:
+            given[flag] = keywords.get("type", str)(value)
+            if given[flag] not in keywords.get("choices", [given[flag]]):
+                raise ValueError
+        except ValueError:
+            return _refusal(command, f"argument {flag}: invalid value {value!r}")
+    if command is None:
+        return _refusal(None, "expected a command: " + ", ".join(_SUBCOMMANDS))
+    if rooted and (given["--roots"] is None) == (given["--den"] is None):
+        return _refusal(command, "exactly one of --roots and --den is required")
+    missing = [f for f in spec if spec[f].get("required") and given[f] is None]
+    if missing:
+        return _refusal(command, f"argument {missing[0]} is required")
+    return SimpleNamespace(command=command,
+                           **{f[2:].replace("-", "_"): v for f, v in given.items()})
 
 
 def _terms_below_minimum(cfg: RootConfig, terms: int) -> bool:
@@ -263,54 +266,51 @@ def _cmd_limit(args: SimpleNamespace) -> int:
 
 
 # Each subcommand once: its handler, help, whether it takes the required group
-# --roots | --den, and its other flags, each with its add_argument keywords
-# (type str and default None unless given); its dest is as argparse derives it.
+# --roots | --den, and its other flags, each with the keywords `_read_argv`
+# reads: type (str unless given), required, default (None unless given),
+# choices and help.  A flag's value is the attribute named after it, --max-k
+# as max_k.  No flag is a prefix of another, so a prefix names at most one.
+_DESCRIPTION = ("Exact series-at-infinity integration of 1/(z(z-a_1)...(z-a_q)) and\n"
+                "the identities behind it.  poleint COMMAND --help lists its flags.")
 _ROOT_GROUP = {
     "--roots": dict(help="comma-separated nonzero roots, e.g. 1,2,-3/4"),
     "--den": dict(help="denominator in explicit factored form, e.g. 'z*(z-1)*(z-2)'"),
 }
 _SUBCOMMANDS = {
     "integrate": (_cmd_integrate,
-                  "antiderivative of 1/Q by two routes, with cross-check", True, {
+                  "both antiderivative routes and their cross-check (JSON)", True, {
         "--terms": dict(type=int, required=True,
                         help="series truncation N (need N >= q+1)"),
-        "--format": dict(choices=["json"], default="json"),
+        "--format": dict(choices=["json"], default="json", help="output format: json"),
     }),
-    "pfd": (_cmd_pfd, "partial fraction decomposition of P/Q", True, {
-        "--num": dict(default="1", help="numerator expression (default 1)"),
+    "pfd": (_cmd_pfd, "partial fraction decomposition of P/Q (JSON)", True, {
+        "--num": dict(default="1", help="numerator expression"),
     }),
-    "identities": (_cmd_identities, "moment identity table", True, {
+    "identities": (_cmd_identities, "moment identity table (text)", True, {
         "--max-k": dict(type=int, help="largest moment index to check (default q+10)"),
     }),
     "vandermonde": (_cmd_vandermonde,
-                    "determinant vs product, generalized factorization", False, {
+                    "determinant vs product, generalized factorization (text)", False, {
         "--points": dict(required=True, help="comma-separated points"),
         "--degree": dict(type=int,
                          help="also check the generalized determinant of this degree"),
     }),
     "limit": (_cmd_limit, "shrinking-root far-field table (CSV)", True, {
-        "--scales": dict(default="1,1/2,1/4,1/8"),
-        "--radius": dict(type=float, default=10.0),
-        "--samples": dict(type=int, default=64),
-        "--terms": dict(type=int, default=24),
+        "--scales": dict(default="1,1/2,1/4,1/8", help="comma-separated scales t"),
+        "--radius": dict(type=float, default=10.0, help="radius of the sampled circle"),
+        "--samples": dict(type=int, default=64, help="points sampled on it"),
+        "--terms": dict(type=int, default=24, help="series truncation N"),
         "--max-l": dict(type=int, help="largest l to tabulate (default N-q)"),
     }),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _match_argv(argv)
-    if args is None:
-        parser = build_parser()
-        try:
-            # argparse reads a --flag=-- value as [] or as "--" by version: refuse it
-            for flag, _, value in (arg.partition("=") for arg in argv):
-                if value == "--" and flag.startswith("--"):
-                    parser.error(f"argument {flag}: expected a value")
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, tuple):  # help (exit 0, on stdout) or a usage error
+        code, text = args
+        print(text, file=sys.stderr if code else sys.stdout)
+        return code
     try:
         return _SUBCOMMANDS[args.command][0](args)
     except PolyParseError as exc:

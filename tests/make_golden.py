@@ -32,11 +32,11 @@ drawn from a seeded generator over `conftest.PRIMES_30_BITS`:
   `vandermonde` at `--degree 0`, past its `--degree` bound and on a repeated
   point (Bareiss swaps rows), the zero numerator, and `--terms=--` alone.
 
-`tests/test_golden.py` runs every argv in process and compares.  The
-argparse usage lines on stderr depend on the terminal width, so both sides
-run with COLUMNS=80.  The sup errors that `limit` prints are taken at points
-from the platform's `math.cos` and `math.sin`, so another libm may move
-their last digits.
+`tests/test_golden.py` runs every argv in process and compares.  The CLI
+words its help and usage errors itself, so no output depends on the
+interpreter's version or the terminal's width.  The sup errors that `limit`
+prints are taken at points from the platform's `math.cos` and `math.sin`,
+so another libm may move their last digits.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ RULE = (
     "tests/make_golden.py and lists each changed argv in CHANGES.md; a change "
     "that does not mean to leaves it alone."
 )
-COLUMNS = "80"
 
 if __name__ == "__main__":
     sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
@@ -215,7 +214,6 @@ def outcome(argv: list[str]) -> dict:
 
 
 if __name__ == "__main__":
-    os.environ["COLUMNS"] = COLUMNS
     cases = [outcome(argv) for argv in argvs()]
     lines = ",\n".join(json.dumps(case) for case in cases)  # one argv a line
     GOLDEN.write_text(f'{{"rule": {json.dumps(RULE)},\n "cases": [\n{lines}\n]}}\n')

@@ -7,7 +7,10 @@ tests can compare the two.
 
 from __future__ import annotations
 
+import argparse
 import cmath
+import contextlib
+import io
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -22,6 +25,7 @@ from poleint import (
     RootConfig,
     partial_fractions,
 )
+from poleint.cli import _ROOT_GROUP, _SUBCOMMANDS
 from poleint.polynomial import as_rat
 
 DIRECT_ENUMERATION_BUDGET = 10**6
@@ -280,3 +284,41 @@ def log_potential(cfg: RootConfig, z: complex) -> complex:
     double precision on the principal branch; z must avoid the poles."""
     terms = partial_fractions(Poly.one(), cfg).terms
     return sum(float(c) * cmath.log(z - p) for p, c in terms)
+
+
+# -- the command line's reading of argv -------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh argparse parser of the CLI's flag table, `cli._SUBCOMMANDS`.
+
+    It reads argv as `cli._read_argv` means to, by a separate route: the
+    table's keywords are argparse's `add_argument` keywords.
+    """
+    parser = argparse.ArgumentParser(prog="poleint")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text, rooted, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if rooted:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, keywords in _ROOT_GROUP.items():
+                group.add_argument(flag, **keywords)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
+    return parser
+
+
+def argparse_reading(argv: list[str]) -> argparse.Namespace | str:
+    """argparse's namespace of argv, or "help" or "refused".
+
+    A `--flag=--` is refused before argparse sees it: argparse reads that
+    value as an empty list or as "--", depending on its version.
+    """
+    if any(word.startswith("--") and word.partition("=")[2] == "--" for word in argv):
+        return "refused"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return "help" if exc.code == 0 else "refused"

@@ -31,6 +31,7 @@ from poleint.series import InvZSeries
 
 from conftest import PRIMES_30_BITS, SMALL_PRIMES, root_tuples
 from make_golden import GOLDEN
+from oracles import argparse_reading
 
 HUGE = "1" + "0" * 400  # beyond the double range
 TINY = "1" + "0" * 77  # roots near 1e-77 put radius**4 below the normal range
@@ -624,7 +625,8 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert run_cli(capsys, "integrate", "--roots", "1,2")[0] == 2
 
-    # argparse reads an option value of exactly "--" as an empty list
+    # a value of exactly "--", in either form, which argparse reads as an
+    # empty list or as "--" by version
     @pytest.mark.parametrize(
         "argv,flag",
         [
@@ -635,6 +637,7 @@ class TestUsageErrors:
             (("identities", "--roots=1", "--max-k=--"), "--max-k"),
             (("integrate", "--den=--", "--terms", "3"), "--den"),
             (("pfd", "--roots=1", "--num=--"), "--num"),
+            (("pfd", "--roots", "--"), "--roots"),
             (("limit", "--roots=1", "--radius=--"), "--radius"),
         ],
     )
@@ -666,54 +669,137 @@ def _typed(args) -> dict:
     return {name: (type(value), repr(value)) for name, value in vars(args).items()}
 
 
-def _matched(argv):
-    """The matcher's namespace for argv, checked against argparse's."""
-    args = poleint.cli._match_argv(argv)
-    if args is not None:
-        try:
-            expected = poleint.cli.build_parser().parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"the matcher takes {argv}, which argparse refuses")
-        assert _typed(args) == _typed(expected)
-    return args
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each flag's separate value joined to it, --flag=value.
+
+    This is the reader's rule that the word after a flag is its value, even
+    when it starts with "-", where argparse takes such a word for a flag.
+    """
+    if not argv or argv[0] not in poleint.cli._SUBCOMMANDS:
+        return argv
+    joined, words = argv[:1], iter(argv[1:])
+    for word in words:
+        flag = word.startswith("-") and "=" not in word and word not in ("-h", "--help")
+        value = next(words, None) if flag else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
 
 
-# The matcher reads each golden argv it takes as argparse does.  It takes
-# none that argparse helps or refuses, and every golden success.
-def test_matcher_reads_each_golden_argv_as_argparse_does():
+def _read_as_argparse_reads(argv):
+    """The reader's reading of argv, checked against argparse's.
+
+    Where argparse takes argv, the reader gives the same namespace; where
+    argparse helps, the reader helps, and where it refuses, the reader
+    refuses too.  The one exception is a separate value that starts with
+    "-", which argparse refuses and the reader takes: there the reader reads
+    argv as argparse reads it with that value joined to its flag.
+    """
+    expected = argparse_reading(argv)
+    if expected == "refused" and argparse_reading(_joined(argv)) != "refused":
+        assert any(flag.startswith("-") and "=" not in flag and value.startswith("-")
+                   for flag, value in zip(argv[1:], argv[2:])), argv
+        expected = argparse_reading(_joined(argv))
+    got = poleint.cli._read_argv(argv)
+    if expected in ("help", "refused"):
+        code = poleint.cli.EXIT_OK if expected == "help" else poleint.cli.EXIT_USAGE
+        assert isinstance(got, tuple) and got[0] == code, (argv, got)
+    else:
+        assert not isinstance(got, tuple), (argv, got)
+        assert _typed(got) == _typed(expected), argv
+    return got
+
+
+def test_reader_reads_each_golden_argv_as_argparse_does():
     for case in json.loads(GOLDEN.read_text())["cases"]:
-        taken = _matched(case["argv"]) is not None
-        if "--help" in case["argv"] or case["stderr"].startswith("usage:"):
-            assert not taken, case["argv"]
-        elif case["exit"] == 0:
-            assert taken, case["argv"]
+        _read_as_argparse_reads(case["argv"])
 
 
 @pytest.mark.parametrize(
-    "argv,taken",
+    "argv",
     [
-        (["limit", "--roots", "1,2", "--rad", "5"], False),
-        (["pfd", "--root=1"], False),
-        (["integrate", "--roots", "1,2", "--terms", "5", "--terms", "6"], False),
-        (["integrate", "--roots", "1", "--terms", "-2"], False),
-        (["pfd", "--roots", "-1,2"], False),
-        (["pfd", "--roots=--"], False),
-        (["pfd", "--roots="], True),
-        (["pfd", "--roots", "1, 2", "--num=z + 1"], True),
-        (["-h"], False),
-        (["integrate", "--help"], False),
-        (["integrate", "--roots", "1", "--terms", "4", "--format", "xml"], False),
-        (["integrate", "--roots", "1", "--den", "z*(z-1)", "--terms", "4"], False),
-        (["integrate", "--terms", "4"], False),
-        (["frobnicate", "--roots", "1"], False),
-        ([], False),
-        (["pfd", "--roots", "1,2", "extra"], False),
-        (["limit", "--roots=1", "--radius", "nan", "--max-l=2"], True),
-        (["integrate", "--roots", "1", "--terms", "4", "--format=json"], True),
+        ["limit", "--roots", "1,2", "--rad", "5"],
+        ["pfd", "--root=1"],
+        ["integrate", "--roots", "1,2", "--terms", "5", "--terms", "6"],
+        ["integrate", "--roots", "1", "--terms", "-2"],
+        ["pfd", "--roots", "-1,2"],
+        ["pfd", "--roots=--"],
+        ["pfd", "--roots="],
+        ["pfd", "--roots", "1, 2", "--num=z + 1"],
+        ["-h"],
+        ["integrate", "--help"],
+        ["integrate", "--roots", "1", "--terms", "4", "--format", "xml"],
+        ["integrate", "--roots", "1", "--den", "z*(z-1)", "--terms", "4"],
+        ["integrate", "--terms", "4"],
+        ["frobnicate", "--roots", "1"],
+        [],
+        ["pfd", "--roots", "1,2", "extra"],
+        ["limit", "--roots=1", "--radius", "nan", "--max-l=2"],
+        ["integrate", "--roots", "1", "--terms", "4", "--format=json"],
+        ["integrate", "--ro=1,2", "--terms", "4"],
+        ["limit", "--r=1"],
+        ["pfd", "--roots", "1", "--roots", "2", "--num", "z"],
+        ["pfd", "--num", "--roots=1"],
+        ["pfd", "--roots", "1", "--num"],
+        ["pfd", "--roots", "1", "-x"],
     ],
 )
-def test_matcher_takes_only_the_canonical_form(argv, taken):
-    assert (_matched(argv) is not None) == taken
+def test_reader_reads_argv_as_argparse_does(argv):
+    _read_as_argparse_reads(argv)
+
+
+# The word after a flag is its value: argparse refuses these, and the reader
+# takes them, as argparse takes --flag=value.
+@pytest.mark.parametrize("argv, name, value", [
+    (["pfd", "--roots", "-1,2"], "roots", "-1,2"),
+    (["pfd", "--roots=1", "--num", "-z"], "num", "-z"),
+    (["pfd", "--roots", "--den"], "roots", "--den"),
+    (["pfd", "--roots=1", "--num", "-h"], "num", "-h"),
+])
+def test_the_word_after_a_flag_is_its_value(argv, name, value):
+    assert argparse_reading(argv) == "refused"
+    assert getattr(_read_as_argparse_reads(argv), name) == value
+
+
+# The reader takes a flag's full name as one of its prefixes, which names it
+# alone only while no flag of the command is a prefix of another.
+def test_no_flag_is_a_prefix_of_another():
+    for _, _, rooted, flags in poleint.cli._SUBCOMMANDS.values():
+        names = ["--help", *(poleint.cli._ROOT_GROUP if rooted else ()), *flags]
+        assert [(a, b) for a in names for b in names if a != b and b.startswith(a)] == []
+
+
+_HELP_WORDS = [["--help"], ["-h"], ["--he"]]
+_FLAGS_BEFORE_HELP = {
+    "integrate": ["--roots", "1,2", "--terms=6"],
+    "pfd": ["--den=z*(z-1)", "--num", "z"],
+    "identities": ["--roots=1"],
+    "vandermonde": ["--points", "1,2", "--degree=2"],
+    "limit": ["--roots", "1,2", "--scales", "1,1/2", "--max-l=3"],
+}
+
+
+# Help is the CLI's own fixed text: the same bytes at any terminal width,
+# naming every command, or every flag of its command, on stdout.
+@pytest.mark.parametrize("command", [None, *poleint.cli._SUBCOMMANDS])
+def test_help_names_every_flag_at_any_terminal_width(command, monkeypatch):
+    before = [] if command is None else [command]
+    after = [] if command is None else _FLAGS_BEFORE_HELP[command]
+    argvs = [before + word for word in _HELP_WORDS] + [before + after + ["-h"]]
+    outcomes = set()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        outcomes.update(run_main(argv) for argv in argvs)
+    assert len(outcomes) == 1, outcomes
+    (code, out, err), = outcomes
+    assert (code, err) == (0, "")
+    if command is None:
+        names = poleint.cli._SUBCOMMANDS
+    else:
+        _, _, rooted, flags = poleint.cli._SUBCOMMANDS[command]
+        names = [*(poleint.cli._ROOT_GROUP if rooted else ()), *flags]
+    assert out.startswith(f"usage: poleint {command or '{'}")
+    for name in names:
+        assert f"  {name} " in out, name
 
 
 # A child interpreter imports the same poleint as this suite, installed or not.
@@ -734,7 +820,7 @@ def test_module_entry_point_subprocess():
 # Every outcome of a request must be the same whatever ran before it in the
 # process, and the same as in a fresh `python -m poleint`, which runs through
 # entry to its os._exit.  The last two requests end in a domain error (1) and
-# a --terms usage error (2).  COLUMNS fixes the width help is wrapped to.
+# a --terms usage error (2).
 _MAIN_ORDER = [
     ["integrate", "--roots", "1,2", "--terms", "6"],
     ["integrate", "--roots", "1,2"],
@@ -748,9 +834,7 @@ _MAIN_ORDER = [
 ]
 
 
-def test_main_gives_each_request_the_same_outcome_in_any_order(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-
+def test_main_gives_each_request_the_same_outcome_in_any_order():
     def outcome(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -766,7 +850,7 @@ def test_main_gives_each_request_the_same_outcome_in_any_order(monkeypatch):
             [sys.executable, "-m", "poleint", *argv],
             capture_output=True,
             text=True,
-            env={**SUBPROCESS_ENV, "COLUMNS": "80"},
+            env=SUBPROCESS_ENV,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
@@ -789,9 +873,9 @@ def test_entry_exits_with_mains_code():
 
 
 # Every `python -m poleint` run pays for the modules its import loads: the
-# first three once took longer to import than the checks the CLI runs, json
-# is loaded by no subcommand, and argparse only for help and errors.  -S
-# keeps site-packages, which may load typing first, out of the child.
+# first three once took longer to import than the checks the CLI runs, and
+# json and argparse are loaded by no request.  -S keeps site-packages, which
+# may load typing first, out of the child.
 def test_cli_import_loads_no_argparse_dataclasses_inspect_typing_or_json():
     code = (
         "import sys; before = set(sys.modules); import poleint.cli; "
@@ -808,58 +892,9 @@ def test_cli_import_loads_no_argparse_dataclasses_inspect_typing_or_json():
     assert proc.stdout == "[]\n"
 
 
-# A well-formed request of each subcommand, run by `entry` as the `poleint`
-# command runs it, takes the matcher and loads neither argparse nor json; a
-# request missing a flag, in a fresh process, still gets argparse's usage
-# error.  The child's os._exit is sys.exit, which raises SystemExit, so that
-# one process runs all five requests.
-_WELL_FORMED = [
-    ["integrate", "--roots", "1,2", "--terms", "6"],
-    ["pfd", "--den=z*(z-1)*(z+1/2)", "--num", "3/4*z^2+1"],
-    ["identities", "--roots=1,2", "--max-k", "6"],
-    ["vandermonde", "--points", "0,1,2", "--degree=2"],
-    ["limit", "--roots", "1,2", "--radius=32", "--samples", "8", "--terms", "8"],
-]
-_ENTRY_CHILD = (
-    "import contextlib, io, os, sys\n"
-    "from poleint import cli\n"
-    "os._exit = sys.exit\n"
-    "codes = []\n"
-    "for argv in {argvs!r}:\n"
-    "    sys.argv[1:] = argv\n"
-    "    with contextlib.redirect_stdout(io.StringIO()):\n"
-    "        try:\n"
-    "            cli.entry()\n"
-    "        except SystemExit as exc:\n"
-    "            codes.append(exc.code)\n"
-    "print(codes, sorted({{'argparse', 'json'}} & set(sys.modules)))\n"
-)
-
-
-def test_well_formed_requests_load_no_argparse_or_json():
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", _ENTRY_CHILD.format(argvs=_WELL_FORMED)],
-        capture_output=True,
-        text=True,
-        env=SUBPROCESS_ENV,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[0, 0, 0, 0, 0] []\n"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-m", "poleint", "integrate", "--roots", "1,2"],
-        capture_output=True,
-        text=True,
-        env={**SUBPROCESS_ENV, "COLUMNS": "80"},
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("usage: poleint integrate [-h]")
-    assert proc.stderr.endswith(
-        "poleint integrate: error: the following arguments are required: --terms\n")
-
-
 # entry ends the process at os._exit once its output is flushed: an atexit
 # handler never runs, and the exit code, stdout and stderr are main's, for a
-# document larger than the pipe buffer and for argparse's usage error alike.
+# document larger than the pipe buffer and for a usage error alike.
 _ATEXIT_CHILD = (
     "import atexit, sys\n"
     "from poleint import cli\n"
@@ -875,8 +910,7 @@ _ATEXIT_CHILD = (
     (["integrate", "--roots", "1,2"], 2, 0),
 ], ids=["integrate-q16", "usage-error"])
 def test_entry_exits_with_mains_output_and_runs_no_atexit_handler(
-        argv, want_code, min_stdout, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+        argv, want_code, min_stdout):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
@@ -885,34 +919,42 @@ def test_entry_exits_with_mains_output_and_runs_no_atexit_handler(
         [sys.executable, "-c", _ATEXIT_CHILD, *argv],
         capture_output=True,
         text=True,
-        env={**SUBPROCESS_ENV, "COLUMNS": "80"},
+        env=SUBPROCESS_ENV,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         code, out.getvalue(), err.getvalue())
     assert "atexit handler ran" not in proc.stderr
 
 
-# Importing the CLI builds nothing that a request may not need: main builds
-# a parser only for an argv the matcher does not take, and the printer its
-# powers of five and of two on first use.
-def test_cli_import_builds_no_parser_and_no_decimal_power():
-    code = (
-        "import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
-        "def counted(self, *args, **kwargs):\n"
-        "    built.append(1); init(self, *args, **kwargs)\n"
-        "argparse.ArgumentParser.__init__ = counted\n"
-        "import poleint.cli, poleint.polynomial as p\n"
-        "print(len(built), p._power_of_five.cache_info().currsize,"
-        " p._power_of_two.cache_info().currsize)"
-    )
+# Importing the CLI builds no Decimal power: the printer builds its powers of
+# five and of two on first use.  Then every golden argv, help and usage
+# errors included, runs through `main` in the same process, and none loads
+# argparse or json.  The argvs come on stdin, as the child reads no json.
+_CORPUS_CHILD = (
+    "import sys\n"
+    "from poleint import cli, polynomial as p\n"
+    "print(p._power_of_five.cache_info().currsize,"
+    " p._power_of_two.cache_info().currsize)\n"
+    "import contextlib, io\n"
+    "codes, out = [], io.StringIO()\n"
+    "for argv in eval(sys.stdin.read()):\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+    "        codes.append(cli.main(argv))\n"
+    "print(codes, sorted({'argparse', 'json'} & set(sys.modules)))\n"
+)
+
+
+def test_no_golden_argv_loads_argparse_or_json_or_builds_a_power_at_import():
+    cases = json.loads(GOLDEN.read_text())["cases"]
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", _CORPUS_CHILD],
+        input=repr([case["argv"] for case in cases]),
         capture_output=True,
         text=True,
         env=SUBPROCESS_ENV,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 0 0\n"
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"0 0\n{[case['exit'] for case in cases]} []\n"
 
 
 # The printer calls str(int) on leaves of at most about 600 digits, under the
@@ -987,8 +1029,8 @@ def test_closed_stdout_exits_1_without_traceback(num):
 # plus two non-ASCII digits.  Each is either a well-formed string (a list of
 # numbers, a monomial, a factored denominator), so that the fuzz reaches the
 # computation behind the parser, or a free one.  Flag values are passed as
-# --flag=value, so that a text starting with '-' reaches the program instead
-# of argparse's option matcher.
+# --flag=value, the one spelling in which argparse, the reader's oracle, reads
+# every text as a value, one starting with '-' included.
 _FUZZ_FREE = st.text(alphabet="0123456789/+-*^() z,\u00b2\u0661", max_size=10)
 _FUZZ_POSITIVE = st.builds(
     "{}{}".format, st.integers(1, 9), st.sampled_from(["", "/2", "/3", "/7"])
@@ -1002,8 +1044,8 @@ _FUZZ_DEN = st.lists(_FUZZ_NUMBER, min_size=1, max_size=2).map(
 )
 
 
-# argparse reads a value of exactly "--" as an empty list, so every flag can
-# also draw it.
+# A value of exactly "--" is a usage error, which argparse's versions read
+# differently, so every flag can also draw it.
 _DOUBLE_DASH = st.just("--")
 
 
@@ -1048,14 +1090,67 @@ def _cli_argv(draw):
     return argv
 
 
+def _fuzzed_main(argv):
+    """main's exit code on argv, which the reader reads as argparse does; a
+    usage error exits 2 with nothing on stdout and its text on stderr."""
+    reading = _read_as_argparse_reads(argv)
+    code, out, err = run_main(argv)
+    if isinstance(reading, tuple):
+        assert (code, out, err) == (poleint.cli.EXIT_USAGE, "", reading[1] + "\n")
+    assert code in {0, 1, 2, 3}
+
+
 # Derandomized and without an example database, so every run of the suite
 # tries the same 300 argument lists.
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_cli_argv())
 def test_fuzz_main_exits_with_a_documented_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-        io.StringIO()
-    ):
-        _matched(argv)
-        code = main(argv)
-    assert code in {0, 1, 2, 3}
+    _fuzzed_main(argv)
+
+
+# The other spellings of a request: flags in any order, repeated, missing or
+# unknown, cut to a unique or an ambiguous prefix, and each value joined as
+# --flag=value, separate, or missing.  Values are drawn by the flag's type,
+# mostly well-formed and small, so that a request the reader takes runs in a
+# moment, or are one of the odd words.  No word asks for help: the reader
+# takes -h where a flag may stand before any usage error, while argparse
+# defers an unknown flag's error past it.
+_ODD_VALUES = ["--", "", "--roots"]
+_SPELLED_VALUES = {
+    kind: st.sampled_from(values + _ODD_VALUES) for kind, values in [
+        (int, ["7", "3", "-1", "abc"] * 2),
+        (float, ["10", "-5", "nan", "x"] * 2),
+        (str, ["1,2", "-1,2", "1/2,1/3", "z*(z-1)", "json", "xml", "1, 2"] * 2),
+    ]
+}
+_UNKNOWN_WORDS = ["--bogus", "-x", "extra"]
+
+
+@st.composite
+def _spelled_argv(draw):
+    command = draw(st.sampled_from(sorted(poleint.cli._SUBCOMMANDS)))
+    _, _, rooted, flags = poleint.cli._SUBCOMMANDS[command]
+    spec = {**(poleint.cli._ROOT_GROUP if rooted else {}), **flags}
+    names = [name for name in spec if name != "--den"]  # --roots or --den below
+    if rooted and draw(st.booleans()):
+        names[0] = "--den"
+    names += draw(st.lists(st.sampled_from([*spec, *_UNKNOWN_WORDS]), max_size=2))
+    names = draw(st.permutations(names))
+    names = names[: len(names) - draw(st.sampled_from([0, 0, 1]))]  # at times one missing
+    argv = [command]
+    for name in names:
+        if name in _UNKNOWN_WORDS[1:]:
+            argv.append(name)
+            continue
+        spelled = draw(st.sampled_from([name, name[:3], name[:4]]))
+        kind = spec[name].get("type", str) if name in spec else str
+        value = draw(_SPELLED_VALUES[kind])
+        joined, separate, missing = [f"{spelled}={value}"], [spelled, value], [spelled]
+        argv += draw(st.sampled_from([joined, separate] * 3 + [missing]))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_spelled_argv())
+def test_fuzz_every_spelling_reads_as_argparse_reads(argv):
+    _fuzzed_main(argv)
