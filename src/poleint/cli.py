@@ -2,8 +2,8 @@
 
 Subcommands map one-to-one onto library entry points: `_SUBCOMMANDS` declares
 each once, its handler, help line and flags, and `poleint --help` lists them.
-Only `vandermonde` adds math of its own: the product prod * h_l, and its
---degree size check.
+Only `vandermonde` adds math of its own: its --degree size check, x^(n-1+l)
+bordering the Vandermonde rows so one elimination gives both, and prod * h_l.
 
 Exact values are printed as reduced "p/q" strings (denominator omitted when
 it is 1); the only floating-point outputs are the sup errors of `limit`,
@@ -52,14 +52,8 @@ from .parser import (
     parse_rational,
 )
 from .polynomial import EXACT, format_quotient
-from .symmetric import (
-    ExactCheckError,
-    complete_homogeneous,
-    determinant,
-    generalized_vandermonde,
-    vandermonde_matrix,
-    vandermonde_product,
-)
+from .symmetric import (ExactCheckError, bordered_determinants, complete_homogeneous,
+                        vandermonde_matrix, vandermonde_product)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -240,13 +234,17 @@ def _cmd_vandermonde(args: SimpleNamespace) -> int:
         if top > MAX_DEGREE or top * (height + 1) > MAX_POWER_BITS:
             raise ValueError(f"--degree needs x^{top} of {height}-bit points, above "
                              f"degree {MAX_DEGREE} or {MAX_POWER_BITS} bits")
-    det = determinant(vandermonde_matrix(points))
+        if args.degree < 1:
+            raise ValueError("degree must be a positive integer")
+    rows = vandermonde_matrix(points)
+    if args.degree is not None:
+        rows = [row + [x**top] for row, x in zip(rows, points)]
+    det, *generalized = bordered_determinants(rows)
     prod = vandermonde_product(points)
     checks = [("check=determinant_vs_product", det, prod)]
     if args.degree is not None:
-        lhs = generalized_vandermonde(points, args.degree)
         rhs = prod * complete_homogeneous(points, args.degree)
-        checks.append((f"check=generalized_degree_{args.degree}", lhs, rhs))
+        checks.append((f"check=generalized_degree_{args.degree}", generalized[0], rhs))
     return _print_checks(checks, "checks")
 
 

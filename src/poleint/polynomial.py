@@ -27,7 +27,7 @@ def as_rat(value: Rat | int | str) -> Fraction:
     """Coerce to an exact rational; floats are refused to keep arithmetic exact."""
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction, int, or string")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 # Integer products in Decimal, exact at any size: a rounding would raise.

@@ -12,8 +12,10 @@ The expansion route of `integrate` runs the same integer kernel.  Each e_i(c)
 carries a factor G^(i-1), with D | G for pairwise coprime denominators; the
 kernel divides it out, checked, and multiplies it back in by Horner in G.
 
-Determinants use fraction-free Bareiss elimination (Bareiss 1968) on
-integers, each row scaled once.
+Determinants: one fraction-free (Bareiss 1968) elimination on integers of the
+columns A of [A | b_1 ... b_k] leaves every det [A | b_j] (Sylvester's identity).
+Each entry on the way is a minor, bounded by Hadamard's inequality, and
+MAX_ELIMINATION_BITS caps n * width times that bound before any work.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .polynomial import Rat, Value, as_rat
 
 __all__ = ["ExactCheckError", "SymmetricTable", "complete_homogeneous", "determinant",
            "generalized_vandermonde", "vandermonde_matrix", "vandermonde_product"]
+
+MAX_ELIMINATION_BITS = 2**26  # 8 MiB: points 1..68 are eliminated, 1..69 refused
 
 
 class ExactCheckError(ArithmeticError):
@@ -111,9 +115,8 @@ def vandermonde_matrix(
     """Rows (1, x_i, ..., x_i^(n-2), x_i^(n-1+degree)): the Vandermonde matrix
     for degree 0, and for degree l the generalized one, whose determinant
     factors as the Vandermonde product times h_l."""
-    pts = [as_rat(p) for p in points]
-    n = len(pts)
-    return [[p**j for j in range(n - 1)] + [p ** (n - 1 + degree)] for p in pts]
+    powers = [*range(len(points) - 1), len(points) - 1 + degree]
+    return [[p**j for j in powers] for p in map(as_rat, points)]
 
 
 def vandermonde_product(points: Sequence[Rat | int | str]) -> Fraction:
@@ -135,28 +138,38 @@ def generalized_vandermonde(points: Sequence[Rat | int | str], degree: int) -> F
 
 
 def determinant(matrix: Sequence[Sequence[Rat | int | str]]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination on integers,
-    each row scaled once by the lcm of its own denominators.  Every division
-    below is exact by the Sylvester identity, which keeps intermediate entries
-    from exploding the way plain elimination can; the last pivot is the
-    determinant of the scaled rows."""
-    rows = [[as_rat(x) for x in row] for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    """Exact determinant: the one-border case of `bordered_determinants`, whose
+    last entry is the determinant by Sylvester's identity."""
+    if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix must be square")
+    return bordered_determinants(matrix)[0] if matrix else Fraction(1)
+
+
+def bordered_determinants(matrix: Sequence[Sequence[Rat | int | str]]) -> list[Fraction]:
+    """det [A | b] for each border b past the first n - 1 columns A of n >= 1
+    rows of one width: one Bareiss elimination of A, each row scaled once.  A
+    row swap, or a column of A with no pivot left, acts on each border alike."""
+    rows = [[as_rat(x) for x in row] for row in matrix]
+    n, width = len(rows), len(rows[0])
     scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    m = [[x.numerator * (s // x.denominator) for x in row]
-         for row, s in zip(rows, scales)]
-    sign, prev = 1, 1
-    for k in range(n):
+    m = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)]
+    # each entry below is a minor, at most the product of its rows' (or columns') norms
+    bits = min(sum(max(map(abs, v)).bit_length() + (len(v).bit_length() + 1) // 2
+                   for v in vs) for vs in (m, [*zip(*m)]))
+    if n * width * bits > MAX_ELIMINATION_BITS:
+        raise ValueError(f"{n} x {width} entries of up to {bits} bits (Hadamard's bound) "
+                         f"could hold {n * width * bits} bits, above "
+                         f"MAX_ELIMINATION_BITS = {MAX_ELIMINATION_BITS}")
+    sign, prev, scale = 1, 1, math.prod(scales)
+    for k in range(n - 1):
         if not m[k][k]:
             i = next((i for i in range(k + 1, n) if m[i][k]), None)
             if i is None:
-                return Fraction(0)
+                return [Fraction(0)] * (width - n + 1)
             m[k], m[i] = m[i], m[k]
             sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return Fraction(sign * prev, math.prod(scales))
+    return [Fraction(sign * x, scale) for x in m[-1][n - 1:]]

@@ -30,7 +30,11 @@ drawn from a seeded generator over `conftest.PRIMES_30_BITS`:
 * the paths no argv above reaches: each `--num` parse error, the three
   `--den` shape errors, a non-integer `--terms`, an unknown `--format`,
   `vandermonde` at `--degree 0`, past its `--degree` bound and on a repeated
-  point (Bareiss swaps rows), the zero numerator, and `--terms=--` alone.
+  point (Bareiss swaps rows), the zero numerator, and `--terms=--` alone;
+* appended after them: `vandermonde` on the points 1, 2, ..., 100, refused
+  because its elimination could hold more than `MAX_ELIMINATION_BITS`, and
+  `vandermonde --points 1,1,2 --degree 2`, where the shared columns 1, x
+  have a singular leading block, so one row swap serves both borders.
 
 `tests/test_golden.py` runs every argv in process and compares.  The CLI
 words its help and usage errors itself, so no output depends on the
@@ -152,6 +156,8 @@ LATE_CASES = [
     ["vandermonde", "--points", "1,1,2"],
     ["pfd", "--roots", "1,2", "--num", "0"],
     ["integrate", "--terms=--"],
+    ["vandermonde", f"--points={_csv(range(1, 101))}"],
+    ["vandermonde", "--points", "1,1,2", "--degree", "2"],
 ]
 
 SUBCOMMANDS = ("integrate", "pfd", "identities", "vandermonde", "limit")

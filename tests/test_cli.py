@@ -406,7 +406,7 @@ class TestVandermondeCommand:
         def refuse(*args):
             raise AssertionError("built a matrix or an h_l table")
 
-        for name in ("vandermonde_matrix", "generalized_vandermonde", "complete_homogeneous"):
+        for name in ("vandermonde_matrix", "bordered_determinants", "complete_homogeneous"):
             monkeypatch.setattr(poleint.cli, name, refuse)
         code, out, err = run_cli(
             capsys, "vandermonde", f"--points={points}", f"--degree={degree}")

@@ -309,6 +309,25 @@ def test_vandermonde_degree_prints_what_the_table_printed(monkeypatch):
     assert {code for code, _, _ in new} == {0}
 
 
+@pytest.mark.parametrize("argv", [
+    ["vandermonde", "--points", "1,2/3,-5/7,0"],
+    ["vandermonde", "--points", "1,2/3,-5/7,0", "--degree", "3"],
+    ["vandermonde", "--points", "1,1,2", "--degree", "2"],
+], ids=["plain", "degree", "repeated-point"])
+def test_one_vandermonde_request_runs_one_elimination(monkeypatch, argv):
+    # `determinant` and `generalized_vandermonde` reach the kernel through the
+    # module too, so every elimination, by whichever name, is counted here
+    original, widths = poleint.symmetric.bordered_determinants, []
+
+    def counted(matrix):
+        widths.append(len(matrix[0]))
+        return original(matrix)
+
+    _replace_everywhere(monkeypatch, original, counted)
+    assert _run(argv)[::2] == (0, "")
+    assert widths == [len(argv[2].split(",")) + ("--degree" in argv)]
+
+
 # -- route independence -------------------------------------------------------
 
 ARGV = ["integrate", "--roots", "1,2/3,-5/7", "--terms", "9"]  # q = 3

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from poleint import (
@@ -14,6 +14,7 @@ from poleint import (
     vandermonde_matrix,
     vandermonde_product,
 )
+from poleint.symmetric import bordered_determinants
 
 from conftest import rationals
 from oracles import (
@@ -23,11 +24,20 @@ from oracles import (
 )
 
 distinct_points = st.lists(rationals, min_size=1, max_size=6, unique=True)
-small_matrices = st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.lists(
-        st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
+# n = 1..6 rows of n - 1 shared entries and 1..3 border entries
+bordered_matrices = st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(
+    lambda nk: st.lists(
+        st.lists(rationals, min_size=sum(nk) - 1, max_size=sum(nk) - 1),
+        min_size=nk[0], max_size=nk[0],
     )
 )
+
+
+def borders(matrix):
+    """The square matrices [A | b], one for each border column b of the matrix."""
+    n = len(matrix)
+    return [[row[: n - 1] + [row[j]] for row in matrix]
+            for j in range(n - 1, len(matrix[0]))]
 
 
 def elementary(values):
@@ -125,10 +135,19 @@ class TestDeterminant:
         m = [[0, 1, 2], [1, 0, 3], [4, 5, 0]]
         assert determinant(m) == determinant_cofactor(m)
 
-    @given(small_matrices)
+    @given(bordered_matrices)
     @settings(max_examples=60)
+    @example([[0, 1, 2, 3], [1, 0, 3, 4], [4, 5, 0, 1]])  # zero first pivot
+    @example([[1, 1, 1, 1], [1, 1, 1, 1], [1, 2, 4, 16]])  # repeated point 1, 1, 2
+    @example([[1, 2, 5, 6], [2, 4, 7, 8], [3, 6, 9, 1]])  # singular shared block
+    @example([[F(1, 2), F(1, 4), 0], [1, F(1, 2), F(1, 3)], [1, 1, 1]])  # later swap
+    @example([[F(-3, 7), 5, F(2, 9)]])  # n = 1: three 1 x 1 determinants
     def test_cofactor_and_bareiss_agree(self, m):
-        assert determinant_cofactor(m) == determinant(m)
+        # every border at once, each against the cofactor oracle and `determinant`
+        squares = borders(m)
+        expected = [determinant_cofactor(square) for square in squares]
+        assert bordered_determinants(m) == expected
+        assert [determinant(square) for square in squares] == expected
 
     def test_zero_pivot_swap_in_rational_rows(self):
         assert determinant([[0, F(1, 2)], [F(1, 3), 5]]) == F(-1, 6)
@@ -220,7 +239,13 @@ class TestGeneralizedVandermonde:
 
     @given(distinct_points, st.integers(1, 6))
     @settings(max_examples=60)
+    @example([1, 1, 2], 2)  # the shared columns 1, x have a singular leading block
+    @example([F(2, 3), F(2, 3), F(2, 3), 5], 1)  # 1, x, x^2: rank 2, no pivot left
     def test_factors_as_product_times_h(self, pts, l):
-        assert generalized_vandermonde(pts, l) == vandermonde_product(
-            pts
-        ) * complete_homogeneous(pts, l)
+        v, h = vandermonde_product(pts), complete_homogeneous(pts, l)
+        assert generalized_vandermonde(pts, l) == v * h
+        # one elimination, bordered by x^(n-1) and x^(n-1+l), gives V and V_l
+        n = len(pts)
+        rows = [row + [F(x) ** (n - 1 + l)]
+                for row, x in zip(vandermonde_matrix(pts), pts)]
+        assert bordered_determinants(rows) == [v, v * h]
