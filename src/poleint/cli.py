@@ -2,8 +2,7 @@
 
 Subcommands map one-to-one onto library entry points: `_SUBCOMMANDS` declares
 each once, its handler, help line and flags, and `poleint --help` lists them.
-Only `vandermonde` adds math of its own: its --degree size check, x^(n-1+l)
-bordering the Vandermonde rows so one elimination gives both, and prod * h_l.
+Only `vandermonde` adds math of its own: its --degree size check and prod * h_l.
 
 Exact values are printed as reduced "p/q" strings (denominator omitted when
 it is 1); the only floating-point outputs are the sup errors of `limit`,
@@ -236,10 +235,8 @@ def _cmd_vandermonde(args: SimpleNamespace) -> int:
                              f"degree {MAX_DEGREE} or {MAX_POWER_BITS} bits")
         if args.degree < 1:
             raise ValueError("degree must be a positive integer")
-    rows = vandermonde_matrix(points)
-    if args.degree is not None:
-        rows = [row + [x**top] for row, x in zip(rows, points)]
-    det, *generalized = bordered_determinants(rows)
+    degrees = (0,) if args.degree is None else (0, args.degree)
+    det, *generalized = bordered_determinants(vandermonde_matrix(points, *degrees))
     prod = vandermonde_product(points)
     checks = [("check=determinant_vs_product", det, prod)]
     if args.degree is not None:

@@ -12,8 +12,8 @@ The expansion route of `integrate` runs the same integer kernel.  Each e_i(c)
 carries a factor G^(i-1), with D | G for pairwise coprime denominators; the
 kernel divides it out, checked, and multiplies it back in by Horner in G.
 
-Determinants: one fraction-free (Bareiss 1968) elimination on integers of the
-columns A of [A | b_1 ... b_k] leaves every det [A | b_j] (Sylvester's identity).
+Determinants: on rows scaled by the same step, one fraction-free (Bareiss 1968)
+elimination of the columns A of [A | b_1 ... b_k] leaves every det [A | b_j].
 Each entry on the way is a minor, bounded by Hadamard's inequality, and
 MAX_ELIMINATION_BITS caps n * width times that bound before any work.
 """
@@ -39,15 +39,15 @@ class ExactCheckError(ArithmeticError):
 
 
 def scale_to_integers(values: Sequence[Rat | int | str]) -> tuple[int, tuple[int, ...]]:
-    """The scaling step: D, the lcm of the denominators, and c = D * a.  Only
-    the expansion route reads them (the residue route takes D off its pole
-    denominators); it checks that each D * a_j is an integer."""
+    """The scaling step: D, the lcm of the denominators d_j, and c = D * a as
+    c_j = n_j * (D // d_j), checked: each d_j must divide D.  The expansion route
+    and `bordered_determinants` read them; the residue route takes its own D."""
     vals = [as_rat(v) for v in values]
     d = math.lcm(*(v.denominator for v in vals))
-    c = [d * v for v in vals]
-    if any(x.denominator != 1 for x in c):
+    qr = [divmod(d, v.denominator) for v in vals]
+    if any(r for _, r in qr):
         raise ExactCheckError("D * a_j must be an integer; exact arithmetic is broken")
-    return d, tuple(x.numerator for x in c)
+    return d, tuple(v.numerator * k for v, (k, _) in zip(vals, qr))
 
 
 def _shared_factor(c: Sequence[int]) -> int:
@@ -109,13 +109,12 @@ def complete_homogeneous(values: Sequence[Rat | int | str], degree: int) -> Frac
     return Fraction(integer_expansion(c, len(c) + 1 + degree)[1][-1], d**degree)
 
 
-def vandermonde_matrix(
-    points: Sequence[Rat | int | str], degree: int = 0
-) -> list[list[Fraction]]:
-    """Rows (1, x_i, ..., x_i^(n-2), x_i^(n-1+degree)): the Vandermonde matrix
-    for degree 0, and for degree l the generalized one, whose determinant
-    factors as the Vandermonde product times h_l."""
-    powers = [*range(len(points) - 1), len(points) - 1 + degree]
+def vandermonde_matrix(points: Sequence[Rat | int | str],
+                       *degrees: int) -> list[list[Fraction]]:
+    """Rows (1, x_i, ..., x_i^(n-2)) bordered by x_i^(n-1+l) for each degree l:
+    with no degree (or l = 0) the Vandermonde matrix, for l the generalized
+    one, whose determinant factors as the Vandermonde product times h_l."""
+    powers = [*range(len(points) - 1)] + [len(points) - 1 + l for l in degrees or [0]]
     return [[p**j for j in powers] for p in map(as_rat, points)]
 
 
@@ -147,12 +146,10 @@ def determinant(matrix: Sequence[Sequence[Rat | int | str]]) -> Fraction:
 
 def bordered_determinants(matrix: Sequence[Sequence[Rat | int | str]]) -> list[Fraction]:
     """det [A | b] for each border b past the first n - 1 columns A of n >= 1
-    rows of one width: one Bareiss elimination of A, each row scaled once.  A
-    row swap, or a column of A with no pivot left, acts on each border alike."""
-    rows = [[as_rat(x) for x in row] for row in matrix]
-    n, width = len(rows), len(rows[0])
-    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    m = [[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)]
+    rows of one width: one Bareiss elimination of A, each row scaled once by
+    `scale_to_integers`.  A row swap, or no pivot left in A, acts on all alike."""
+    scales, rows = zip(*map(scale_to_integers, matrix))
+    n, width, m = len(rows), len(rows[0]), [*map(list, rows)]
     # each entry below is a minor, at most the product of its rows' (or columns') norms
     bits = min(sum(max(map(abs, v)).bit_length() + (len(v).bit_length() + 1) // 2
                    for v in vs) for vs in (m, [*zip(*m)]))

@@ -12,6 +12,7 @@ from poleint import (
     partial_fractions,
     scaling_limit_table,
 )
+from poleint.asymptotics import MAX_HORNER_STEPS
 from poleint.series import InvZSeries
 
 from conftest import root_configs
@@ -164,6 +165,27 @@ class TestScalingLimit:
             RootConfig((1,)), [F(1), F(1, 2)], radius=1e200, samples=4, truncation=6
         )
         assert [row.sup_error for row in rows] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("scales,truncation",
+                             [([F(1)], 2), ([1, F(1, 2), F(1, 4)], 24)])
+    def test_float_work_above_the_bound_is_refused_before_sampling(
+            self, monkeypatch, scales, truncation):
+        # --samples had no bound: every point was built, however many; at the
+        # bound sampling starts, one sample past it is refused before any
+        def sampled(angle):
+            raise AssertionError("sampled a point")
+
+        monkeypatch.setattr(math, "cos", sampled)
+        at_bound = MAX_HORNER_STEPS // (len(scales) * truncation)
+        cfg, kwargs = RootConfig((1,)), dict(radius=10.0, truncation=truncation)
+        with pytest.raises(AssertionError, match="sampled a point"):
+            scaling_limit_table(cfg, scales, samples=at_bound, **kwargs)
+        steps = len(scales) * (at_bound + 1) * truncation
+        with pytest.raises(ValueError) as refused:
+            scaling_limit_table(cfg, scales, samples=at_bound + 1, **kwargs)
+        assert str(refused.value) == (
+            f"{len(scales)} scales x {at_bound + 1} samples x {truncation} terms = "
+            f"{steps} Horner steps, above MAX_HORNER_STEPS = {MAX_HORNER_STEPS}")
 
     def test_sample_points_are_the_cmath_circle_bit_for_bit(self, monkeypatch):
         # radius * complex(cos a, sin a) is what cmath.exp(i a) gives, signed

@@ -566,6 +566,18 @@ class TestLimitCommand:
         sups = [float(row.split(",")[3]) for row in out.splitlines()[1::2]]
         assert math.isclose(sups[-1] / sups[-2], 1 / 1024, rel_tol=0.01)
 
+    def test_samples_above_the_float_work_bound_exit_1(self, capsys, monkeypatch):
+        # once built all 2^19 + 1 points before any check; now no point is built
+        def sampled(angle):
+            raise AssertionError("sampled a point")
+
+        monkeypatch.setattr(math, "cos", sampled)
+        code, out, err = run_cli(capsys, "limit", "--roots", "1", "--scales", "1",
+                                 "--samples", "524289", "--terms", "2")
+        assert (code, out) == (1, "")
+        assert err == ("error: 1 scales x 524289 samples x 2 terms = 1048578 Horner "
+                       "steps, above MAX_HORNER_STEPS = 1048576\n")
+
     def test_deterministic(self, capsys):
         args = ("limit", "--roots", "1,2", "--scales", "1,1/2", "--samples", "8",
                 "--terms", "6")

@@ -25,6 +25,7 @@ from poleint import (
     SymmetricTable,
     check_moment_identities,
     complete_homogeneous,
+    determinant,
     integrate_via_expansion,
     integrate_via_partial_fractions,
     moment,
@@ -263,6 +264,18 @@ def test_complete_homogeneous_is_the_table_entry(values, l):
     assert complete_homogeneous(values, l) == SymmetricTable.build(values, l).h[l]
 
 
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.one_of(_SPREAD, _WIDE_PRIME_DENOMINATORS))
+@example([])
+@example([F(0), F(-3, 4), F(-3, 4), F(5, 6)])  # zero, a negative repeat, lcm 12
+def test_scale_to_integers_is_d_times_a(values):
+    # the Fraction form: D grows by den(D * a) per value, and c_j = D * a_j
+    d = 1
+    for a in values:
+        d *= (d * a).denominator
+    assert scale_to_integers(values) == (d, tuple(d * a for a in values))
+
+
 def test_no_subcommand_builds_the_symmetric_table(monkeypatch):
     def refuse(cls, values, depth):
         raise AssertionError("SymmetricTable.build reached")
@@ -483,6 +496,9 @@ def test_a_broken_scaling_step_raises(monkeypatch):
     monkeypatch.setattr(poleint.symmetric, "math", SimpleNamespace(lcm=lambda *d: 1))
     with pytest.raises(ArithmeticError, match="D \\* a_j must be an integer"):
         scale_to_integers([1, F(2, 3), F(-5, 7)])
+    # the determinant's rows take the same step: it once returned 1, not 31/21
+    with pytest.raises(ExactCheckError, match="D \\* a_j must be an integer"):
+        determinant([[1, F(2, 3)], [F(-5, 7), 1]])
     code, out, err = _run(ARGV)
     assert code == 3 and out == ""
     assert err == "error: D * a_j must be an integer; exact arithmetic is broken\n"

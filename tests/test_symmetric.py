@@ -245,7 +245,7 @@ class TestGeneralizedVandermonde:
         v, h = vandermonde_product(pts), complete_homogeneous(pts, l)
         assert generalized_vandermonde(pts, l) == v * h
         # one elimination, bordered by x^(n-1) and x^(n-1+l), gives V and V_l
-        n = len(pts)
-        rows = [row + [F(x) ** (n - 1 + l)]
-                for row, x in zip(vandermonde_matrix(pts), pts)]
+        n, rows = len(pts), vandermonde_matrix(pts, 0, l)
+        assert rows == [row + [F(x) ** (n - 1 + l)]
+                        for row, x in zip(vandermonde_matrix(pts), pts)]
         assert bordered_determinants(rows) == [v, v * h]
