@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto library entry points: `_SUBCOMMANDS` declares
 each once, its handler, help line and flags, and `poleint --help` lists them.
-Only `vandermonde` adds math of its own: its --degree size check and prod * h_l.
+Only `vandermonde` adds math of its own, prod * h_l; every size rule is the
+library's.
 
 Exact values are printed as reduced "p/q" strings (denominator omitted when
 it is 1); the only floating-point outputs are the sup errors of `limit`,
@@ -42,8 +43,6 @@ from .integrate import (
     partial_fractions,
 )
 from .parser import (
-    MAX_DEGREE,
-    MAX_POWER_BITS,
     PolyParseError,
     format_rational,
     parse_factored_denominator,
@@ -227,21 +226,15 @@ def _cmd_identities(args: SimpleNamespace) -> int:
 
 def _cmd_vandermonde(args: SimpleNamespace) -> int:
     points = _parse_rational_list(args.points)
-    if args.degree is not None:  # the parser's bound on base^e, for x^top
-        top = len(points) - 1 + args.degree
-        height = max(max(abs(x.numerator), x.denominator).bit_length() for x in points)
-        if top > MAX_DEGREE or top * (height + 1) > MAX_POWER_BITS:
-            raise ValueError(f"--degree needs x^{top} of {height}-bit points, above "
-                             f"degree {MAX_DEGREE} or {MAX_POWER_BITS} bits")
-        if args.degree < 1:
-            raise ValueError("degree must be a positive integer")
-    degrees = (0,) if args.degree is None else (0, args.degree)
-    det, *generalized = bordered_determinants(vandermonde_matrix(points, *degrees))
+    generalized = () if args.degree is None else (args.degree,)
+    if any(l < 1 for l in generalized):
+        raise ValueError("degree must be a positive integer")
+    rhs = [complete_homogeneous(points, l) for l in generalized]  # sized before x^(n-1+l)
+    det, *lhs = bordered_determinants(vandermonde_matrix(points, 0, *generalized))
     prod = vandermonde_product(points)
     checks = [("check=determinant_vs_product", det, prod)]
-    if args.degree is not None:
-        rhs = prod * complete_homogeneous(points, args.degree)
-        checks.append((f"check=generalized_degree_{args.degree}", generalized[0], rhs))
+    checks += [(f"check=generalized_degree_{l}", x, prod * h)
+               for l, x, h in zip(generalized, lhs, rhs)]
     return _print_checks(checks, "checks")
 
 

@@ -44,7 +44,7 @@ from operator import mul
 
 from .polynomial import Poly, Rat, Value, as_rat
 from .series import InvZSeries
-from .symmetric import ExactCheckError, integer_expansion, scale_to_integers
+from .symmetric import ExactCheckError, integer_expansion
 
 __all__ = ["MomentIdentityRow", "PartialFractions", "RootConfig",
            "check_moment_identities", "integrate_via_expansion",
@@ -171,8 +171,8 @@ def series_from_moments(moments: list[int], d: int, q: int) -> InvZSeries:
 def _kernels(cfg: RootConfig, count: int) -> tuple:
     """The expansion route's D, and for n < count the expansion kernel's m_n(c)
     and the residue kernel's W and S_n, all unchecked."""
-    d, c = scale_to_integers(cfg.roots)
-    return (d, integer_expansion(c, count)[1], *residue_sums(cfg.roots, count)[1:])
+    d, _, moments = integer_expansion(cfg.roots, count)
+    return (d, moments, *residue_sums(cfg.roots, count)[1:])
 
 
 def cross_checked(cfg: RootConfig, truncation: int) -> tuple:
@@ -229,8 +229,8 @@ def integrate_via_expansion(cfg: RootConfig, truncation: int) -> InvZSeries:
     term by term.  Never evaluates anything at an individual root, so the
     symmetric dependence on the roots is structural."""
     _check_truncation(cfg, truncation)
-    d, c = scale_to_integers(cfg.roots)
-    return series_from_moments(integer_expansion(c, truncation + 1)[1], d, cfg.q)
+    d, _, moments = integer_expansion(cfg.roots, truncation + 1)
+    return series_from_moments(moments, d, cfg.q)
 
 
 def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> InvZSeries:

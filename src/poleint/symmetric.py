@@ -8,14 +8,15 @@ P(z) = z * prod_j (z - c_j) and its expansion at infinity,
 
 on the integers c = D * a (D the lcm of the denominators), where the long
 division needs no gcd; then e_i(a) = e_i(c) / D^i and h_l(a) = h_l(c) / D^l.
-The expansion route of `integrate` runs the same integer kernel.  Each e_i(c)
-carries a factor G^(i-1), with D | G for pairwise coprime denominators; the
-kernel divides it out, checked, and multiplies it back in by Horner in G.
+`integrate`'s expansion route runs the same kernel, capped by MAX_EXPANSION_BITS.
+Each e_i(c) carries a factor G^(i-1), D | G for pairwise coprime denominators;
+the kernel divides it out, checked, and puts it back by Horner in G.
 
 Determinants: on rows scaled by the same step, one fraction-free (Bareiss 1968)
 elimination of the columns A of [A | b_1 ... b_k] leaves every det [A | b_j].
 Each entry on the way is a minor, bounded by Hadamard's inequality, and
-MAX_ELIMINATION_BITS caps n * width times that bound before any work.
+MAX_ELIMINATION_BITS caps n * width times that bound before any work, as it
+caps the powers `vandermonde_matrix` would build.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = ["ExactCheckError", "SymmetricTable", "complete_homogeneous", "determi
            "generalized_vandermonde", "vandermonde_matrix", "vandermonde_product"]
 
 MAX_ELIMINATION_BITS = 2**26  # 8 MiB: points 1..68 are eliminated, 1..69 refused
+MAX_EXPANSION_BITS = 2**26  # 8 MiB: 32 30-bit roots expand to 129 moments at 33.5M
 
 
 class ExactCheckError(ArithmeticError):
@@ -40,7 +42,7 @@ class ExactCheckError(ArithmeticError):
 
 def scale_to_integers(values: Sequence[Rat | int | str]) -> tuple[int, tuple[int, ...]]:
     """The scaling step: D, the lcm of the denominators d_j, and c = D * a as
-    c_j = n_j * (D // d_j), checked: each d_j must divide D.  The expansion route
+    c_j = n_j * (D // d_j), checked: each d_j must divide D.  `integer_expansion`
     and `bordered_determinants` read them; the residue route takes its own D."""
     vals = [as_rat(v) for v in values]
     d = math.lcm(*(v.denominator for v in vals))
@@ -59,13 +61,20 @@ def _shared_factor(c: Sequence[int]) -> int:
     return math.lcm(*map(math.gcd, pre, suf)) or 1
 
 
-def integer_expansion(c: Sequence[int], count: int) -> tuple[list[int], list[int]]:
-    """The coefficients of P = z * prod_j (z - c_j), lowest degree first, and
-    m_0..m_(count-1), the z^-(n+1) coefficients of 1/P: 0 for n < q, then
-    h_(n-q)(c).  P is monic, so the long division runs as m_n = [n = q] -
-    sum_i G^(i-1) A_i m_(n-i), Horner in G, where A_i = (-1)^i e_i(c) / G^(i-1)
-    must be exact: with G = D, A_i is about as small as D * e_i(a), and every
-    product is small times big."""
+def integer_expansion(values: Sequence[Rat | int | str], count: int) -> tuple:
+    """D, then the coefficients of P = z * prod_j (z - c_j), lowest degree first,
+    and m_0..m_(count-1), the z^-(n+1) coefficients of 1/P (0 for n < q, then
+    h_(n-q)(c)), on c = D * a off `scale_to_integers`.  As P is monic, m_n =
+    [n = q] - sum_i G^(i-1) A_i m_(n-i), Horner in G, with A_i = (-1)^i e_i(c) /
+    G^(i-1) exact: for G = D, A_i is about D * e_i(a), so each product is small
+    times big.  As e_i(c) < 2^q max|c_j|^i and h_l(c) < 2^(q+l) max|c_j|^l,
+    (q^2 + count^2) * (bits(max|c_j|) + bits(D)) bounds the bits of P, the
+    moments and their D^l: above MAX_EXPANSION_BITS it raises before any product."""
+    d, c = scale_to_integers(values)
+    q, height = len(c), max(map(abs, c), default=0).bit_length() + d.bit_length()
+    if (bits := (q * q + count * count) * height) > MAX_EXPANSION_BITS:
+        raise ValueError(f"{count} moments at q = {q} could hold {bits} bits, "
+                         f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}")
     p = [0, 1]
     for x in c:
         p = [lo - x * hi for lo, hi in zip([0] + p, p + [0])]
@@ -79,8 +88,8 @@ def integer_expansion(c: Sequence[int], count: int) -> tuple[list[int], list[int
         acc = 0
         for x in reversed(list(map(mul, a, reversed(m)))):
             acc = acc * g + x
-        m.append((n == len(c)) - acc)
-    return p, m
+        m.append((n == q) - acc)
+    return d, p, m
 
 
 class SymmetricTable(Value):
@@ -92,9 +101,8 @@ class SymmetricTable(Value):
     def build(cls, values: Sequence[Rat | int | str], depth: int) -> SymmetricTable:
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        d, c = scale_to_integers(values)
-        q = len(c)
-        p, m = integer_expansion(c, q + 1 + depth)
+        q = len(values)
+        d, p, m = integer_expansion(values, q + 1 + depth)
         e = tuple(Fraction((-1) ** i * p[q + 1 - i], d**i) for i in range(q + 1))
         h = tuple(Fraction(x, d**l) for l, x in enumerate(m[q:]))
         return cls(q=q, depth=depth, e=e, h=h)
@@ -105,17 +113,24 @@ def complete_homogeneous(values: Sequence[Rat | int | str], degree: int) -> Frac
     kernel's last moment m_(q+degree)(c) = h_degree(c), over D^degree."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    d, c = scale_to_integers(values)
-    return Fraction(integer_expansion(c, len(c) + 1 + degree)[1][-1], d**degree)
+    d, _, m = integer_expansion(values, len(values) + 1 + degree)
+    return Fraction(m[-1], d**degree)
 
 
 def vandermonde_matrix(points: Sequence[Rat | int | str],
                        *degrees: int) -> list[list[Fraction]]:
     """Rows (1, x_i, ..., x_i^(n-2)) bordered by x_i^(n-1+l) for each degree l:
     with no degree (or l = 0) the Vandermonde matrix, for l the generalized
-    one, whose determinant factors as the Vandermonde product times h_l."""
-    powers = [*range(len(points) - 1)] + [len(points) - 1 + l for l in degrees or [0]]
-    return [[p**j for j in powers] for p in map(as_rat, points)]
+    one, whose determinant factors as the Vandermonde product times h_l.  n rows
+    of width powers up to x^top of H-bit points hold at most n * width * top * H
+    bits: above MAX_ELIMINATION_BITS it raises ValueError before any power."""
+    pts = [as_rat(p) for p in points]
+    powers = [*range(len(pts) - 1)] + [len(pts) - 1 + l for l in degrees or [0]]
+    h = max((abs(x) for p in pts for x in p.as_integer_ratio()), default=0).bit_length()
+    if (bits := len(pts) * len(powers) * max(powers) * h) > MAX_ELIMINATION_BITS:
+        raise ValueError(f"{len(pts)} x {len(powers)} powers could hold {bits} bits, "
+                         f"above MAX_ELIMINATION_BITS = {MAX_ELIMINATION_BITS}")
+    return [[p**j for j in powers] for p in pts]
 
 
 def vandermonde_product(points: Sequence[Rat | int | str]) -> Fraction:

@@ -29,12 +29,18 @@ drawn from a seeded generator over `conftest.PRIMES_30_BITS`:
   points 1, 2, ..., 24;
 * the paths no argv above reaches: each `--num` parse error, the three
   `--den` shape errors, a non-integer `--terms`, an unknown `--format`,
-  `vandermonde` at `--degree 0`, past its `--degree` bound and on a repeated
-  point (Bareiss swaps rows), the zero numerator, and `--terms=--` alone;
+  `vandermonde` at `--degree 0`, at `--points 1,2 --degree 1000` (refused
+  by the parser's power rule until the expansion kernel's own size rule
+  replaced it) and on a repeated point (Bareiss swaps rows), the zero
+  numerator, and `--terms=--` alone;
 * appended after them: `vandermonde` on the points 1, 2, ..., 100, refused
   because its elimination could hold more than `MAX_ELIMINATION_BITS`, and
   `vandermonde --points 1,1,2 --degree 2`, where the shared columns 1, x
-  have a singular leading block, so one row swap serves both borders.
+  have a singular leading block, so one row swap serves both borders;
+* appended after those: `integrate` of one 30-bit root at `--terms 4000`,
+  refused because its expansion could hold more than `MAX_EXPANSION_BITS`,
+  and `vandermonde` on the points 1, 2, ..., 400, refused because its powers
+  could hold more than `MAX_ELIMINATION_BITS`.
 
 `tests/test_golden.py` runs every argv in process and compares.  The CLI
 words its help and usage errors itself, so no output depends on the
@@ -158,6 +164,8 @@ LATE_CASES = [
     ["integrate", "--terms=--"],
     ["vandermonde", f"--points={_csv(range(1, 101))}"],
     ["vandermonde", "--points", "1,1,2", "--degree", "2"],
+    ["integrate", "--roots", "1/1073741789", "--terms", "4000"],
+    ["vandermonde", f"--points={_csv(range(1, 401))}"],
 ]
 
 SUBCOMMANDS = ("integrate", "pfd", "identities", "vandermonde", "limit")

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 
 import poleint
 import poleint.cli
+import poleint.symmetric
 from poleint import (
     PartialFractions,
     RootConfig,
@@ -26,8 +27,9 @@ from poleint import (
     partial_fractions,
 )
 from poleint.cli import main
-from poleint.parser import MAX_DEGREE, MAX_NESTING, MAX_POWER_BITS
+from poleint.parser import MAX_NESTING, MAX_POWER_BITS
 from poleint.series import InvZSeries
+from poleint.symmetric import MAX_ELIMINATION_BITS, MAX_EXPANSION_BITS
 
 from conftest import PRIMES_30_BITS, SMALL_PRIMES, root_tuples
 from make_golden import GOLDEN
@@ -395,27 +397,33 @@ class TestVandermondeCommand:
         assert "check=generalized_degree_2 lhs=7 rhs=7 pass=true" in out
 
     @pytest.mark.parametrize(
-        "points,degree,top,height",
-        [("0,1", 1000, 1001, 1), (f"{2**300},1", 900, 901, 301)],
+        "points,degree,count,bits",
+        [("0,1", 4000000, 4000003, 32000048000026),
+         (f"{2**300},1", 900, 903, 246254726)],
         ids=["degree", "bits"],
     )
     def test_degree_above_the_power_bounds_is_refused_before_any_work(
-            self, capsys, monkeypatch, points, degree, top, height):
+            self, capsys, monkeypatch, points, degree, count, bits):
         # --points 0,1 --degree 4000000 once took 2.6 s, linear in the degree;
-        # the second case passes MAX_DEGREE but not 901 * (301 + 1) bits
+        # the expansion kernel sizes h_l before any product or power
         def refuse(*args):
-            raise AssertionError("built a matrix or an h_l table")
+            raise AssertionError("built a matrix or an expansion")
 
-        for name in ("vandermonde_matrix", "bordered_determinants", "complete_homogeneous"):
+        for name in ("vandermonde_matrix", "bordered_determinants"):
             monkeypatch.setattr(poleint.cli, name, refuse)
+        monkeypatch.setattr(poleint.symmetric, "_shared_factor", refuse)
         code, out, err = run_cli(
             capsys, "vandermonde", f"--points={points}", f"--degree={degree}")
         assert (code, out) == (1, "")
-        assert err == (f"error: --degree needs x^{top} of {height}-bit points, above "
-                       f"degree {MAX_DEGREE} or {MAX_POWER_BITS} bits\n")
+        assert err == (f"error: {count} moments at q = 2 could hold {bits} bits, "
+                       f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}\n")
 
-    def test_degree_at_the_degree_bound_runs(self, capsys):
-        code, out, err = run_cli(capsys, "vandermonde", "--points", "0,1", "--degree", "999")
+    # 1000 takes x^1001 past the parser's MAX_DEGREE, a bound on expressions:
+    # the points' powers answer to the kernel's and the elimination's rules
+    @pytest.mark.parametrize("degree", [999, 1000])
+    def test_degree_at_the_degree_bound_runs(self, capsys, degree):
+        code, out, err = run_cli(
+            capsys, "vandermonde", "--points", "0,1", "--degree", str(degree))
         assert (code, err) == (0, "")
         assert out.endswith("2/2 checks hold\n")
 
@@ -428,6 +436,46 @@ class TestVandermondeCommand:
             f"check=determinant_vs_product lhs={det} rhs={det} pass=true\n"
             "1/1 checks hold\n"
         )
+
+
+# Each request once ran with no bound: `integrate --terms 4000` of one 30-bit
+# root printed 72 MB, and 400 points built 160000 Fraction powers before the
+# elimination's bound refused them.  Each is refused now before the first
+# product: the shared factor G, which the expansion kernel takes right after
+# its size rule, and every power raise if reached.
+_TALL_ROOT = "--roots=1/1073741789"
+
+
+@pytest.mark.parametrize("argv,count,q,bits", [
+    (["integrate", _TALL_ROOT, "--terms=4000"], 4001, 1, 496248062),
+    (["identities", _TALL_ROOT, "--max-k=4000"], 4001, 1, 496248062),
+    (["limit", "--roots=1", "--samples=1", "--scales=1", "--terms=100000"],
+     100001, 1, 20000400004),
+], ids=["integrate", "identities", "limit"])
+def test_an_oversized_expansion_is_refused_before_any_product(monkeypatch, argv, count,
+                                                              q, bits):
+    def refuse(*args):
+        raise AssertionError("expanded past the size rule")
+
+    monkeypatch.setattr(poleint.symmetric, "_shared_factor", refuse)
+    monkeypatch.setattr(Fraction, "__pow__", refuse)
+    code, out, err = run_main(argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {count} moments at q = {q} could hold {bits} bits, "
+                   f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}\n")
+
+
+def test_an_oversized_vandermonde_layout_is_refused_before_any_power(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a power or scaled a row")
+
+    monkeypatch.setattr(poleint.symmetric, "scale_to_integers", refuse)
+    monkeypatch.setattr(Fraction, "__pow__", refuse)
+    points = ",".join(map(str, range(1, 401)))
+    code, out, err = run_main(["vandermonde", f"--points={points}"])
+    assert (code, out) == (1, "")
+    assert err == ("error: 400 x 400 powers could hold 574560000 bits, above "
+                   f"MAX_ELIMINATION_BITS = {MAX_ELIMINATION_BITS}\n")
 
 
 class TestLimitCommand:

@@ -97,7 +97,8 @@ def test_kernels_match_fraction_oracles(roots, extra):
     assert d == math.lcm(*(a.denominator for a in cfg.roots))
     assert c == tuple(d * a for a in cfg.roots)
 
-    p, moments = integer_expansion(c, n + 1)
+    expansion_d, p, moments = integer_expansion(cfg.roots, n + 1)
+    assert expansion_d == d
     _assert_shared_factor_divides(c, p)
     assert moments == residue_moments(*residue_sums(cfg.roots, n + 1)[1:])
     assert moments == [0] * q + list(symmetric_recurrence(c, n - q)[1])
@@ -190,8 +191,8 @@ def _check_reduced(moments, d, q):
 @example([F(1, 2), F(-2, 3), F(4, 5), F(-6, 7)], 5)  # coprime: the fast path
 def test_reduced_coefficients_of_the_kernel_moments(roots, extra):
     cfg = RootConfig(tuple(roots))
-    d, c = scale_to_integers(cfg.roots)
-    _check_reduced(integer_expansion(c, cfg.q + extra + 2)[1], d, cfg.q)
+    d, _, moments = integer_expansion(cfg.roots, cfg.q + extra + 2)
+    _check_reduced(moments, d, cfg.q)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -239,7 +240,48 @@ def test_symmetric_table_with_zero_and_repeated_values(values, depth):
     table = SymmetricTable.build(values, depth)
     assert (table.e, table.h) == symmetric_recurrence(values, depth)
     _, c = scale_to_integers(values)
-    _assert_shared_factor_divides(c, integer_expansion(c, 0)[0])
+    _assert_shared_factor_divides(c, integer_expansion(values, 0)[1])
+
+
+# -- the expansion kernel's size rule -----------------------------------------
+
+
+def _size_spread():
+    """200 seeded shapes: q = 1..8, N = q+1..4q, and roots n/d with n and d of
+    at most b = 1..30 bits (b >= 2 once q > 2: there are two 1-bit roots)."""
+    rng = random.Random(34)
+    for _ in range(200):
+        q = rng.randint(1, 8)
+        bits = rng.randint(1 if q <= 2 else 2, 30)
+        roots = set()
+        while len(roots) < q:
+            sign = rng.choice((-1, 1))
+            roots.add(F(sign * rng.randrange(1, 2**bits), rng.randrange(1, 2**bits)))
+        yield sorted(roots), rng.randint(q + 1, 4 * q)
+
+
+def test_the_size_rule_bounds_what_integrate_prints(monkeypatch):
+    # The rule sizes what the kernel holds, P, the moments and the D^l.  It
+    # never predicts fewer bits than integrate prints (the numerators and
+    # denominators of b_0..b_N), so one bit less refuses; nor more than 160
+    # times as many, where P's q^2 term dominates (at most 123.7 on these
+    # draws, at q = 7, N = 8), and 16 times once N >= 2q (at most 9.94, at
+    # q = 8, N = 16).  The least ratio drawn is 3.78.
+    for roots, n in _size_spread():
+        argv = ["integrate", "--roots=" + ",".join(map(str, roots)), f"--terms={n}"]
+        code, out, err = _run(argv)
+        assert (code, err) == (0, "")
+        values = [F(row["value"]) for row in json.loads(out)["coefficients"]]
+        printed = sum(v.numerator.bit_length() + v.denominator.bit_length()
+                      for v in values)
+        factor = 16 if n >= 2 * len(roots) else 160
+        with monkeypatch.context() as patch:
+            patch.setattr(poleint.symmetric, "MAX_EXPANSION_BITS", printed - 1)
+            code, out, err = _run(argv)
+            assert (code, out) == (1, "")
+            assert err.endswith(f"above MAX_EXPANSION_BITS = {printed - 1}\n")
+            patch.setattr(poleint.symmetric, "MAX_EXPANSION_BITS", factor * printed)
+            assert _run(argv)[::2] == (0, "")
 
 
 # -- complete_homogeneous off the expansion kernel -----------------------------
@@ -364,10 +406,10 @@ def _run(argv):
 
 
 def _perturb_expansion(l):
-    def kernel(c, count):
-        p, m = integer_expansion(c, count)
-        m[len(c) + l] += 1
-        return p, m
+    def kernel(values, count):
+        d, p, m = integer_expansion(values, count)
+        m[len(values) + l] += 1
+        return d, p, m
 
     return integer_expansion, kernel
 

@@ -14,7 +14,7 @@ from poleint import (
     vandermonde_matrix,
     vandermonde_product,
 )
-from poleint.symmetric import bordered_determinants
+from poleint.symmetric import MAX_EXPANSION_BITS, bordered_determinants
 
 from conftest import rationals
 from oracles import (
@@ -249,3 +249,16 @@ class TestGeneralizedVandermonde:
         assert rows == [row + [F(x) ** (n - 1 + l)]
                         for row, x in zip(vandermonde_matrix(pts), pts)]
         assert bordered_determinants(rows) == [v, v * h]
+
+
+def test_library_calls_keep_the_size_rules():
+    # one 30-bit root 1/p: 31 bits, so 1471 moments run and 1472 are refused
+    root = [F(1, 1073741789)]
+    assert complete_homogeneous(root, 1469) == F(1, 1073741789**1469)
+    assert (1 + 1471**2) * 31 <= MAX_EXPANSION_BITS < (1 + 1472**2) * 31
+    for call in (complete_homogeneous, SymmetricTable.build):
+        with pytest.raises(ValueError, match="1472 moments at q = 1 could hold 67170335"):
+            call(root, 1470)
+    for call in (vandermonde_matrix, lambda pts: generalized_vandermonde(pts, 1)):
+        with pytest.raises(ValueError, match="above MAX_ELIMINATION_BITS = 67108864"):
+            call(range(1, 401))
