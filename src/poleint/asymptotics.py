@@ -13,26 +13,54 @@ a circle |z| = R shrinks as t^l*, l* the least l >= 1 with b_{q+l}(a) != 0:
 linearly, as b_{q+1} = -(sum a_j)/(q+1), unless the roots sum to zero, and
 then quadratically, as b_{q+2} = -h_2(a)/(q+2), 2h_2 = (sum a_j)^2 + sum a_j^2.
 
-Floating point lives here and in `InvZSeries.evaluate` / `evaluate_all`
-(module `series`), the double-precision Horner sums this module reads; the
-tolerances are the caller's, and the exact coefficient checks stay exact.
+Floating point lives here alone, in `evaluate_all`, the double-precision
+Horner sum, and the sup it feeds; the tolerances are the caller's, and the
+exact coefficient checks stay exact.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import tee
 
 from .integrate import (RootConfig, integrate_via_expansion, residue_moments,
                         residue_sums)
 from .polynomial import Rat, Value, as_rat
-from .series import InvZSeries
 from .symmetric import ExactCheckError
 
 __all__ = ["ScaleRow", "scaling_limit_table"]
 
-MAX_HORNER_STEPS = 2**20  # scales x samples x N: 1 x 2^19 x 2 runs in 0.8 s, 94 MB
+MAX_HORNER_STEPS = 2**20  # scales x samples x N: 1 x 2^19 x 2 runs in 1 s, 15 MB
+
+
+def evaluate_all(coefficients: Sequence[Rat],
+                 points: Iterable[complex]) -> Iterator[complex]:
+    """Yield b_0 + b_1 z^-1 + ... + b_N z^-N at each nonzero point in turn, in
+    double precision.  Horner runs in v = 2^e / z, where 2^(e-1) <= |z| < 2^e,
+    on the scaled coefficients b_n 2^(-e n), each rounded once from its exact
+    value for each distinct e among the points: once in all for points on a
+    circle whose |z| stays in one binade.  A coefficient beyond the float
+    range therefore does not overflow when its term b_n z^-n is small.
+    Scaling by powers of two is exact, so away from underflow and overflow
+    the sum is bit-identical to plain Horner in 1/z.  The exponent is capped
+    at 1023, where 2^e itself would overflow; |v| <= 1 still holds there.
+    """
+    scaled: dict[int, list[float]] = {}
+    for z in points:
+        zc = complex(z)
+        e = min(math.frexp(abs(zc))[1], 1023)
+        if e not in scaled:
+            scaled[e] = [
+                (c.numerator << max(-e * n, 0)) / (c.denominator << max(e * n, 0))
+                for n, c in reversed(list(enumerate(coefficients)))
+            ]
+        v = math.ldexp(1.0, e) / zc
+        acc = 0j
+        for c in scaled[e]:
+            acc = acc * v + c
+        yield acc
 
 
 class ScaleRow(Value):
@@ -61,15 +89,17 @@ def scaling_limit_table(
     the tail b_{q+1} z^-(q+1) + ... + b_N z^-N alone, as the series
     b_{q+1} z^-1 + ... + b_N z^-(N-q) divided by z^q, so the two terms of
     size 1/(q R^q) that cancel in g_t(z) + 1/(q z^q) never meet in floating
-    point.  `InvZSeries.evaluate_all` sums it at every sample point and
-    rounds the tail's coefficients once per row (once per binade of the
-    points' |z|), not once per point.  Comparing sup errors across rows is
-    the caller's business.
+    point.  `evaluate_all` sums it point by point and rounds the tail's
+    coefficients once per row (once per binade of the points' |z|), not once
+    per point.  The points stream: each pass regenerates them, and the sup is
+    folded as they come, so no pass keeps a value per sample.  Comparing sup
+    errors across rows is the caller's business.
 
     The radius must be finite and exceed every scaled root, its q-th power
     must not overflow a double, 1/(q z^q) and the tail on the circle must stay
     within the double range, and scales x samples x N must not exceed
-    MAX_HORNER_STEPS; anything else raises ValueError.
+    MAX_HORNER_STEPS; anything else raises ValueError, as does a scale whose
+    residue kernel on t a fails the size rule of `residue_sums`.
     """
     t_scales = [as_rat(t) for t in scales]
     if not t_scales:
@@ -98,16 +128,20 @@ def scaling_limit_table(
     if max_l is not None:
         depth = min(depth, max_l)
     base = integrate_via_expansion(cfg, truncation).coefficients[q:]
-    points = [radius * complex(math.cos(a), math.sin(a))
-              for a in (2 * math.pi * k / samples for k in range(samples))]
+
+    def circle() -> Iterator[complex]:
+        return (radius * complex(math.cos(a), math.sin(a))
+                for a in (2 * math.pi * k / samples for k in range(samples)))
+
     far_field = f"radius**q must keep the far field within the double range (q = {q})"
-    try:
-        powers = [z**q for z in points]
+    outside = False  # z**q underflowed to 0, or is so small that 1/(q z^q) overflows
+    try:  # an overflowing z**q anywhere on the circle is reported first
+        for z in circle():
+            inv = 1 / (q * zq) if (zq := z**q) else math.inf
+            outside = outside or not (math.isfinite(inv.real) and math.isfinite(inv.imag))
     except OverflowError:
         raise ValueError(f"radius**q must not overflow a double (q = {q})") from None
-    # z**q underflowed to 0, or is so small that 1/(q z^q) overflows
-    inverses = (1 / (q * zq) if zq else math.inf for zq in powers)
-    if not all(math.isfinite(w.real) and math.isfinite(w.imag) for w in inverses):
+    if outside:
         raise ValueError(far_field)
 
     rows = []
@@ -120,12 +154,15 @@ def scaling_limit_table(
         for l, (x, y) in enumerate(zip(moments, b)):
             if x * y.denominator != -(q + l) * d**l * y.numerator:
                 raise ExactCheckError(f"t^l scaling law failed at l = {l}")
-        tail = InvZSeries(truncation - q, (0, *b[1:]))
+        points, ahead = tee(circle())
+        sup = 0.0
         try:
-            errors = [abs(s / zq) for s, zq in zip(tail.evaluate_all(points), powers)]
+            for z, s in zip(points, evaluate_all((0, *b[1:]), ahead)):
+                if not math.isfinite(error := abs(s / z**q)):
+                    raise ValueError(far_field)
+                if error > sup:
+                    sup = error
         except OverflowError:
-            errors = [math.inf]
-        if not all(map(math.isfinite, errors)):
-            raise ValueError(far_field)
-        rows.append(ScaleRow(t, tuple(b[: depth + 1]), max(errors)))
+            raise ValueError(far_field) from None
+        rows.append(ScaleRow(t, tuple(b[: depth + 1]), sup))
     return tuple(rows)

@@ -44,7 +44,7 @@ from operator import mul
 
 from .polynomial import Poly, Rat, Value, as_rat
 from .series import InvZSeries
-from .symmetric import ExactCheckError, integer_expansion
+from .symmetric import ExactCheckError, check_moment_size, integer_expansion
 
 __all__ = ["MomentIdentityRow", "PartialFractions", "RootConfig",
            "check_moment_identities", "integrate_via_expansion",
@@ -118,11 +118,12 @@ def residue_sums(roots: tuple[Rat, ...], count: int) -> tuple[int, int, list[int
     (`_pole_differences`).  Below q, S_n = sum_i u_i n_i^n d_i^(q-1-n) =
     W * m_n(a) / P, which vanishes exactly when m_n(c) does; from q on, S_n =
     sum_i u_i n_i^n (P/d_i) (D/d_i)^(n-q) = W * m_n(c), each term times
-    c_i = n_i D/d_i a step."""
-    q = len(roots)
+    c_i = n_i D/d_i a step.  `check_moment_size` sizes D and c before any product."""
+    q, d = len(roots), math.lcm(*(a.denominator for a in roots))
+    c = [0, *(a.numerator * (d // a.denominator) for a in roots)]  # pole 0 first
+    check_moment_size(q, count, d, c)
     poles, p, deltas = _pole_differences(roots)
-    w, d = math.lcm(*deltas), math.lcm(*(e for _, e in poles))
-    at_q, c = ([m * (x // e) for m, e in poles] for x in (p, d))
+    w, at_q = math.lcm(*deltas), [m * (p // e) for m, e in poles]
     terms = [w // x * e ** (q - 1) for x, (_, e) in zip(deltas, poles)]
     sums = [sum(terms)]
     for n in range(1, count):
@@ -168,17 +169,11 @@ def series_from_moments(moments: list[int], d: int, q: int) -> InvZSeries:
     return InvZSeries(len(b), [Fraction(0)] + b)
 
 
-def _kernels(cfg: RootConfig, count: int) -> tuple:
-    """The expansion route's D, and for n < count the expansion kernel's m_n(c)
-    and the residue kernel's W and S_n, all unchecked."""
-    d, _, moments = integer_expansion(cfg.roots, count)
-    return (d, moments, *residue_sums(cfg.roots, count)[1:])
-
-
 def cross_checked(cfg: RootConfig, truncation: int) -> tuple:
     """For N > q, as the caller checks: D, the `reduced_coefficients` b_1..b_N and
     paths_agree, iff S_n = W * m_n for all n; a mismatch self-checks S_n (raises)."""
-    d, moments, w, sums = _kernels(cfg, truncation + 1)
+    d, _, moments = integer_expansion(cfg.roots, truncation + 1)
+    _, w, sums = residue_sums(cfg.roots, truncation + 1)
     agree = not sums[0] and sums == [w * m for m in moments]
     if not agree:
         residue_moments(w, sums)
@@ -211,7 +206,8 @@ def check_moment_identities(
     q = cfg.q
     if max_k < q:
         raise ValueError("max_k must be at least q")
-    d, moments, w, sums = _kernels(cfg, max_k + 1)
+    d, _, moments = integer_expansion(cfg.roots, max_k + 1)
+    _, w, sums = residue_sums(cfg.roots, max_k + 1)
     rhs = [m * Fraction(d) ** (q - k) for k, m in enumerate(moments)]
     lhs = [r if s == w * m else Fraction(s, w) * Fraction(d) ** (q - k)
            for k, (s, m, r) in enumerate(zip(sums, moments, rhs))]

@@ -21,7 +21,6 @@ would integrate to a logarithm), which raises NotIntegrableInRing.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from fractions import Fraction
 
 from .polynomial import Poly, Rat, Value, as_rat
@@ -163,34 +162,6 @@ class InvZSeries(Value):
     # -- numerics -----------------------------------------------------------
 
     def evaluate(self, z: complex) -> complex:
-        """Sum the truncated series at one nonzero point; see `evaluate_all`."""
-        return self.evaluate_all((z,))[0]
-
-    def evaluate_all(self, points: Iterable[complex]) -> list[complex]:
-        """Sum the truncated series at each nonzero point, in double precision.
-
-        Horner runs in v = 2^e / z, where 2^(e-1) <= |z| < 2^e, on the scaled
-        coefficients b_n 2^(-e n), each rounded once from its exact value for
-        each distinct e among the points: once in all for points on a circle
-        whose |z| stays in one binade.  A coefficient beyond the float range
-        therefore does not overflow when its term b_n z^-n is small.  Scaling
-        by powers of two is exact, so away from underflow and overflow the
-        sum is bit-identical to plain Horner in 1/z.  The exponent is capped
-        at 1023, where 2^e itself would overflow; |v| <= 1 still holds there.
-        """
-        scaled: dict[int, list[float]] = {}
-        values = []
-        for z in points:
-            zc = complex(z)
-            e = min(math.frexp(abs(zc))[1], 1023)
-            if e not in scaled:
-                scaled[e] = [
-                    (c.numerator << max(-e * n, 0)) / (c.denominator << max(e * n, 0))
-                    for n, c in reversed(list(enumerate(self.coefficients)))
-                ]
-            v = math.ldexp(1.0, e) / zc
-            acc = 0j
-            for c in scaled[e]:
-                acc = acc * v + c
-            values.append(acc)
-        return values
+        """Sum the truncated series at one nonzero point by `asymptotics.evaluate_all`."""
+        from .asymptotics import evaluate_all  # at module level: a cycle via integrate
+        return next(evaluate_all(self.coefficients, (z,)))

@@ -8,7 +8,8 @@ P(z) = z * prod_j (z - c_j) and its expansion at infinity,
 
 on the integers c = D * a (D the lcm of the denominators), where the long
 division needs no gcd; then e_i(a) = e_i(c) / D^i and h_l(a) = h_l(c) / D^l.
-`integrate`'s expansion route runs the same kernel, capped by MAX_EXPANSION_BITS.
+`integrate`'s expansion route runs the same kernel, capped by MAX_EXPANSION_BITS;
+the residue route answers to the same rule, `check_moment_size`.
 Each e_i(c) carries a factor G^(i-1), D | G for pairwise coprime denominators;
 the kernel divides it out, checked, and puts it back by Horner in G.
 
@@ -61,20 +62,27 @@ def _shared_factor(c: Sequence[int]) -> int:
     return math.lcm(*map(math.gcd, pre, suf)) or 1
 
 
+def check_moment_size(q: int, count: int, d: int, c: Sequence[int]) -> None:
+    """The size rule of both routes to m_0..m_(count-1)(c), c = D * a for q roots:
+    as e_i(c) < 2^q max|c_j|^i and h_l(c) < 2^(q+l) max|c_j|^l, (q^2 + count^2) *
+    (bits(max|c_j|) + bits(D)) bounds the bits of P, the moments and their D^l.
+    Above MAX_EXPANSION_BITS it raises ValueError; the caller runs it before any
+    product."""
+    height = max(map(abs, c), default=0).bit_length() + d.bit_length()
+    if (bits := (q * q + count * count) * height) > MAX_EXPANSION_BITS:
+        raise ValueError(f"{count} moments at q = {q} could hold {bits} bits, "
+                         f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}")
+
+
 def integer_expansion(values: Sequence[Rat | int | str], count: int) -> tuple:
     """D, then the coefficients of P = z * prod_j (z - c_j), lowest degree first,
     and m_0..m_(count-1), the z^-(n+1) coefficients of 1/P (0 for n < q, then
     h_(n-q)(c)), on c = D * a off `scale_to_integers`.  As P is monic, m_n =
     [n = q] - sum_i G^(i-1) A_i m_(n-i), Horner in G, with A_i = (-1)^i e_i(c) /
     G^(i-1) exact: for G = D, A_i is about D * e_i(a), so each product is small
-    times big.  As e_i(c) < 2^q max|c_j|^i and h_l(c) < 2^(q+l) max|c_j|^l,
-    (q^2 + count^2) * (bits(max|c_j|) + bits(D)) bounds the bits of P, the
-    moments and their D^l: above MAX_EXPANSION_BITS it raises before any product."""
+    times big.  `check_moment_size` refuses an oversized count before any product."""
     d, c = scale_to_integers(values)
-    q, height = len(c), max(map(abs, c), default=0).bit_length() + d.bit_length()
-    if (bits := (q * q + count * count) * height) > MAX_EXPANSION_BITS:
-        raise ValueError(f"{count} moments at q = {q} could hold {bits} bits, "
-                         f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}")
+    check_moment_size(q := len(c), count, d, c)
     p = [0, 1]
     for x in c:
         p = [lo - x * hi for lo, hi in zip([0] + p, p + [0])]

@@ -28,7 +28,6 @@ from poleint import (
 )
 from poleint.cli import main
 from poleint.parser import MAX_NESTING, MAX_POWER_BITS
-from poleint.series import InvZSeries
 from poleint.symmetric import MAX_ELIMINATION_BITS, MAX_EXPANSION_BITS
 
 from conftest import PRIMES_30_BITS, SMALL_PRIMES, root_tuples
@@ -465,6 +464,20 @@ def test_an_oversized_expansion_is_refused_before_any_product(monkeypatch, argv,
                    f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}\n")
 
 
+def test_a_tall_limit_scale_is_refused_before_any_pole_difference(monkeypatch):
+    # --scales=1/2^10300 --terms 80 ran 1 s and printed 10 MB: the residue
+    # kernel on t a answers to the expansion rule on its own D = 2^10300
+    def refuse(*args):
+        raise AssertionError("took a pole difference")
+
+    monkeypatch.setattr(poleint.integrate, "_pole_differences", refuse)
+    code, out, err = run_main(["limit", "--roots=1", f"--scales=1/{2**10300}",
+                               "--samples=1", "--terms=80"])
+    assert (code, out) == (1, "")
+    assert err == ("error: 81 moments at q = 1 could hold 67601724 bits, "
+                   f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}\n")
+
+
 def test_an_oversized_vandermonde_layout_is_refused_before_any_power(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a power or scaled a row")
@@ -552,10 +565,11 @@ class TestLimitCommand:
         # A real input needs a tail coefficient C(q+l-1, l) (rho/R)^l above
         # 1e308, about q + N >= 1000 with every root near the radius, so the
         # tail's double-precision sum raises OverflowError here by fiat.
-        def overflow(series, points):
+        def overflow(coefficients, points):
             raise OverflowError("int too large to convert to float")
+            yield  # a generator, as evaluate_all is: it raises at the first value
 
-        monkeypatch.setattr(InvZSeries, "evaluate_all", overflow)
+        monkeypatch.setattr(poleint.asymptotics, "evaluate_all", overflow)
         assert run_cli(capsys, "limit", "--roots", "1,2/3,-5/7") == (
             1,
             "",

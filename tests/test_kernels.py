@@ -41,7 +41,9 @@ from poleint.integrate import (
     series_from_moments,
 )
 from poleint.polynomial import EXACT, Poly, format_quotient, format_rational
-from poleint.symmetric import integer_expansion, scale_to_integers
+from poleint.series import InvZSeries
+from poleint.symmetric import (MAX_EXPANSION_BITS, check_moment_size, integer_expansion,
+                               scale_to_integers)
 
 from conftest import PRIMES_30_BITS, SMALL_PRIMES, rationals
 from oracles import closed_form, moments_direct, symmetric_recurrence
@@ -517,6 +519,63 @@ def test_limit_runs_the_scaling_step_once(monkeypatch):
         _replace_everywhere(monkeypatch, original, counted(original))
     assert _run(["limit", "--roots", "1,2/3,-5/7"])[::2] == (0, "")
     assert sorted(calls) == ["reduced_coefficients", "scale_to_integers"]
+
+
+def test_limit_builds_one_series(monkeypatch):
+    # The base row off integrate_via_expansion is the one InvZSeries of a
+    # four-scale request; each scale's tail goes to evaluate_all as a tuple.
+    built = []
+    post_init = InvZSeries.__post_init__
+
+    def counted(self):
+        built.append(self.truncation)
+        post_init(self)
+
+    monkeypatch.setattr(InvZSeries, "__post_init__", counted)
+    assert _run(["limit", "--roots", "1,2/3,-5/7"])[::2] == (0, "")
+    assert built == [24]  # --terms 24
+
+
+def test_the_residue_route_sizes_its_moments_before_any_pole_difference(monkeypatch):
+    # residue_sums reads its own D and c = D a, pole 0 included, against the
+    # expansion kernel's rule: moment and the partial-fraction route refuse
+    # with its message before taking a single pole difference.
+    def refuse(*args):
+        raise AssertionError("took a pole difference")
+
+    monkeypatch.setattr(poleint.integrate, "_pole_differences", refuse)
+    cfg = RootConfig((F(1, 2**10300),))  # D = 2^10300
+    for call in (lambda: residue_sums(cfg.roots, 81), lambda: moment(cfg, 80),
+                 lambda: integrate_via_partial_fractions(cfg, 80)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == (
+            "81 moments at q = 1 could hold 67601724 bits, "
+            f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}")
+    # D = 2^10000 predicts 65633124 bits, under the bound: accepted
+    check_moment_size(1, 81, 2**10000, [0, 1])
+
+
+@pytest.mark.parametrize("roots", [
+    (1, F(2, 3), F(-5, 7)),
+    tuple(F(n, p) for n, p in zip((2**30 - 1, -(2**29), 3), PRIMES_30_BITS)),
+], ids=["small", "30-bit"])
+def test_both_routes_size_the_same_moments(monkeypatch, roots):
+    # On the same roots the residue rule predicts what the expansion rule
+    # does, so integrate and identities, which expand first, refuse nothing
+    # new: at the prediction both kernels run, one bit under both refuse.
+    roots, count = RootConfig(roots).roots, 12
+    d, c = scale_to_integers(roots)
+    bits = (len(c) ** 2 + count**2) * (max(map(abs, c)).bit_length() + d.bit_length())
+    monkeypatch.setattr(poleint.symmetric, "MAX_EXPANSION_BITS", bits)
+    integer_expansion(roots, count)
+    residue_sums(roots, count)
+    monkeypatch.setattr(poleint.symmetric, "MAX_EXPANSION_BITS", bits - 1)
+    for kernel in (integer_expansion, residue_sums):
+        with pytest.raises(ValueError) as refused:
+            kernel(roots, count)
+        assert str(refused.value) == (f"{count} moments at q = {len(c)} could hold "
+                                      f"{bits} bits, above MAX_EXPANSION_BITS = {bits - 1}")
 
 
 @pytest.mark.parametrize("k", [0, 2, 3, 5])

@@ -14,6 +14,7 @@ from poleint import (
     RootConfig,
     partial_fractions,
 )
+from poleint.asymptotics import evaluate_all
 
 from conftest import rationals, nonzero_rationals
 from oracles import (
@@ -255,6 +256,12 @@ class TestZPowerShift:
             mul_z_power(S(0, 0), 2)
 
 
+# points in four binades of |z|, and a series to sum at them
+_BINADE_SERIES = S(0, F(1, 3), F(-2, 7), F(5, 11), F(-1, 9), F(7, 13))
+_BINADE_POINTS = [8 * cmath.exp(2j * cmath.pi * k / 16) for k in range(16)]
+_BINADE_POINTS += [math.nextafter(8.0, 0) * 1j, 3 - 4j, 0.1 + 0.2j, -1e-3]
+
+
 class TestEvaluate:
     def test_matches_direct_sum(self):
         f = S(0, 0, F(-1, 2), -1)
@@ -272,9 +279,7 @@ class TestEvaluate:
         # evaluate_all rounds the coefficients once per binade of |z|; points
         # in several binades must each get their own rounding, and every sum
         # equal plain Horner in 1/z exactly (scaling by 2^e is exact)
-        f = S(0, F(1, 3), F(-2, 7), F(5, 11), F(-1, 9), F(7, 13))
-        points = [8 * cmath.exp(2j * cmath.pi * k / 16) for k in range(16)]
-        points += [math.nextafter(8.0, 0) * 1j, 3 - 4j, 0.1 + 0.2j, -1e-3]
+        f, points = _BINADE_SERIES, _BINADE_POINTS
         assert len({math.frexp(abs(z))[1] for z in points}) == 4
 
         def horner(z):
@@ -284,8 +289,14 @@ class TestEvaluate:
             return acc
 
         want = [horner(z) for z in points]
-        assert f.evaluate_all(points) == want
+        assert list(evaluate_all(f.coefficients, points)) == want
         assert [f.evaluate(z) for z in points] == want
+
+    def test_evaluate_is_the_one_point_evaluate_all_bit_for_bit(self):
+        # the series type keeps no Horner of its own: one point, one value
+        for z in _BINADE_POINTS:
+            value, = evaluate_all(_BINADE_SERIES.coefficients, (z,))
+            assert repr(_BINADE_SERIES.evaluate(z)) == repr(value)
 
     def test_equality_only_on_shared_window(self):
         assert S(1, 2).agrees_with(S(1, 2, 3))
