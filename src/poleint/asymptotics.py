@@ -26,7 +26,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import tee
 
 from .integrate import (RootConfig, integrate_via_expansion, residue_moments,
-                        residue_sums)
+                        residue_scale)
 from .polynomial import Rat, Value, as_rat
 from .symmetric import ExactCheckError
 
@@ -98,8 +98,8 @@ def scaling_limit_table(
     The radius must be finite and exceed every scaled root, its q-th power
     must not overflow a double, 1/(q z^q) and the tail on the circle must stay
     within the double range, and scales x samples x N must not exceed
-    MAX_HORNER_STEPS; anything else raises ValueError, as does a scale whose
-    residue kernel on t a fails the size rule of `residue_sums`.
+    MAX_HORNER_STEPS; anything else raises ValueError, as does, before the
+    first row, any scale whose residue kernel on t a fails `residue_scale`.
     """
     t_scales = [as_rat(t) for t in scales]
     if not t_scales:
@@ -123,6 +123,9 @@ def scaling_limit_table(
         raise ValueError(
             f"radius must exceed every scaled root magnitude (need > {bound})"
         )
+    scaled = [tuple(t * a for a in cfg.roots) for t in t_scales]
+    for roots in scaled:
+        residue_scale(roots, truncation + 1)
 
     depth = truncation - q
     if max_l is not None:
@@ -145,13 +148,12 @@ def scaling_limit_table(
         raise ValueError(far_field)
 
     rows = []
-    for t in t_scales:
-        d, w, sums = residue_sums(tuple(t * a for a in cfg.roots), truncation + 1)
-        moments = residue_moments(w, sums)[q:]
-        if moments[0] != 1:
+    for t, roots in zip(t_scales, scaled):
+        d, moments = residue_moments(roots, truncation + 1)
+        if moments[q] != 1:
             raise ExactCheckError("leading coefficient drifted from -1/q")
         b = [t**l * b0 for l, b0 in enumerate(base)]
-        for l, (x, y) in enumerate(zip(moments, b)):
+        for l, (x, y) in enumerate(zip(moments[q:], b)):
             if x * y.denominator != -(q + l) * d**l * y.numerator:
                 raise ExactCheckError(f"t^l scaling law failed at l = {l}")
         points, ahead = tee(circle())

@@ -26,21 +26,21 @@ antidifferentiating term by term, and summing the residue-weighted log
 series of the partial fractions, whose coefficients are b_n = -m_n/n.
 
 Both routes compute the integer moments m_n(c) of 1/Q_c, c = D * a (D the lcm
-of the root denominators), each its own way and with its own D; `residue_sums`
-reads the poles alone and gives D, W and S_n = W * m_n(c) from n = q on, and
-W * m_n(a) / P below q, vanishing exactly when m_n(c) does.  `cross_checked`
-runs both kernels once and compares them exactly; only on a mismatch does it
-divide its sums by W, through `residue_moments`, the one checked S_n / W,
-which the partial-fraction route, `moment` and `asymptotics.scaling_limit_table`
-read too.  The identity check reads its lhs off the residue sums, its rhs off
-the expansion kernel.
+of the root denominators), each its own way and with its own D.  The residue
+kernel holds each term x_i / Delta_i of m_n as quotient plus remainder,
+divmod(x_i, Delta_i) = (quo_i, rem_i): m_n = sum_i quo_i + F, F = sum_i
+rem_i / Delta_i, read exactly as ceil(T / 2^64), T = sum_i floor(2^64 rem_i /
+Delta_i), since
+    F is an integer, as m_n is, and 0 <= F <= q over the q + 1 poles;
+    each floor lies in (2^64 rem_i/Delta_i - 1, 2^64 rem_i/Delta_i];
+    so 2^64 F - q <= T <= 2^64 F, and as q < 2^64, F = ceil(T / 2^64).
+`cross_checked` and the identity rows compare the two kernels' integers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 from .polynomial import Poly, Rat, Value, as_rat
 from .series import InvZSeries
@@ -112,39 +112,49 @@ def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
     ))
 
 
-def residue_sums(roots: tuple[Rat, ...], count: int) -> tuple[int, int, list[int]]:
-    """D = lcm d_i, W = lcm |Delta_i| = math.lcm(*Delta_i) and S_0..S_(count-1)
-    over the poles a_i = n_i/d_i, 0/1 included, with u_i = W / Delta_i
-    (`_pole_differences`).  Below q, S_n = sum_i u_i n_i^n d_i^(q-1-n) =
-    W * m_n(a) / P, which vanishes exactly when m_n(c) does; from q on, S_n =
-    sum_i u_i n_i^n (P/d_i) (D/d_i)^(n-q) = W * m_n(c), each term times
-    c_i = n_i D/d_i a step.  `check_moment_size` sizes D and c before any product."""
-    q, d = len(roots), math.lcm(*(a.denominator for a in roots))
-    c = [0, *(a.numerator * (d // a.denominator) for a in roots)]  # pole 0 first
-    check_moment_size(q, count, d, c)
+def residue_scale(roots: tuple[Rat, ...], count: int) -> tuple[int, list[int]]:
+    """The residue kernel's own D = lcm d_i and c = D * a, pole 0 first, with
+    c_i = n_i D/d_i, once `check_moment_size` has sized count moments on them."""
+    d = math.lcm(*(a.denominator for a in roots))
+    c = [0, *(a.numerator * (d // a.denominator) for a in roots)]
+    check_moment_size(len(roots), count, d, c)
+    return d, c
+
+
+def _residue_moment(parts: list[tuple[int, int]], deltas: list[int],
+                    zero: bool = False) -> int:
+    """sum_i quo_i + F off the divmod(x_i, Delta_i), F read as in the module
+    docstring; a T outside its window, or m != 0 where zero is asked, raises."""
+    t = sum((r << 64) // x for (_, r), x in zip(parts, deltas))
+    f = -(-t >> 64)
+    m = sum(u for u, _ in parts) + f
+    if (f << 64) - t >= len(parts) or zero and m:  # len(parts) = q + 1 poles
+        raise ExactCheckError("residue moments must vanish at n = 0 and be "
+                              "integers; exact arithmetic is broken")
+    return m
+
+
+def residue_moments(roots: tuple[Rat, ...], count: int) -> tuple[int, list[int]]:
+    """D and m_0..m_(count-1), m_n = sum_i x_i / Delta_i over the poles a_i =
+    n_i/d_i, 0/1 included (`_pole_differences`): below q, x_i = n_i^n
+    d_i^(q-1-n) and m_n(a) / P, which vanishes exactly when m_n(c) does; from
+    q on, x_i = n_i^q (P/d_i) c_i^(n-q) and m_n(c).  A step past q is carry,
+    rem_i = divmod(rem_i c_i, Delta_i), quo_i = quo_i c_i + carry: the quo_i
+    grow like m_n.  `residue_scale` sizes D and c before any product."""
+    q, (d, c) = len(roots), residue_scale(roots, count)
     poles, p, deltas = _pole_differences(roots)
-    w, at_q = math.lcm(*deltas), [m * (p // e) for m, e in poles]
-    terms = [w // x * e ** (q - 1) for x, (_, e) in zip(deltas, poles)]
-    sums = [sum(terms)]
-    for n in range(1, count):
-        if n < q:  # trade a factor d_i for n_i
-            terms = [t // e * m for t, (m, e) in zip(terms, poles)]
-        else:
-            terms = list(map(mul, terms, at_q if n == q else c))
-        sums.append(sum(terms))
-    return d, w, sums
-
-
-def residue_moments(w: int, sums: list[int]) -> list[int]:
-    """m_n(c) = S_n / W off `residue_sums`; S_0 = 0 (the residues sum to
-    zero) and W | S_n must hold."""
-    moments = [divmod(s, w) for s in sums]
-    if sums[0] or any(r for _, r in moments):
-        raise ExactCheckError(
-            "residue sums must vanish at n = 0 and be multiples of W; "
-            "exact arithmetic is broken"
-        )
-    return [m for m, _ in moments]
+    terms, moments = [e ** (q - 1) for _, e in poles], []
+    for n in range(min(count, q + 1)):
+        if n:  # below q, trade a factor d_i for n_i; at q, times n_i P/d_i
+            terms = [t // e * m if n < q else t * m * (p // e)
+                     for t, (m, e) in zip(terms, poles)]
+        parts = list(map(divmod, terms, deltas))
+        moments.append(_residue_moment(parts, deltas, zero=not n))
+    for _ in range(q + 1, count):
+        parts = [(u * k + carry, r) for (u, r0), k, x in zip(parts, c, deltas)
+                 for carry, r in [divmod(r0 * k, x)]]
+        moments.append(_residue_moment(parts, deltas))
+    return d, moments
 
 
 def reduced_coefficients(moments: list[int], d: int, q: int) -> list[tuple[int, ...]]:
@@ -171,21 +181,18 @@ def series_from_moments(moments: list[int], d: int, q: int) -> InvZSeries:
 
 def cross_checked(cfg: RootConfig, truncation: int) -> tuple:
     """For N > q, as the caller checks: D, the `reduced_coefficients` b_1..b_N and
-    paths_agree, iff S_n = W * m_n for all n; a mismatch self-checks S_n (raises)."""
+    paths_agree, iff both kernels give the same integer moments."""
     d, _, moments = integer_expansion(cfg.roots, truncation + 1)
-    _, w, sums = residue_sums(cfg.roots, truncation + 1)
-    agree = not sums[0] and sums == [w * m for m in moments]
-    if not agree:
-        residue_moments(w, sums)
-    return d, reduced_coefficients(moments, d, cfg.q), agree
+    _, residues = residue_moments(cfg.roots, truncation + 1)
+    return d, reduced_coefficients(moments, d, cfg.q), residues == moments
 
 
 def moment(cfg: RootConfig, k: int) -> Fraction:
-    """The weighted power sum m_k = sum_p p^k / Q'(p), the checked S_k / W."""
+    """The weighted power sum m_k = sum_p p^k / Q'(p) off the residue kernel."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    d, w, sums = residue_sums(cfg.roots, k + 1)
-    return residue_moments(w, sums)[k] * Fraction(d) ** (cfg.q - k)
+    d, moments = residue_moments(cfg.roots, k + 1)
+    return moments[k] * Fraction(d) ** (cfg.q - k)
 
 
 class MomentIdentityRow(Value):
@@ -200,17 +207,17 @@ def check_moment_identities(
     """Rows k = 0..max_k, each comparing m_k against its closed form:
     0 below k = q, then the complete homogeneous values h_(k-q) (h_0 = 1).
 
-    The rhs comes off the expansion kernel, the lhs off the residue sums (the
-    rhs itself where S_k = W * m_k, else S_k / W).  Failures are reported.
+    The rhs comes off the expansion kernel, the lhs off the residue kernel
+    (the rhs itself where the two integers agree).  Failures are reported.
     """
     q = cfg.q
     if max_k < q:
         raise ValueError("max_k must be at least q")
     d, _, moments = integer_expansion(cfg.roots, max_k + 1)
-    _, w, sums = residue_sums(cfg.roots, max_k + 1)
+    _, residues = residue_moments(cfg.roots, max_k + 1)
     rhs = [m * Fraction(d) ** (q - k) for k, m in enumerate(moments)]
-    lhs = [r if s == w * m else Fraction(s, w) * Fraction(d) ** (q - k)
-           for k, (s, m, r) in enumerate(zip(sums, moments, rhs))]
+    lhs = [r if x == m else x * Fraction(d) ** (q - k)
+           for k, (x, m, r) in enumerate(zip(residues, moments, rhs))]
     return tuple(map(MomentIdentityRow, range(max_k + 1), lhs, rhs))
 
 
@@ -243,5 +250,5 @@ def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> InvZSer
     so b_n = -m_n/n off one moment table.
     """
     _check_truncation(cfg, truncation)
-    d, w, sums = residue_sums(cfg.roots, truncation + 1)
-    return series_from_moments(residue_moments(w, sums), d, cfg.q)
+    d, moments = residue_moments(cfg.roots, truncation + 1)
+    return series_from_moments(moments, d, cfg.q)

@@ -131,7 +131,7 @@ def moments_direct(cfg: RootConfig, max_k: int) -> list[Fraction]:
     """m_0..m_max_k as sums of p^k / prod (p - x) over the poles p = 0, a_j
     and the other poles x, in Fraction arithmetic on the roots themselves.
 
-    This is the oracle for the integer residue sums behind `moment`.
+    This is the oracle for the integer residue kernel behind `moment`.
     """
     poles = (Fraction(0),) + cfg.roots
     residues = [1 / math.prod(p - x for x in poles if x != p) for p in poles]

@@ -35,9 +35,9 @@ from poleint.integrate import (
     _pole_differences,
     cross_checked,
     partial_fractions,
+    _residue_moment,
     reduced_coefficients,
     residue_moments,
-    residue_sums,
     series_from_moments,
 )
 from poleint.polynomial import EXACT, Poly, format_quotient, format_rational
@@ -102,7 +102,7 @@ def test_kernels_match_fraction_oracles(roots, extra):
     expansion_d, p, moments = integer_expansion(cfg.roots, n + 1)
     assert expansion_d == d
     _assert_shared_factor_divides(c, p)
-    assert moments == residue_moments(*residue_sums(cfg.roots, n + 1)[1:])
+    assert residue_moments(cfg.roots, n + 1) == (d, moments)
     assert moments == [0] * q + list(symmetric_recurrence(c, n - q)[1])
 
     series = integrate_via_expansion(cfg, n)
@@ -132,11 +132,10 @@ def _distinct_roots(rng, q):
     return tuple(roots)
 
 
-# 2 to 21 poles; the Delta_i alternate in sign along the sorted poles, so W =
-# math.lcm(*Delta_i) meets negative ones.  1/Q'(a_i) = d_i^(q-1) P / Delta_i
-# against the Fraction product over the other poles; D = lcm d_i, W = lcm
-# |Delta_i| and the weights u_i = W / Delta_i; below q the sums vanish, S_q =
-# W * m_q = W and S_(q+1) = W * h_1(c).
+# 2 to 21 poles; the Delta_i alternate in sign along the sorted poles, so the
+# remainders meet negative divisors.  1/Q'(a_i) = d_i^(q-1) P / Delta_i
+# against the Fraction product over the other poles; D = lcm d_i; below q the
+# moments vanish, m_q = 1 and m_(q+1) = h_1(c).
 @pytest.mark.parametrize("q", range(1, 21))
 def test_residue_weights_off_the_pole_differences(q):
     roots = _distinct_roots(random.Random(q), q)
@@ -147,26 +146,95 @@ def test_residue_weights_off_the_pole_differences(q):
     for a, (_, d), x in zip((0, *roots), poles, deltas):
         derivative = math.prod(a - b for b in (0, *roots) if b != a)  # Q'(a)
         assert F(d ** (q - 1) * p, x) == 1 / derivative
-    d, w, sums = residue_sums(roots, q + 2)
+    d, moments = residue_moments(roots, q + 2)
     assert d == math.lcm(*(a.denominator for a in roots))
-    assert w == math.lcm(*map(abs, deltas)) > 0
-    assert all(w // x * x == w for x in deltas)  # u_i * Delta_i == W
-    assert sums == [0] * q + [w, w * sum(c)]
-    assert residue_sums(roots, 1) == (d, w, [0])
+    assert moments == [0] * q + [1, sum(c)]
+    assert residue_moments(roots, 1) == (d, [0])
 
 
 @pytest.mark.parametrize("roots", [(5,), (F(-7, 3),), (1, F(2, 3), F(-5, 7))])
 def test_no_step_q_term_below_q(roots):
-    # count <= q returns exactly count sums, with no n = q term appended; at
-    # q = 1, d_i^(q-1) = 1 and pole 0 contributes at n = 0 only.
+    # count <= q returns exactly count moments, with no n = q term appended;
+    # at q = 1, d_i^(q-1) = 1 and pole 0 contributes at n = 0 only.
     cfg, q = RootConfig(roots), len(roots)
     for count in range(1, q + 2):
-        _, w, sums = residue_sums(cfg.roots, count)
-        assert sums == ([0] * q + [w])[:count]
+        assert residue_moments(cfg.roots, count)[1] == ([0] * q + [1])[:count]
     assert [moment(cfg, k) for k in range(q + 1)] == [0] * q + [1]
     if q == 1:  # Delta_0 = 0 * d_1 - n_1, Delta_1 = n_1 - 0
         n = cfg.roots[0].numerator
         assert _pole_differences(cfg.roots)[2] == [-n, n]
+
+
+def _wide_roots(rng, q, bits):
+    """q distinct nonzero n/d, sorted, with n of either sign and d of `bits` bits."""
+    roots = set()
+    while len(roots) < q:
+        n = rng.randrange(1, 2**bits) * rng.choice((-1, 1))
+        roots.add(F(n, rng.randrange(2 ** (bits - 1), 2**bits)))
+    return tuple(sorted(roots))
+
+
+@pytest.mark.parametrize("bits", [30, 300])
+@pytest.mark.parametrize("q", range(1, 21))
+def test_residue_moments_match_the_oracles(q, bits):
+    # m_n(c) = D^(n-q) m_n(a) off the Fraction residues, and h_l(c) off the
+    # classical recurrence, for counts below, at and past q + 1.  Along the
+    # sorted poles the Delta_i alternate in sign, so every draw divides by
+    # negative ones too.
+    roots = _wide_roots(random.Random(1000 * bits + q), q, bits)
+    deltas = _pole_differences(roots)[2]
+    signs = [x > 0 for _, x in sorted(zip((0, *roots), deltas))]
+    assert all(a != b for a, b in zip(signs, signs[1:]))
+    d, c = scale_to_integers(roots)
+    direct = moments_direct(RootConfig(roots), q + 3)
+    want = [0] * q + [m * d ** (n - q) for n, m in enumerate(direct) if n >= q]
+    assert want[q:] == list(symmetric_recurrence(c, 3)[1])
+    for count in (1, q, q + 1, q + 4):
+        assert residue_moments(roots, count) == (d, want[:count])
+
+
+# 1/2 + 1/3 + 1/7 + 1/43 + 1/1806 = 1: over these five divisors (q = 4), the
+# fractional parts 1 - 1/|Delta_i| sum to F = 4 = q, the top of its range.
+_EGYPTIAN = [2, -3, 7, -43, 1806]
+
+
+def _largest_remainders():
+    """(quo_i, rem_i) = (1, rem_i) with rem_i / Delta_i = 1 - 1/|Delta_i|."""
+    return [(1, x - 1 if x > 0 else x + 1) for x in _EGYPTIAN]
+
+
+def test_the_fractional_read_at_both_ends():
+    # F = 0: every remainder is 0, and T = 0.
+    assert _residue_moment([(5, 0), (-1, 0), (0, 0), (7, 0), (2, 0)], _EGYPTIAN) == 13
+    # F = q: four of the five floors drop a fraction, so T falls short of
+    # 2^64 q by less than q, and its ceiling still reads q.
+    parts = _largest_remainders()
+    t = sum((r << 64) // x for (_, r), x in zip(parts, _EGYPTIAN))
+    assert 4 * 2**64 - 4 <= t < 4 * 2**64
+    assert _residue_moment(parts, _EGYPTIAN) == 5 + 4
+
+
+@pytest.mark.parametrize("slack", [1, 4, 5])
+def test_the_fractional_read_window_is_q_wide(slack):
+    # Five poles (q = 4), four remainders 0 and one rem / Delta = 1 - slack/2^64:
+    # T = 2^64 F - slack with F = 1, read as F while slack <= q, refused past it.
+    parts = [(2, 0)] * 4 + [(3, 2**64 - slack)]
+    deltas = [7, -7, 7, -7, 2**64]
+    if slack <= 4:
+        assert _residue_moment(parts, deltas) == 4 * 2 + 3 + 1
+    else:
+        with pytest.raises(ExactCheckError, match="must vanish at n = 0 and be integers"):
+            _residue_moment(parts, deltas)
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_the_fractional_read_refuses_a_remainder_off_by_one(i):
+    # rem_i one step toward 0 takes 1/|Delta_i| off F: no integer is left.
+    parts = _largest_remainders()
+    u, r = parts[i]
+    parts[i] = (u, r - 1 if r > 0 else r + 1)
+    with pytest.raises(ExactCheckError, match="must vanish at n = 0 and be integers"):
+        _residue_moment(parts, _EGYPTIAN)
 
 
 # -- the reduced coefficients and their printer --------------------------------
@@ -417,14 +485,13 @@ def _perturb_expansion(l):
 
 
 def _perturb_residues(l):
-    # S_(q+l) += W is m_(q+l) += 1 on the residue side: the CLI compares the
-    # sums themselves, and the library divides them by W.
+    # m_(q+l) += 1 on the residue side, after its own self-check
     def kernel(roots, count):
-        d, w, sums = residue_sums(roots, count)
-        sums[len(roots) + l] += w
-        return d, w, sums
+        d, moments = residue_moments(roots, count)
+        moments[len(roots) + l] += 1
+        return d, moments
 
-    return residue_sums, kernel
+    return residue_moments, kernel
 
 
 @pytest.mark.parametrize("l", [0, 4])
@@ -453,7 +520,7 @@ def test_a_perturbed_kernel_breaks_route_agreement(monkeypatch, perturb, l):
 
 @pytest.mark.parametrize("l", [0, 4])
 def test_a_mismatch_runs_the_residue_kernel_once(monkeypatch, l):
-    # A failed cross-check self-checks the residue sums it already holds
+    # A failed cross-check reports the residue moments it already holds
     # rather than running the residue kernel a second time.
     original, kernel = _perturb_expansion(l)
     _replace_everywhere(monkeypatch, original, kernel)
@@ -461,9 +528,9 @@ def test_a_mismatch_runs_the_residue_kernel_once(monkeypatch, l):
 
     def counted(roots, count):
         counts.append(count)
-        return residue_sums(roots, count)
+        return residue_moments(roots, count)
 
-    _replace_everywhere(monkeypatch, residue_sums, counted)
+    _replace_everywhere(monkeypatch, residue_moments, counted)
     for argv in (ARGV, ["identities", "--roots", "1,2/3,-5/7", "--max-k", "9"]):
         counts.clear()
         assert _run(argv)[0] == 3
@@ -521,6 +588,24 @@ def test_limit_runs_the_scaling_step_once(monkeypatch):
     assert sorted(calls) == ["reduced_coefficients", "scale_to_integers"]
 
 
+def test_limit_sizes_every_scale_before_the_first_row(monkeypatch):
+    # The third scale fails the residue size rule: limit refuses it before
+    # the residue kernel runs on the first two.
+    calls = []
+
+    def counted(roots, count):
+        calls.append(count)
+        return residue_moments(roots, count)
+
+    _replace_everywhere(monkeypatch, residue_moments, counted)
+    code, out, err = _run(["limit", "--roots=1", f"--scales=1,1/2,1/{2**10300}",
+                           "--samples=1", "--terms=80"])
+    assert (code, out) == (1, "")
+    assert err == ("error: 81 moments at q = 1 could hold 67601724 bits, "
+                   f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}\n")
+    assert calls == []
+
+
 def test_limit_builds_one_series(monkeypatch):
     # The base row off integrate_via_expansion is the one InvZSeries of a
     # four-scale request; each scale's tail goes to evaluate_all as a tuple.
@@ -537,7 +622,7 @@ def test_limit_builds_one_series(monkeypatch):
 
 
 def test_the_residue_route_sizes_its_moments_before_any_pole_difference(monkeypatch):
-    # residue_sums reads its own D and c = D a, pole 0 included, against the
+    # residue_moments reads its own D and c = D a, pole 0 included, against the
     # expansion kernel's rule: moment and the partial-fraction route refuse
     # with its message before taking a single pole difference.
     def refuse(*args):
@@ -545,7 +630,7 @@ def test_the_residue_route_sizes_its_moments_before_any_pole_difference(monkeypa
 
     monkeypatch.setattr(poleint.integrate, "_pole_differences", refuse)
     cfg = RootConfig((F(1, 2**10300),))  # D = 2^10300
-    for call in (lambda: residue_sums(cfg.roots, 81), lambda: moment(cfg, 80),
+    for call in (lambda: residue_moments(cfg.roots, 81), lambda: moment(cfg, 80),
                  lambda: integrate_via_partial_fractions(cfg, 80)):
         with pytest.raises(ValueError) as refused:
             call()
@@ -569,26 +654,37 @@ def test_both_routes_size_the_same_moments(monkeypatch, roots):
     bits = (len(c) ** 2 + count**2) * (max(map(abs, c)).bit_length() + d.bit_length())
     monkeypatch.setattr(poleint.symmetric, "MAX_EXPANSION_BITS", bits)
     integer_expansion(roots, count)
-    residue_sums(roots, count)
+    residue_moments(roots, count)
     monkeypatch.setattr(poleint.symmetric, "MAX_EXPANSION_BITS", bits - 1)
-    for kernel in (integer_expansion, residue_sums):
+    for kernel in (integer_expansion, residue_moments):
         with pytest.raises(ValueError) as refused:
             kernel(roots, count)
         assert str(refused.value) == (f"{count} moments at q = {len(c)} could hold "
                                       f"{bits} bits, above MAX_EXPANSION_BITS = {bits - 1}")
 
 
+def _break_pole_term(monkeypatch, n):
+    """Put pole 1's term of m_n off by one inside the residue kernel: at n = 0
+    its quotient, so m_0 = 1; past it its remainder, rem_1 -> (rem_1 + 1) mod
+    Delta_1, so the fractional parts no longer sum to an integer."""
+    original, calls = _residue_moment, []
+
+    def broken(parts, deltas, zero=False):
+        if len(calls) == n:
+            (u, r), x = parts[1], deltas[1]
+            parts = [parts[0], (u + 1, r) if n == 0 else (u, (r + 1) % x), *parts[2:]]
+        calls.append(n)
+        return original(parts, deltas, zero)
+
+    monkeypatch.setattr(poleint.integrate, "_residue_moment", broken)
+
+
 @pytest.mark.parametrize("k", [0, 2, 3, 5])
 def test_moment_checks_its_residue_sum(monkeypatch, k):
-    # S_k off by one is not a multiple of W: moment raises, as both routes
-    # do, rather than return a wrong Fraction.
-    def broken(roots, count):
-        d, w, sums = residue_sums(roots, count)
-        sums[k] += 1
-        return d, w, sums
-
-    _replace_everywhere(monkeypatch, residue_sums, broken)
-    with pytest.raises(ExactCheckError, match="multiples of W"):
+    # One term of m_k off by one: moment raises, as both routes do, rather
+    # than return a wrong Fraction.
+    _break_pole_term(monkeypatch, k)
+    with pytest.raises(ExactCheckError, match="must vanish at n = 0 and be integers"):
         moment(RootConfig((1, F(2, 3), F(-5, 7))), k)
 
 
@@ -618,52 +714,46 @@ def test_a_wrong_shared_factor_exits_3(monkeypatch):
 
 @pytest.mark.parametrize("i", [0, 2])
 def test_a_wrong_pole_difference_exits_3(monkeypatch, i):
-    # Delta_i off by one: the residues no longer sum to zero, so integrate's
-    # residue self-check refuses before printing, and the identity check and
-    # pfd's reconstruction read the wrong residues and fail.
+    # Delta_i off by one: the residues no longer sum to zero, so the residue
+    # kernel's self-check refuses before integrate or identities prints, and
+    # pfd's reconstruction reads the wrong residues and fails.
     def broken(roots):
         poles, p, deltas = _pole_differences(roots)
         deltas[i] += 1
         return poles, p, deltas
 
     monkeypatch.setattr(poleint.integrate, "_pole_differences", broken)
-    code, out, err = _run(ARGV)
-    assert code == 3 and out == ""
-    assert err == (
-        "error: residue sums must vanish at n = 0 and be multiples of W; "
-        "exact arithmetic is broken\n"
-    )
-    for argv in (
-        ["identities", "--roots", "1,2/3,-5/7", "--max-k", "9"],
-        ["pfd", "--roots", "1,2/3,-5/7", "--num", "1"],
-    ):
+    for argv in (ARGV, ["identities", "--roots", "1,2/3,-5/7", "--max-k", "9"]):
         code, out, err = _run(argv)
-        assert code == 3 and err == ""
-        assert "false" in out
+        assert code == 3 and out == ""
+        assert err == (
+            "error: residue moments must vanish at n = 0 and be integers; "
+            "exact arithmetic is broken\n"
+        )
+    code, out, err = _run(["pfd", "--roots", "1,2/3,-5/7", "--num", "1"])
+    assert code == 3 and err == ""
+    assert "false" in out
 
 
 @pytest.mark.parametrize("n", [0, 5])
 def test_a_failed_residue_self_check_exits_3(monkeypatch, n):
-    # S_0 off by W breaks the residue sum; S_5 off by one leaves a remainder.
-    def broken(roots, count):
-        d, w, sums = residue_sums(roots, count)
-        sums[n] += w if n == 0 else 1
-        return d, w, sums
-
-    _replace_everywhere(monkeypatch, residue_sums, broken)
+    # A quotient off by one breaks the residue sum m_0 = 0; a remainder off by
+    # one at n = 5 leaves fractional parts that do not sum to an integer.
+    _break_pole_term(monkeypatch, n)
     code, out, err = _run(ARGV)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert "residue moments must vanish at n = 0 and be integers" in err
 
 
 def test_a_failed_scaling_law_check_in_limit_exits_3(monkeypatch):
-    # Every scaled row gets the t = 1 residue sums, so b_(q+1) does not scale
-    # by t.
-    original = poleint.asymptotics.residue_sums
+    # Every scaled row gets the t = 1 residue moments, so b_(q+1) does not
+    # scale by t.
+    original = poleint.asymptotics.residue_moments
     monkeypatch.setattr(
         poleint.asymptotics,
-        "residue_sums",
+        "residue_moments",
         lambda roots, n: original(RootConfig((1, 2)).roots, n),
     )
     code, out, err = _run(["limit", "--roots=1,2", "--scales=1,1/2", "--terms=6"])
