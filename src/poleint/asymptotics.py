@@ -27,10 +27,10 @@ from itertools import tee
 
 from .integrate import (RootConfig, integrate_via_expansion, residue_moments,
                         residue_scale)
-from .polynomial import Rat, Value, as_rat
+from .polynomial import Rat, as_rat
 from .symmetric import ExactCheckError
 
-__all__ = ["ScaleRow", "scaling_limit_table"]
+__all__ = ["scaling_limit_table"]
 
 MAX_HORNER_STEPS = 2**20  # scales x samples x N: 1 x 2^19 x 2 runs in 1 s, 15 MB
 
@@ -63,13 +63,6 @@ def evaluate_all(coefficients: Sequence[Rat],
         yield acc
 
 
-class ScaleRow(Value):
-    """One scale t: the exact coefficients b_{q+l}(t a) and the measured
-    far-field sup error against -1/(q z^q)."""
-
-    __slots__ = ("scale", "coefficients", "sup_error")
-
-
 def scaling_limit_table(
     cfg: RootConfig,
     scales: Sequence[Rat | int | str],
@@ -77,9 +70,9 @@ def scaling_limit_table(
     samples: int,
     truncation: int,
     max_l: int | None = None,
-) -> tuple[ScaleRow, ...]:
-    """For each scale t, integrate 1/Q with roots t*a and measure the sup of
-    |g_t(z) + 1/(q z^q)| over equispaced points on the circle |z| = radius.
+) -> tuple[tuple[Rat, tuple[Rat, ...], float], ...]:
+    """For each scale t, the row (t, the exact b_{q+l}(t a) for l = 0..max_l, the
+    sup of |g_t(z) + 1/(q z^q)| over equispaced points on |z| = radius).
 
     The exact side reduces one series, the base b_{q+l}(a) off the expansion
     route; row t is t^l b_{q+l}(a), checked on integers against the residue
@@ -166,5 +159,5 @@ def scaling_limit_table(
                     sup = error
         except OverflowError:
             raise ValueError(far_field) from None
-        rows.append(ScaleRow(t, tuple(b[: depth + 1]), sup))
+        rows.append((t, tuple(b[: depth + 1]), sup))
     return tuple(rows)

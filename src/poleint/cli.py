@@ -41,6 +41,7 @@ from .integrate import (
     check_moment_identities,
     cross_checked,
     partial_fractions,
+    reconstructed_numerator,
 )
 from .parser import (
     PolyParseError,
@@ -185,11 +186,11 @@ def _cmd_pfd(args: SimpleNamespace) -> int:
     cfg = _root_config(args)
     numerator = parse_poly(args.num)
     pf = partial_fractions(numerator, cfg)
-    ok = pf.reconstructed_numerator() == numerator
+    ok = reconstructed_numerator(pf) == numerator
     roots = ",".join(f'\n    "{format_rational(r)}"' for r in cfg.roots)
     terms = ",".join(f'\n    {{\n      "pole": "{format_rational(p)}",\n'
                      f'      "coefficient": "{format_rational(c)}"\n    }}'
-                     for p, c in pf.terms)
+                     for p, c in pf)
     # json.dumps(doc, indent=2) of the document.  Its strings need no escaping:
     # format_rational output and str(Poly) hold only digits, z ^ * + - / and spaces.
     print(f"""{{
@@ -199,7 +200,7 @@ def _cmd_pfd(args: SimpleNamespace) -> int:
   "numerator": "{numerator}",
   "terms": [{terms}
   ],
-  "coefficient_sum": "{format_rational(pf.coefficient_sum())}",
+  "coefficient_sum": "{format_rational(sum(c for _, c in pf))}",
   "reconstruction_ok": {"true" if ok else "false"}
 }}""")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -221,7 +222,7 @@ def _cmd_identities(args: SimpleNamespace) -> int:
     cfg = _root_config(args)
     max_k = args.max_k if args.max_k is not None else cfg.q + 10
     rows = check_moment_identities(cfg, max_k)
-    return _print_checks([(f"k={r.k}", r.lhs, r.rhs) for r in rows], "identities")
+    return _print_checks([(f"k={k}", lhs, rhs) for k, lhs, rhs in rows], "identities")
 
 
 def _cmd_vandermonde(args: SimpleNamespace) -> int:
@@ -246,10 +247,10 @@ def _cmd_limit(args: SimpleNamespace) -> int:
                                radius=args.radius, samples=args.samples,
                                truncation=args.terms, max_l=args.max_l)
     print("t,l,exact_b,numeric_sup_error")
-    for row in rows:
-        for l, b in enumerate(row.coefficients):
-            print(f"{format_rational(row.scale)},{l},{format_rational(b)},"
-                  f"{row.sup_error:.17g}")
+    for scale, coefficients, sup_error in rows:
+        for l, b in enumerate(coefficients):
+            print(f"{format_rational(scale)},{l},{format_rational(b)},"
+                  f"{sup_error:.17g}")
     return EXIT_OK
 
 

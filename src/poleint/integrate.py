@@ -46,9 +46,9 @@ from .polynomial import Poly, Rat, Value, as_rat
 from .series import InvZSeries
 from .symmetric import ExactCheckError, check_moment_size, integer_expansion
 
-__all__ = ["MomentIdentityRow", "PartialFractions", "RootConfig",
-           "check_moment_identities", "integrate_via_expansion",
-           "integrate_via_partial_fractions", "moment", "partial_fractions"]
+__all__ = ["RootConfig", "check_moment_identities", "integrate_via_expansion",
+           "integrate_via_partial_fractions", "moment", "partial_fractions",
+           "reconstructed_numerator"]
 
 
 class RootConfig(Value):
@@ -71,25 +71,6 @@ class RootConfig(Value):
         return len(self.roots)
 
 
-class PartialFractions(Value):
-    """Simple-pole decomposition: pairs (pole, coefficient at that pole)."""
-
-    __slots__ = ("terms",)
-
-    def coefficient_sum(self) -> Fraction:
-        return sum((c for _, c in self.terms), Fraction(0))
-
-    def reconstructed_numerator(self) -> Poly:
-        """sum_j c_j * prod_{k != j} (z - pole_k); equals the numerator whenever
-        the decomposition is correct.  One pass, O(q^2) Fraction operations:
-        `product` is prod (z - pole) over the poles seen so far."""
-        total, product = Poly.zero(), Poly.one()
-        for pole, c in self.terms:
-            factor = Poly((-pole, 1))
-            total, product = total * factor + product * c, product * factor
-        return total
-
-
 def _pole_differences(roots: tuple[Rat, ...]) -> tuple:
     """The poles 0, a_1, ..., a_q as (n_i, d_i), P = prod d_i and the Delta_i =
     prod_(k != i) (n_i d_k - n_k d_i), so that 1/Q'(a_i) = d_i^(q-1) P / Delta_i."""
@@ -99,17 +80,28 @@ def _pole_differences(roots: tuple[Rat, ...]) -> tuple:
     return poles, math.prod(d for _, d in poles), deltas
 
 
-def partial_fractions(numerator: Poly, cfg: RootConfig) -> PartialFractions:
-    """Exact decomposition of numerator/Q over the poles 0, a_1, ..., a_q: Q is
-    monic with simple roots, so the coefficient at a_i = n_i/d_i is
+def partial_fractions(numerator: Poly, cfg: RootConfig) -> tuple[tuple[Rat, Rat], ...]:
+    """Pairs (pole, coefficient) of numerator/Q over the poles 0, a_1, ..., a_q:
+    Q is monic with simple roots, so the coefficient at a_i = n_i/d_i is
     numerator(a_i) / Q'(a_i) = numerator(a_i) d_i^(q-1) P / Delta_i."""
     if numerator.degree > cfg.q:
         raise ValueError("numerator degree must be below denominator degree")
     poles, p, deltas = _pole_differences(cfg.roots)
-    return PartialFractions(tuple(
+    return tuple(
         (a, numerator(a) * Fraction(e ** (cfg.q - 1) * p, x))
         for a, (_, e), x in zip((Fraction(0), *cfg.roots), poles, deltas)
-    ))
+    )
+
+
+def reconstructed_numerator(terms: tuple[tuple[Rat, Rat], ...]) -> Poly:
+    """sum_j c_j * prod_{k != j} (z - pole_k) over the pairs (pole_j, c_j); the
+    numerator whenever they decompose it.  One pass, O(q^2) Fraction
+    operations: `product` is prod (z - pole) over the poles seen so far."""
+    total, product = Poly.zero(), Poly.one()
+    for pole, c in terms:
+        factor = Poly((-pole, 1))
+        total, product = total * factor + product * c, product * factor
+    return total
 
 
 def residue_scale(roots: tuple[Rat, ...], count: int) -> tuple[int, list[int]]:
@@ -195,17 +187,11 @@ def moment(cfg: RootConfig, k: int) -> Fraction:
     return moments[k] * Fraction(d) ** (cfg.q - k)
 
 
-class MomentIdentityRow(Value):
-    """Row k of the identity check: the moment m_k (lhs) and its closed form (rhs)."""
-
-    __slots__ = ("k", "lhs", "rhs")
-
-
 def check_moment_identities(
     cfg: RootConfig, max_k: int
-) -> tuple[MomentIdentityRow, ...]:
-    """Rows k = 0..max_k, each comparing m_k against its closed form:
-    0 below k = q, then the complete homogeneous values h_(k-q) (h_0 = 1).
+) -> tuple[tuple[int, Fraction, Fraction], ...]:
+    """Rows (k, lhs, rhs) for k = 0..max_k: the moment m_k against its closed
+    form, 0 below k = q, then the complete homogeneous values h_(k-q) (h_0 = 1).
 
     The rhs comes off the expansion kernel, the lhs off the residue kernel
     (the rhs itself where the two integers agree).  Failures are reported.
@@ -218,7 +204,7 @@ def check_moment_identities(
     rhs = [m * Fraction(d) ** (q - k) for k, m in enumerate(moments)]
     lhs = [r if x == m else x * Fraction(d) ** (q - k)
            for k, (x, m, r) in enumerate(zip(residues, moments, rhs))]
-    return tuple(map(MomentIdentityRow, range(max_k + 1), lhs, rhs))
+    return tuple(zip(range(max_k + 1), lhs, rhs))
 
 
 def _check_truncation(cfg: RootConfig, truncation: int) -> None:

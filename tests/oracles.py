@@ -19,7 +19,6 @@ from typing import Sequence
 from poleint import (
     INFINITY,
     InvZSeries,
-    PartialFractions,
     Poly,
     Rat,
     RootConfig,
@@ -268,10 +267,10 @@ def mul_z_power(f: InvZSeries, k: int) -> InvZSeries:
     return InvZSeries(f.truncation - k, f.coefficients[k:])
 
 
-def as_series(pf: PartialFractions, truncation: int) -> InvZSeries:
-    """sum_j c_j / (z - pole_j) expanded at infinity."""
+def as_series(terms: Sequence[tuple[Rat, Rat]], truncation: int) -> InvZSeries:
+    """sum_j c_j / (z - pole_j) over the pairs (pole_j, c_j), expanded at infinity."""
     out = InvZSeries(truncation, (0,) * (truncation + 1))
-    for pole, c in pf.terms:
+    for pole, c in terms:
         out = out + inverse_linear(pole, truncation) * c
     return out
 
@@ -282,7 +281,7 @@ def as_series(pf: PartialFractions, truncation: int) -> InvZSeries:
 def log_potential(cfg: RootConfig, z: complex) -> complex:
     """sum_p (1/Q'(p)) log(z - p) over the poles p of 1/Q, 0 included, in
     double precision on the principal branch; z must avoid the poles."""
-    terms = partial_fractions(Poly.one(), cfg).terms
+    terms = partial_fractions(Poly.one(), cfg)
     return sum(float(c) * cmath.log(z - p) for p, c in terms)
 
 

@@ -72,12 +72,13 @@ def test_criterion_1_moment_identity_suite():
     ok = True
     for cfg in CORPUS:
         rows = check_moment_identities(cfg, cfg.q + 10)
-        ok &= all(row.lhs == row.rhs for row in rows)
+        ok &= all(lhs == rhs for _, lhs, rhs in rows)
         if cfg.q <= 5:
             for l in range(1, 11):
                 direct = complete_homogeneous_direct(cfg.roots, l)
-                ok &= rows[cfg.q + l].rhs == direct
-                ok &= rows[cfg.q + l].lhs == direct
+                _, lhs, rhs = rows[cfg.q + l]
+                ok &= rhs == direct
+                ok &= lhs == direct
     elapsed = time.perf_counter() - start
     _report(
         "criterion 1 (moment identities, 200 configs, k <= q+10)",
@@ -197,7 +198,7 @@ def test_criterion_8a_scaling_limit():
         samples=64,
         truncation=24,
     )
-    sups = [r.sup_error for r in rows]
+    sups = [sup for _, _, sup in rows]
     ratios = [b / a for a, b in zip(sups, sups[1:])]
     ok = all(b < a for a, b in zip(sups, sups[1:]))
     # consecutive ratios touching the last two rows
@@ -242,8 +243,8 @@ def test_criterion_8c_zero_sum_roots_decay_quadratically():
             cfg, [F(1), F(1, 2), F(1, 4), F(1, 8)], radius=radius, samples=64,
             truncation=cfg.q + 8,
         )
-        ok &= all(row.coefficients[1] == 0 and row.coefficients[2] < 0 for row in rows)
-        sups = [r.sup_error for r in rows]
+        ok &= all(b[1] == 0 and b[2] < 0 for _, b, _ in rows)
+        sups = [sup for _, _, sup in rows]
         ratios = [b / a for a, b in zip(sups, sups[1:])][-2:]
         ok &= all(0.2 <= ratio <= 0.3 for ratio in ratios)
         details.append(f"{label}: " + "/".join(f"{ratio:.4f}" for ratio in ratios))

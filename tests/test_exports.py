@@ -14,14 +14,11 @@ EXPORTS = (
     ("ExactCheckError", "symmetric"),
     ("INFINITY", "series"),
     ("InvZSeries", "series"),
-    ("MomentIdentityRow", "integrate"),
     ("NotIntegrableInRing", "series"),
-    ("PartialFractions", "integrate"),
     ("Poly", "polynomial"),
     ("PolyParseError", "parser"),
     ("Rat", "polynomial"),
     ("RootConfig", "integrate"),
-    ("ScaleRow", "asymptotics"),
     ("SymmetricTable", "symmetric"),
     ("check_moment_identities", "integrate"),
     ("complete_homogeneous", "symmetric"),
@@ -35,6 +32,7 @@ EXPORTS = (
     ("parse_poly", "parser"),
     ("parse_rational", "parser"),
     ("partial_fractions", "integrate"),
+    ("reconstructed_numerator", "integrate"),
     ("scaling_limit_table", "asymptotics"),
     ("vandermonde_matrix", "symmetric"),
     ("vandermonde_product", "symmetric"),

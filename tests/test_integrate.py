@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from poleint import (
     InvZSeries,
-    PartialFractions,
     Poly,
     RootConfig,
     check_moment_identities,
@@ -16,6 +15,7 @@ from poleint import (
     integrate_via_partial_fractions,
     moment,
     partial_fractions,
+    reconstructed_numerator,
 )
 
 from conftest import nonzero_rationals, root_configs, random_root_config
@@ -48,31 +48,37 @@ class TestRootConfig:
 class TestPartialFractions:
     def test_pair_fixture(self):
         pf = partial_fractions(Poly.one(), RootConfig((1, 2)))
-        assert pf.terms == ((0, F(1, 2)), (1, -1), (2, F(1, 2)))
+        assert pf == ((0, F(1, 2)), (1, -1), (2, F(1, 2)))
 
     def test_single_root_dipole_pair(self):
         a = F(5, 7)
         pf = partial_fractions(Poly.one(), RootConfig((a,)))
-        assert pf.terms == ((0, -1 / a), (a, 1 / a))
+        assert pf == ((0, -1 / a), (a, 1 / a))
 
     def test_numerator_z_kills_pole_at_zero(self):
         pf = partial_fractions(Poly.z(), RootConfig((1, 2)))
-        assert pf.terms == ((0, 0), (1, -1), (2, 1))
+        assert pf == ((0, 0), (1, -1), (2, 1))
 
     def test_degree_too_large(self):
         with pytest.raises(ValueError, match="degree"):
             partial_fractions(Poly((0, 0, 0, 1)), RootConfig((1, 2)))
 
+    def test_result_is_a_tuple_of_pairs(self):
+        pf = partial_fractions(Poly.one(), RootConfig((1, F(-1, 2))))
+        assert type(pf) is tuple
+        assert [(type(pair), len(pair)) for pair in pf] == [(tuple, 2)] * 3
+        assert all(type(x) is F for pair in pf for x in pair)
+
     def test_unit_numerator_coefficients_sum_to_zero(self):
         pf = partial_fractions(Poly.one(), RootConfig((F(3, 5), -2, 7)))
-        assert pf.coefficient_sum() == 0
+        assert sum(c for _, c in pf) == 0
 
     @given(root_configs, st.lists(nonzero_rationals, max_size=6))
     @settings(max_examples=60)
     def test_reconstruction(self, cfg, num_coeffs):
         numerator = Poly(num_coeffs[: cfg.q + 1])  # keep deg P < deg Q
         pf = partial_fractions(numerator, cfg)
-        assert pf.reconstructed_numerator() == numerator
+        assert reconstructed_numerator(pf) == numerator
 
     SIX_ROOTS = RootConfig((F(1, 3), -2, F(5, 7), 4, F(-9, 2), F(11, 13)))
     DEGREE_FIVE = Poly((7, F(-2, 5), 0, 1, F(3, 4), -6))
@@ -86,16 +92,15 @@ class TestPartialFractions:
             raise AssertionError("from_roots called")
 
         monkeypatch.setattr(Poly, "from_roots", refuse)
-        assert pf.reconstructed_numerator() == self.DEGREE_FIVE
+        assert reconstructed_numerator(pf) == self.DEGREE_FIVE
 
     # poles 0 (first), a_3 (middle) and a_6 (last)
     @pytest.mark.parametrize("index", [0, 3, 6])
     def test_reconstruction_sees_a_changed_coefficient(self, index):
-        terms = list(partial_fractions(self.DEGREE_FIVE, self.SIX_ROOTS).terms)
+        terms = list(partial_fractions(self.DEGREE_FIVE, self.SIX_ROOTS))
         pole, c = terms[index]
         terms[index] = (pole, c + 1)
-        pf = PartialFractions(tuple(terms))
-        assert pf.reconstructed_numerator() != self.DEGREE_FIVE
+        assert reconstructed_numerator(terms) != self.DEGREE_FIVE
 
 
 class TestMoments:
@@ -119,14 +124,20 @@ class TestMoments:
 class TestMomentIdentities:
     def test_pair_report(self):
         rows = check_moment_identities(RootConfig((1, 2)), 6)
-        assert all(row.lhs == row.rhs for row in rows)
-        assert [row.lhs for row in rows] == [0, 0, 1, 3, 7, 15, 31]
+        assert all(lhs == rhs for _, lhs, rhs in rows)
+        assert [lhs for _, lhs, _ in rows] == [0, 0, 1, 3, 7, 15, 31]
 
     def test_single_root_report(self):
         a = F(4, 3)
         rows = check_moment_identities(RootConfig((a,)), 3)
-        assert all(row.lhs == row.rhs for row in rows)
-        assert [row.rhs for row in rows] == [0, 1, a, a * a]
+        assert all(lhs == rhs for _, lhs, rhs in rows)
+        assert [rhs for _, _, rhs in rows] == [0, 1, a, a * a]
+
+    def test_rows_are_plain_tuples(self):
+        rows = check_moment_identities(RootConfig((1, 2)), 4)
+        assert type(rows) is tuple
+        assert [(type(row), len(row)) for row in rows] == [(tuple, 3)] * 5
+        assert [k for k, _, _ in rows] == [0, 1, 2, 3, 4]
 
     def test_max_k_below_q_rejected(self):
         with pytest.raises(ValueError, match="max_k"):
@@ -136,7 +147,7 @@ class TestMomentIdentities:
     @settings(max_examples=50)
     def test_random_configs_pass(self, cfg):
         rows = check_moment_identities(cfg, cfg.q + 6)
-        assert all(row.lhs == row.rhs for row in rows)
+        assert all(lhs == rhs for _, lhs, rhs in rows)
 
 
 class TestIntegration:

@@ -118,8 +118,8 @@ def test_kernels_match_fraction_oracles(roots, extra):
     direct = moments_direct(cfg, n)
     assert [moment(cfg, k) for k in range(n + 1)] == direct
     rows = check_moment_identities(cfg, n)
-    assert [row.lhs for row in rows] == direct
-    assert [row.rhs for row in rows] == direct
+    assert [lhs for _, lhs, _ in rows] == direct
+    assert [rhs for _, _, rhs in rows] == direct
 
 
 # -- the residue kernel on the pole differences ------------------------------

@@ -1,7 +1,10 @@
-"""Value semantics shared by the package's immutable record types.
+"""Value semantics shared by the package's immutable values.
 
-One sample of each type is checked for construction, normalization,
-equality, hashing, immutability, repr, pickling and pattern matching.
+One sample of each record type is checked for construction, normalization,
+equality, hashing, immutability, repr, pickling and pattern matching.  The
+same checks run on the plain-tuple results of `partial_fractions`,
+`check_moment_identities` and `scaling_limit_table`, each built by its
+function.
 """
 
 import copy
@@ -12,12 +15,12 @@ import pytest
 
 from poleint import (
     InvZSeries,
-    MomentIdentityRow,
-    PartialFractions,
     Poly,
     RootConfig,
-    ScaleRow,
     SymmetricTable,
+    check_moment_identities,
+    partial_fractions,
+    scaling_limit_table,
 )
 
 # (type, field names, arguments, arguments of an unequal value, repr)
@@ -35,32 +38,51 @@ SAMPLES = [
         "RootConfig(roots=(Fraction(1, 1), Fraction(1, 2)))",
     ),
     (
-        PartialFractions, ("terms",),
-        (((F(0), F(1)), (F(1), F(-1))),), (((F(0), F(1)),),),
-        "PartialFractions(terms=((Fraction(0, 1), Fraction(1, 1)),"
-        " (Fraction(1, 1), Fraction(-1, 1))))",
-    ),
-    (
-        MomentIdentityRow, ("k", "lhs", "rhs"), (2, F(1), F(1)), (2, F(1), F(2)),
-        "MomentIdentityRow(k=2, lhs=Fraction(1, 1), rhs=Fraction(1, 1))",
-    ),
-    (
         SymmetricTable, ("q", "depth", "e", "h"),
         (1, 1, (F(1), F(2)), (F(1), F(2))), (1, 1, (F(1), F(2)), (F(1), F(3))),
         "SymmetricTable(q=1, depth=1, e=(Fraction(1, 1), Fraction(2, 1)),"
         " h=(Fraction(1, 1), Fraction(2, 1)))",
     ),
-    (
-        ScaleRow, ("scale", "coefficients", "sup_error"),
-        (F(1, 2), (F(-1, 4),), 0.25), (F(1, 2), (F(-1, 4),), 0.5),
-        "ScaleRow(scale=Fraction(1, 2), coefficients=(Fraction(-1, 4),),"
-        " sup_error=0.25)",
-    ),
 ]
 
+# (function, parameter names, arguments, arguments of an unequal result,
+# repr).  The rows keep the names of the records these tuples replaced.
+RESULTS = [
+    (
+        partial_fractions, ("numerator", "cfg"),
+        (Poly((1,)), RootConfig((1,))), (Poly((1,)), RootConfig((2,))),
+        "((Fraction(0, 1), Fraction(-1, 1)), (Fraction(1, 1), Fraction(1, 1)))",
+    ),
+    (
+        check_moment_identities, ("cfg", "max_k"),
+        (RootConfig((1,)), 1), (RootConfig((1,)), 2),
+        "((0, Fraction(0, 1), Fraction(0, 1)), (1, Fraction(1, 1), Fraction(1, 1)))",
+    ),
+    (
+        scaling_limit_table,
+        ("cfg", "scales", "radius", "samples", "truncation", "max_l"),
+        (RootConfig((1,)), ("1/2",), 4.0, 8, 2, 1),
+        (RootConfig((1,)), ("1/4",), 4.0, 8, 2, 1),
+        "((Fraction(1, 2), (Fraction(-1, 1), Fraction(-1, 4)), 0.015625),)",
+    ),
+]
+RESULT_IDS = ["PartialFractions", "MomentIdentityRow", "ScaleRow"]
+
 samples = pytest.mark.parametrize(
-    "cls, names, args, other, text", SAMPLES, ids=[s[0].__name__ for s in SAMPLES]
+    "cls, names, args, other, text", SAMPLES + RESULTS,
+    ids=[s[0].__name__ for s in SAMPLES] + RESULT_IDS,
 )
+
+
+def is_record(cls):
+    return isinstance(cls, type)
+
+
+def nested_tuples_only(value):
+    """True when no list, dict or set hides anywhere inside value."""
+    if isinstance(value, tuple):
+        return type(value) is tuple and all(map(nested_tuples_only, value))
+    return not isinstance(value, (list, dict, set))
 
 
 @samples
@@ -70,7 +92,10 @@ def test_equality_by_field(cls, names, args, other, text):
     assert not value != cls(*args)
     assert value != cls(*other)
     assert (value == tuple(args)) is False
-    assert value.__eq__(tuple(args)) is NotImplemented
+    if is_record(cls):
+        assert value.__eq__(tuple(args)) is NotImplemented
+    else:
+        assert type(value) is tuple
 
 
 @samples
@@ -82,10 +107,17 @@ def test_equal_values_hash_equal(cls, names, args, other, text):
 @samples
 def test_immutable_and_slotted(cls, names, args, other, text):
     value = cls(*args)
-    with pytest.raises(AttributeError, match=f"cannot assign to field '{names[0]}'"):
-        setattr(value, names[0], args[0])
-    with pytest.raises(AttributeError, match=f"cannot delete field '{names[0]}'"):
-        delattr(value, names[0])
+    if is_record(cls):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{names[0]}'"):
+            setattr(value, names[0], args[0])
+        with pytest.raises(AttributeError, match=f"cannot delete field '{names[0]}'"):
+            delattr(value, names[0])
+    else:
+        with pytest.raises(TypeError):
+            value[0] = value[0]
+        with pytest.raises(TypeError):
+            value[0][0] = value[0][0]
+        assert nested_tuples_only(value)
     assert not hasattr(value, "__dict__")
     assert value == cls(*args)
 
@@ -106,7 +138,7 @@ def test_positional_and_keyword_construction(cls, names, args, other, text):
         cls(*args, **{names[0]: args[0]})
     with pytest.raises(TypeError):
         cls(*args[:-1], unknown=1)
-    if cls is not Poly:
+    if cls not in (Poly, scaling_limit_table):  # no default for the last one
         with pytest.raises(TypeError):
             cls(*args[:-1])
 
@@ -124,13 +156,21 @@ def test_pickle_and_copy_round_trip(cls, names, args, other, text):
         copy.copy(value),
         copy.deepcopy(value),
     ):
-        assert type(clone) is cls
+        assert type(clone) is (cls if is_record(cls) else tuple)
         assert clone == value
         assert repr(clone) == text
 
 
 @samples
 def test_match_args(cls, names, args, other, text):
+    if not is_record(cls):
+        match cls(*args):
+            case ((first, *rest), *rows):
+                assert (first, *rest) == cls(*args)[0]
+                assert len(rows) == len(cls(*args)) - 1
+            case _:
+                pytest.fail("sequence pattern did not match")
+        return
     assert cls.__match_args__ == names
     match cls(*args):
         case cls(first):
@@ -145,9 +185,11 @@ def test_match_by_keyword_and_position():
             pass
         case _:
             pytest.fail("keyword pattern did not match")
-    match MomentIdentityRow(4, F(1), F(2)):
-        case MomentIdentityRow(k, lhs, rhs):
-            assert (k, lhs, rhs) == (4, 1, 2)
+    match InvZSeries(1, (0, F(1, 2))):
+        case InvZSeries(truncation, coefficients):
+            assert (truncation, coefficients) == (1, (0, F(1, 2)))
+        case _:
+            pytest.fail("positional pattern did not match")
 
 
 def test_types_do_not_compare_across_classes():
