@@ -123,7 +123,7 @@ def scaling_limit_table(
     depth = truncation - q
     if max_l is not None:
         depth = min(depth, max_l)
-    base = integrate_via_expansion(cfg, truncation).coefficients[q:]
+    base = integrate_via_expansion(cfg, truncation)[q:]
 
     def circle() -> Iterator[complex]:
         return (radius * complex(math.cos(a), math.sin(a))

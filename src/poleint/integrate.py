@@ -43,7 +43,6 @@ import math
 from fractions import Fraction
 
 from .polynomial import Poly, Rat, Value, as_rat
-from .series import InvZSeries
 from .symmetric import ExactCheckError, check_moment_size, integer_expansion
 
 __all__ = ["RootConfig", "check_moment_identities", "integrate_via_expansion",
@@ -165,10 +164,10 @@ def reduced_coefficients(moments: list[int], d: int, q: int) -> list[tuple[int, 
     return out
 
 
-def series_from_moments(moments: list[int], d: int, q: int) -> InvZSeries:
-    """b_0 = 0 and each b_n = num / (s * D^k) of `reduced_coefficients`."""
-    b = [Fraction(num, s * d**k) for num, s, k in reduced_coefficients(moments, d, q)]
-    return InvZSeries(len(b), [Fraction(0)] + b)
+def series_from_moments(moments: list[int], d: int, q: int) -> tuple[Fraction, ...]:
+    """(0, b_1, ..., b_N), each b_n = num / (s * D^k) of `reduced_coefficients`."""
+    return Fraction(0), *(Fraction(num, s * d**k)
+                          for num, s, k in reduced_coefficients(moments, d, q))
 
 
 def cross_checked(cfg: RootConfig, truncation: int) -> tuple:
@@ -213,18 +212,19 @@ def _check_truncation(cfg: RootConfig, truncation: int) -> None:
                          f"got {truncation}")
 
 
-def integrate_via_expansion(cfg: RootConfig, truncation: int) -> InvZSeries:
+def integrate_via_expansion(cfg: RootConfig, truncation: int) -> tuple[Fraction, ...]:
     """Reference route: expand 1/Q at infinity root-free, then antidifferentiate
-    term by term.  Never evaluates anything at an individual root, so the
-    symmetric dependence on the roots is structural."""
+    term by term, to the tuple (b_0 = 0, b_1, ..., b_N).  Never evaluates at an
+    individual root, so the symmetric dependence on the roots is structural."""
     _check_truncation(cfg, truncation)
     d, _, moments = integer_expansion(cfg.roots, truncation + 1)
     return series_from_moments(moments, d, cfg.q)
 
 
-def integrate_via_partial_fractions(cfg: RootConfig, truncation: int) -> InvZSeries:
+def integrate_via_partial_fractions(cfg: RootConfig,
+                                    truncation: int) -> tuple[Fraction, ...]:
     """Checking route: integrate each partial fraction c_p/(z - p) to a
-    logarithm and sum, using only the residues.
+    logarithm and sum, using only the residues, to (b_0 = 0, b_1, ..., b_N).
 
     Each log(z - p) splits as log z + log(1 - p/z).  The log z multiples carry
     total weight m_0 = sum_p c_p = 0 (the k = 0 moment identity); a nonzero

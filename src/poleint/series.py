@@ -10,8 +10,7 @@ soundly support, so a result's coefficients are always exact, never merely
 "probably right up to where we stopped".
 
 Two series can only be compared where both are known; `agrees_with` does
-exactly that.  The valuation of a series is the index of its first nonzero
-stored coefficient, or INFINITY when every stored coefficient vanishes.
+exactly that.
 
 Antidifferentiation loses one order of information.  A series with a
 nonzero z^0 or z^-1 term has no antiderivative in this ring (the z^-1 term
@@ -20,14 +19,12 @@ would integrate to a logarithm), which raises NotIntegrableInRing.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
+from .asymptotics import evaluate_all
 from .polynomial import Poly, Rat, Value, as_rat
 
-__all__ = ["INFINITY", "InvZSeries", "NotIntegrableInRing"]
-
-INFINITY = math.inf
+__all__ = ["InvZSeries", "NotIntegrableInRing"]
 
 
 class NotIntegrableInRing(ValueError):
@@ -100,20 +97,6 @@ class InvZSeries(Value):
 
     # -- structure -----------------------------------------------------
 
-    def coefficient(self, n: int) -> Fraction:
-        if not 0 <= n <= self.truncation:
-            raise ValueError(
-                f"coefficient {n} is outside the known window 0..{self.truncation}"
-            )
-        return self.coefficients[n]
-
-    def valuation(self) -> int | float:
-        """Index of the first nonzero stored coefficient; INFINITY if none."""
-        for n, c in enumerate(self.coefficients):
-            if c != 0:
-                return n
-        return INFINITY
-
     def agrees_with(self, other: InvZSeries) -> bool:
         """Equality up to the smaller of the two truncations."""
         n = min(self.truncation, other.truncation)
@@ -163,5 +146,4 @@ class InvZSeries(Value):
 
     def evaluate(self, z: complex) -> complex:
         """Sum the truncated series at one nonzero point by `asymptotics.evaluate_all`."""
-        from .asymptotics import evaluate_all  # at module level: a cycle via integrate
         return next(evaluate_all(self.coefficients, (z,)))

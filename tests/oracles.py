@@ -17,7 +17,6 @@ from itertools import combinations_with_replacement
 from typing import Sequence
 
 from poleint import (
-    INFINITY,
     InvZSeries,
     Poly,
     Rat,
@@ -229,10 +228,16 @@ def derivative(f: InvZSeries) -> InvZSeries:
     return InvZSeries(f.truncation + 1, tuple(out))
 
 
+def valuation(coefficients: Sequence[Rat]) -> int | float:
+    """Index of the first nonzero coefficient of b_0, b_1, ...; math.inf if
+    every one vanishes."""
+    return next((n for n, c in enumerate(coefficients) if c != 0), math.inf)
+
+
 def _first_possible_nonzero(f: InvZSeries) -> int:
     """Lower bound on the true valuation (window valuation, else N+1)."""
-    v = f.valuation()
-    return f.truncation + 1 if v == INFINITY else int(v)
+    v = valuation(f.coefficients)
+    return f.truncation + 1 if v == math.inf else v
 
 
 def series_mul(f: InvZSeries, g: InvZSeries) -> InvZSeries:

@@ -34,7 +34,8 @@ from poleint.cli import main as cli_main
 from poleint.integrate import _pole_differences, residue_moments
 
 from conftest import random_fraction, random_root_config
-from oracles import closed_form, complete_homogeneous_direct, derivative, log_potential
+from oracles import (closed_form, complete_homogeneous_direct, derivative, log_potential,
+                     valuation)
 
 N_CORPUS = 32
 
@@ -92,7 +93,7 @@ def test_criterion_1_moment_identity_suite():
 def test_criterion_2_reference_fixture():
     res = integrate_via_expansion(RootConfig((1, 2)), 6)
     expected = {1: F(0), 2: F(-1, 2), 3: F(-1), 4: F(-7, 4), 5: F(-3)}
-    ok = all(res.coefficient(n) == v for n, v in expected.items())
+    ok = all(res[n] == v for n, v in expected.items())
     _report("criterion 2 (roots {1,2}, N=6 coefficient fixture)", ok)
     assert ok
 
@@ -119,8 +120,8 @@ def test_criterion_4_defining_contract(corpus_results):
     for cfg, ref, chk in corpus_results:
         q_poly = Poly.from_roots([0, *cfg.roots])
         f = InvZSeries.from_rational(Poly.one(), q_poly, N_CORPUS + 1)
-        ok &= derivative(ref) == f
-        ok &= derivative(chk) == f
+        ok &= derivative(InvZSeries(N_CORPUS, ref)) == f
+        ok &= derivative(InvZSeries(N_CORPUS, chk)) == f
     _report("criterion 4 (derivative of g reproduces 1/Q exactly)", ok)
     assert ok
 
@@ -128,9 +129,9 @@ def test_criterion_4_defining_contract(corpus_results):
 def test_criterion_5_valuation_theorem(corpus_results):
     ok = True
     for cfg, ref, chk in corpus_results:
-        ok &= ref.valuation() == cfg.q
-        ok &= chk.valuation() == cfg.q
-        ok &= ref.coefficient(cfg.q) == F(-1, cfg.q)
+        ok &= valuation(ref) == cfg.q
+        ok &= valuation(chk) == cfg.q
+        ok &= ref[cfg.q] == F(-1, cfg.q)
     _report("criterion 5 (valuation q, leading coefficient -1/q)", ok)
     assert ok
 
@@ -141,19 +142,19 @@ def test_criterion_6_closed_form_coefficients(corpus_results):
     for cfg, ref, _ in corpus_results:
         expected = closed_form(cfg, N_CORPUS - cfg.q)
         for l, b in enumerate(expected):
-            ok &= ref.coefficient(cfg.q + l) == b
+            ok &= ref[cfg.q + l] == b
         # permutation invariance
         shuffled = list(cfg.roots)
         rng.shuffle(shuffled)
         permuted = integrate_via_expansion(RootConfig(tuple(shuffled)), cfg.q + 4)
-        ok &= permuted.agrees_with(ref)
+        ok &= permuted == ref[: cfg.q + 5]
         # t^l scaling covariance
         t = random_fraction(rng, bound=9)
         scaled_cfg = RootConfig(tuple(t * r for r in cfg.roots))
         scaled = integrate_via_expansion(scaled_cfg, cfg.q + 4)
         t_power = F(1)
         for l in range(5):
-            ok &= scaled.coefficient(cfg.q + l) == t_power * ref.coefficient(cfg.q + l)
+            ok &= scaled[cfg.q + l] == t_power * ref[cfg.q + l]
             t_power *= t
     _report(
         "criterion 6 (closed form -h_l/(q+l), permutation and scaling laws)", ok
@@ -268,7 +269,7 @@ def test_criterion_8b_dipole_far_field_tolerance():
     # taken from the exact expansion, is included, the remainder is
     # x^2/3 ~= 3.3e-7; a wrong or missing b_2 leaves >= 5e-4.
     a = F(1, 100)
-    b2 = integrate_via_expansion(RootConfig((a,)), 6).coefficient(2)
+    b2 = integrate_via_expansion(RootConfig((a,)), 6)[2]
     assert b2 == -a / 2
     z = 10 + 0j
     phi = log_potential(RootConfig((a,)), z)

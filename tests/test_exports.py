@@ -12,7 +12,6 @@ import poleint
 # offers it (`format_rational` is defined in `polynomial`, offered by `parser`).
 EXPORTS = (
     ("ExactCheckError", "symmetric"),
-    ("INFINITY", "series"),
     ("InvZSeries", "series"),
     ("NotIntegrableInRing", "series"),
     ("Poly", "polynomial"),

