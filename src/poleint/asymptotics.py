@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import tee
 
 from .integrate import (RootConfig, integrate_via_expansion, residue_moments,
                         residue_scale)
@@ -32,7 +31,8 @@ from .symmetric import ExactCheckError
 
 __all__ = ["scaling_limit_table"]
 
-MAX_HORNER_STEPS = 2**20  # scales x samples x N: 1 x 2^19 x 2 runs in 1 s, 15 MB
+MAX_HORNER_STEPS = 2**20  # scales x samples x N: 1 x 2^19 x 2 runs in 0.7 s, 15 MB
+CHUNK = 4096  # points made at a time on the one walk of the circle
 
 
 def evaluate_all(coefficients: Sequence[Rat],
@@ -78,15 +78,15 @@ def scaling_limit_table(
     route; row t is t^l b_{q+l}(a), checked on integers against the residue
     kernel on t a, whose D_t and x_l = m_{q+l}(c_t) must give x_0 = 1 (that
     is, b_q = -1/q) and x_l den(b_l) = -(q+l) D_t^l num(b_l): each row sets
-    one route against the other, and a violation raises.  The numeric side sums
-    the tail b_{q+1} z^-(q+1) + ... + b_N z^-N alone, as the series
-    b_{q+1} z^-1 + ... + b_N z^-(N-q) divided by z^q, so the two terms of
-    size 1/(q R^q) that cancel in g_t(z) + 1/(q z^q) never meet in floating
-    point.  `evaluate_all` sums it point by point and rounds the tail's
-    coefficients once per row (once per binade of the points' |z|), not once
-    per point.  The points stream: each pass regenerates them, and the sup is
-    folded as they come, so no pass keeps a value per sample.  Comparing sup
-    errors across rows is the caller's business.
+    one route against the other, and a violation raises before any sampling.
+    The numeric side sums the tail b_{q+1} z^-(q+1) + ... + b_N z^-N alone, as
+    the series b_{q+1} z^-1 + ... + b_N z^-(N-q) divided by z^q, so the two
+    terms of size 1/(q R^q) that cancel in g_t(z) + 1/(q z^q) never meet in
+    floating point.  One walk of the circle, CHUNK points at a time, serves
+    every row: each chunk's points and their z^q are made once, `evaluate_all`
+    sums each row's tail over it (rounding the coefficients once per chunk and
+    binade of |z|), and the sups are folded chunk by chunk, so nothing is kept
+    per sample.  Comparing sup errors across rows is the caller's business.
 
     The radius must be finite and exceed every scaled root, its q-th power
     must not overflow a double, 1/(q z^q) and the tail on the circle must stay
@@ -125,22 +125,7 @@ def scaling_limit_table(
         depth = min(depth, max_l)
     base = integrate_via_expansion(cfg, truncation)[q:]
 
-    def circle() -> Iterator[complex]:
-        return (radius * complex(math.cos(a), math.sin(a))
-                for a in (2 * math.pi * k / samples for k in range(samples)))
-
-    far_field = f"radius**q must keep the far field within the double range (q = {q})"
-    outside = False  # z**q underflowed to 0, or is so small that 1/(q z^q) overflows
-    try:  # an overflowing z**q anywhere on the circle is reported first
-        for z in circle():
-            inv = 1 / (q * zq) if (zq := z**q) else math.inf
-            outside = outside or not (math.isfinite(inv.real) and math.isfinite(inv.imag))
-    except OverflowError:
-        raise ValueError(f"radius**q must not overflow a double (q = {q})") from None
-    if outside:
-        raise ValueError(far_field)
-
-    rows = []
+    rows, tails = [], []
     for t, roots in zip(t_scales, scaled):
         d, moments = residue_moments(roots, truncation + 1)
         if moments[q] != 1:
@@ -149,15 +134,29 @@ def scaling_limit_table(
         for l, (x, y) in enumerate(zip(moments[q:], b)):
             if x * y.denominator != -(q + l) * d**l * y.numerator:
                 raise ExactCheckError(f"t^l scaling law failed at l = {l}")
-        points, ahead = tee(circle())
-        sup = 0.0
-        try:
-            for z, s in zip(points, evaluate_all((0, *b[1:]), ahead)):
-                if not math.isfinite(error := abs(s / z**q)):
-                    raise ValueError(far_field)
-                if error > sup:
-                    sup = error
+        rows.append((t, tuple(b[: depth + 1])))
+        tails.append((0, *b[1:]))
+
+    sups = [0.0] * len(tails)
+    outside = False  # once the far field leaves the double range, only z**q is read
+    for start in range(0, samples, CHUNK):
+        angles = (2 * math.pi * k / samples for k in range(samples)[start:start + CHUNK])
+        points = [radius * complex(math.cos(a), math.sin(a)) for a in angles]
+        try:  # an overflowing z**q anywhere on the circle is reported first
+            powers = [z**q for z in points]
         except OverflowError:
-            raise ValueError(far_field) from None
-        rows.append((t, tuple(b[: depth + 1]), sup))
-    return tuple(rows)
+            raise ValueError(f"radius**q must not overflow a double (q = {q})") from None
+        for zq in powers:  # z**q underflowed to 0, or 1/(q z^q) overflows
+            inv = 1 / (q * zq) if zq else math.inf
+            outside = outside or not (math.isfinite(inv.real) and math.isfinite(inv.imag))
+        for i, tail in enumerate([] if outside else tails):
+            try:
+                errors = [abs(s / zq) for s, zq in zip(evaluate_all(tail, points), powers)]
+            except OverflowError:
+                errors = [math.inf]
+            outside = outside or not all(map(math.isfinite, errors))
+            sups[i] = max(sups[i], *errors)
+    if outside:
+        raise ValueError(
+            f"radius**q must keep the far field within the double range (q = {q})")
+    return tuple((t, b, sup) for (t, b), sup in zip(rows, sups))

@@ -290,6 +290,27 @@ def log_potential(cfg: RootConfig, z: complex) -> complex:
     return sum(float(c) * cmath.log(z - p) for p, c in terms)
 
 
+def sup_errors(tails: Sequence[Sequence[Rat]], q: int, radius: float,
+               samples: int) -> list[float]:
+    """For each tail (0, b_(q+1), ..., b_N) in turn, the sup of
+    |tail(z) / z^q| over the points radius * exp(2 pi i k / samples): one
+    walk of the circle per row, plain Horner in 1/z on the coefficients each
+    rounded once to a double.  Away from underflow and overflow this is
+    `asymptotics.evaluate_all`'s sum, bit for bit."""
+    sups = []
+    for tail in tails:
+        coefficients = [float(c) for c in reversed(tail)]
+        sup = 0.0
+        for k in range(samples):
+            z = radius * cmath.exp(2j * cmath.pi * k / samples)
+            w, acc = 1 / z, 0j
+            for c in coefficients:
+                acc = acc * w + c
+            sup = max(sup, abs(acc / z**q))
+        sups.append(sup)
+    return sups
+
+
 # -- the command line's reading of argv -------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,10 +15,10 @@ from poleint import (
     scaling_limit_table,
 )
 from poleint import asymptotics
-from poleint.asymptotics import MAX_HORNER_STEPS
+from poleint.asymptotics import CHUNK, MAX_HORNER_STEPS
 
 from conftest import root_configs
-from oracles import log_potential
+from oracles import log_potential, sup_errors
 
 
 def _float_eval(poly, z):
@@ -207,10 +208,59 @@ class TestScalingLimit:
             return evaluate_all(coefficients, (seen.append(z) or z for z in points))
 
         monkeypatch.setattr(asymptotics, "evaluate_all", recorded)
-        for samples in [*range(1, 300), 1000, 4096, 65536]:
+        for samples in [*range(1, 300), 1000, 4096, CHUNK, CHUNK + 1, 65536]:
             seen.clear()
             scaling_limit_table(
                 RootConfig((1,)), [F(1)], radius=10.0, samples=samples, truncation=2
             )
             want = [10.0 * cmath.exp(2j * cmath.pi * k / samples) for k in range(samples)]
             assert list(map(repr, seen)) == list(map(repr, want))
+
+    def test_the_circle_is_walked_once_for_every_scale(self, monkeypatch):
+        # a pre-pass and then each scale walked the circle on its own: four
+        # scales made every point five times, 5 x samples calls of cos and sin
+        calls = {"cos": 0, "sin": 0}
+
+        def counted(name):
+            real = getattr(math, name)
+
+            def call(angle):
+                calls[name] += 1
+                return real(angle)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(math, name, counted(name))
+        samples = 2 * CHUNK + 3
+        rows = scaling_limit_table(RootConfig((1, 2)), [1, F(1, 2), F(1, 4), F(1, 8)],
+                                   radius=10.0, samples=samples, truncation=4)
+        assert len(rows) == 4
+        assert calls == {"cos": samples, "sin": samples}
+
+    def test_an_overflowing_power_is_reported_before_an_earlier_far_field(
+            self, monkeypatch):
+        # z**2 underflows to 0 at the point k = 1, in the first chunk, and
+        # overflows at k = CHUNK + 1, in the second
+        samples = 2 * CHUNK + 1
+        early, late = (2 * math.pi * k / samples for k in (1, CHUNK + 1))
+        cos, sin = math.cos, math.sin
+        monkeypatch.setattr(math, "sin", lambda a: 1e-200 if a == early else sin(a))
+        far_field = "radius**q must keep the far field within the double range (q = 2)"
+        overflow = "radius**q must not overflow a double (q = 2)"
+        for moved, message in [({early: 1e-200}, far_field),
+                               ({early: 1e-200, late: 1e300}, overflow)]:
+            monkeypatch.setattr(math, "cos", lambda a: moved.get(a) or cos(a))
+            with pytest.raises(ValueError) as refused:
+                scaling_limit_table(RootConfig((1, 2)), [F(1)], radius=10.0,
+                                    samples=samples, truncation=4)
+            assert str(refused.value) == message
+
+    @pytest.mark.parametrize("samples", [1000, CHUNK, 3 * CHUNK + 5])
+    def test_sups_are_the_one_row_at_a_time_walk_bit_for_bit(self, samples):
+        rng = random.Random(samples)
+        roots = [F(n, rng.randint(1, 9)) for n in rng.sample(range(1, 40), 3)]
+        scales = [F(1), F(1, 2), F(1, rng.randint(3, 50))]
+        rows = scaling_limit_table(RootConfig(roots), scales, radius=60.0,
+                                   samples=samples, truncation=12)
+        tails = [(0, *coefficients[1:]) for _, coefficients, _ in rows]
+        assert [sup for _, _, sup in rows] == sup_errors(tails, 3, 60.0, samples)
