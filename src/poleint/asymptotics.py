@@ -91,8 +91,8 @@ def scaling_limit_table(
     The radius must be finite and exceed every scaled root, its q-th power
     must not overflow a double, 1/(q z^q) and the tail on the circle must stay
     within the double range, and scales x samples x N must not exceed
-    MAX_HORNER_STEPS; anything else raises ValueError, as does, before the
-    first row, any scale whose residue kernel on t a fails `residue_scale`.
+    MAX_HORNER_STEPS; anything else raises ValueError.  A scale whose kernel on
+    t a fails `residue_scale`, or a radius**q that overflows, raises before any row.
     """
     t_scales = [as_rat(t) for t in scales]
     if not t_scales:
@@ -125,6 +125,13 @@ def scaling_limit_table(
         depth = min(depth, max_l)
     base = integrate_via_expansion(cfg, truncation)[q:]
 
+    def powers_of(points: list[complex]) -> list[complex]:
+        try:  # an overflowing z**q anywhere on the circle is reported first
+            return [z**q for z in points]
+        except OverflowError:
+            raise ValueError(f"radius**q must not overflow a double (q = {q})") from None
+    powers_of([complex(radius)])  # radius * (cos 0 + i sin 0), the walk's first point
+
     rows, tails = [], []
     for t, roots in zip(t_scales, scaled):
         d, moments = residue_moments(roots, truncation + 1)
@@ -142,10 +149,7 @@ def scaling_limit_table(
     for start in range(0, samples, CHUNK):
         angles = (2 * math.pi * k / samples for k in range(samples)[start:start + CHUNK])
         points = [radius * complex(math.cos(a), math.sin(a)) for a in angles]
-        try:  # an overflowing z**q anywhere on the circle is reported first
-            powers = [z**q for z in points]
-        except OverflowError:
-            raise ValueError(f"radius**q must not overflow a double (q = {q})") from None
+        powers = powers_of(points)
         for zq in powers:  # z**q underflowed to 0, or 1/(q z^q) overflows
             inv = 1 / (q * zq) if zq else math.inf
             outside = outside or not (math.isfinite(inv.real) and math.isfinite(inv.imag))

@@ -40,8 +40,8 @@ from .integrate import (
     RootConfig,
     check_moment_identities,
     cross_checked,
+    decomposes,
     partial_fractions,
-    reconstructed_numerator,
 )
 from .parser import (
     PolyParseError,
@@ -186,7 +186,7 @@ def _cmd_pfd(args: SimpleNamespace) -> int:
     cfg = _root_config(args)
     numerator = parse_poly(args.num)
     pf = partial_fractions(numerator, cfg)
-    ok = reconstructed_numerator(pf) == numerator
+    ok = decomposes(numerator, pf)
     roots = ",".join(f'\n    "{format_rational(r)}"' for r in cfg.roots)
     terms = ",".join(f'\n    {{\n      "pole": "{format_rational(p)}",\n'
                      f'      "coefficient": "{format_rational(c)}"\n    }}'

@@ -45,9 +45,9 @@ from fractions import Fraction
 from .polynomial import Poly, Rat, Value, as_rat
 from .symmetric import ExactCheckError, check_moment_size, integer_expansion
 
-__all__ = ["RootConfig", "check_moment_identities", "integrate_via_expansion",
-           "integrate_via_partial_fractions", "moment", "partial_fractions",
-           "reconstructed_numerator"]
+__all__ = ["RootConfig", "check_moment_identities", "decomposes",
+           "integrate_via_expansion", "integrate_via_partial_fractions", "moment",
+           "partial_fractions"]
 
 
 class RootConfig(Value):
@@ -85,6 +85,7 @@ def partial_fractions(numerator: Poly, cfg: RootConfig) -> tuple[tuple[Rat, Rat]
     numerator(a_i) / Q'(a_i) = numerator(a_i) d_i^(q-1) P / Delta_i."""
     if numerator.degree > cfg.q:
         raise ValueError("numerator degree must be below denominator degree")
+    residue_scale(cfg.roots, cfg.q + 1)  # the residue route's size rule, q + 1 moments
     poles, p, deltas = _pole_differences(cfg.roots)
     return tuple(
         (a, numerator(a) * Fraction(e ** (cfg.q - 1) * p, x))
@@ -92,15 +93,14 @@ def partial_fractions(numerator: Poly, cfg: RootConfig) -> tuple[tuple[Rat, Rat]
     )
 
 
-def reconstructed_numerator(terms: tuple[tuple[Rat, Rat], ...]) -> Poly:
-    """sum_j c_j * prod_{k != j} (z - pole_k) over the pairs (pole_j, c_j); the
-    numerator whenever they decompose it.  One pass, O(q^2) Fraction
-    operations: `product` is prod (z - pole) over the poles seen so far."""
-    total, product = Poly.zero(), Poly.one()
-    for pole, c in terms:
-        factor = Poly((-pole, 1))
-        total, product = total * factor + product * c, product * factor
-    return total
+def decomposes(numerator: Poly, terms: tuple[tuple[Rat, Rat], ...]) -> bool:
+    """Whether `terms`, pairs (p_j, c_j) over distinct p_j more than deg numerator,
+    decompose numerator / prod_j (z - p_j): numerator - sum_j c_j prod_(k != j)
+    (z - p_k) has degree below the pole count, so it is 0 iff 0 at every p_j."""
+    poles = [p for p, _ in terms]
+    return all(c * math.prod(p - r for r in poles if r != p)
+               == sum(a * p**k for k, a in enumerate(numerator.coefficients))
+               for p, c in terms)
 
 
 def residue_scale(roots: tuple[Rat, ...], count: int) -> tuple[int, list[int]]:

@@ -186,6 +186,18 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return monic(a)
 
 
+def reconstructed_numerator(terms: Sequence[tuple[Rat, Rat]]) -> Poly:
+    """sum_j c_j * prod_{k != j} (z - pole_k) over the pairs (pole_j, c_j); the
+    numerator whenever they decompose it.  The reference for
+    `integrate.decomposes`: one pass of O(q^2) `Poly` operations, where
+    `product` is prod (z - pole) over the poles seen so far."""
+    total, product = Poly.zero(), Poly.one()
+    for pole, c in terms:
+        factor = Poly((-pole, 1))
+        total, product = total * factor + product * c, product * factor
+    return total
+
+
 def is_squarefree(p: Poly) -> bool:
     """True iff p has no repeated roots, i.e. gcd(p, p') is a nonzero constant."""
     if p.is_zero:

@@ -271,7 +271,7 @@ class TestPfdCommand:
 
     # pfd prints its document from a template of its own: it must be what
     # json.dumps(doc, indent=2) prints of the library's decomposition, with
-    # the reconstruction holding (exit 0) or not (exit 3)
+    # the decomposition check holding (exit 0) or not (exit 3)
     @pytest.mark.parametrize(
         "roots,den,num",
         [
@@ -287,8 +287,7 @@ class TestPfdCommand:
         numerator = parse_poly(num)
         pf = partial_fractions(numerator, RootConfig(tuple(map(Fraction, roots))))
         if not holds:
-            monkeypatch.setattr(poleint.cli, "reconstructed_numerator",
-                                lambda terms: parse_poly("z^7"))
+            monkeypatch.setattr(poleint.cli, "decomposes", lambda numerator, terms: False)
         doc = {
             "q": len(roots),
             "roots": [format_rational(Fraction(r)) for r in roots],

@@ -21,6 +21,7 @@ EXPORTS = (
     ("SymmetricTable", "symmetric"),
     ("check_moment_identities", "integrate"),
     ("complete_homogeneous", "symmetric"),
+    ("decomposes", "integrate"),
     ("determinant", "symmetric"),
     ("format_rational", "parser"),
     ("generalized_vandermonde", "symmetric"),
@@ -31,7 +32,6 @@ EXPORTS = (
     ("parse_poly", "parser"),
     ("parse_rational", "parser"),
     ("partial_fractions", "integrate"),
-    ("reconstructed_numerator", "integrate"),
     ("scaling_limit_table", "asymptotics"),
     ("vandermonde_matrix", "symmetric"),
     ("vandermonde_product", "symmetric"),

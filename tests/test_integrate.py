@@ -5,22 +5,23 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import poleint.integrate
 from poleint import (
     InvZSeries,
     Poly,
     RootConfig,
     check_moment_identities,
     complete_homogeneous,
+    decomposes,
     integrate_via_expansion,
     integrate_via_partial_fractions,
     moment,
     partial_fractions,
-    reconstructed_numerator,
 )
 
-from conftest import nonzero_rationals, root_configs, random_root_config
+from conftest import nonzero_rationals, random_fraction, random_root_config, root_configs
 from oracles import (closed_form, closed_form_coefficient, derivative, is_squarefree,
-                     valuation)
+                     reconstructed_numerator, valuation)
 
 
 class TestRootConfig:
@@ -76,32 +77,58 @@ class TestPartialFractions:
 
     @given(root_configs, st.lists(nonzero_rationals, max_size=6))
     @settings(max_examples=60)
-    def test_reconstruction(self, cfg, num_coeffs):
+    def test_decomposition(self, cfg, num_coeffs):
         numerator = Poly(num_coeffs[: cfg.q + 1])  # keep deg P < deg Q
         pf = partial_fractions(numerator, cfg)
-        assert reconstructed_numerator(pf) == numerator
+        assert decomposes(numerator, pf)
 
     SIX_ROOTS = RootConfig((F(1, 3), -2, F(5, 7), 4, F(-9, 2), F(11, 13)))
     DEGREE_FIVE = Poly((7, F(-2, 5), 0, 1, F(3, 4), -6))
 
-    # The check multiplies in one linear factor per pole; it never rebuilds
-    # the product of the other poles from scratch.
-    def test_reconstruction_builds_no_product_of_other_poles(self, monkeypatch):
+    # The check evaluates the numerator and each Q'(pole) itself: it shares
+    # no Poly arithmetic and no pole differences with partial_fractions.
+    def test_decomposition_calls_no_poly_method(self, monkeypatch):
         pf = partial_fractions(self.DEGREE_FIVE, self.SIX_ROOTS)
 
-        def refuse(roots):
-            raise AssertionError("from_roots called")
+        def refuse(*args):
+            raise AssertionError("called a Poly method or the pole differences")
 
-        monkeypatch.setattr(Poly, "from_roots", refuse)
-        assert reconstructed_numerator(pf) == self.DEGREE_FIVE
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "__call__",
+                     "__eq__", "coefficient", "derivative", "from_roots"):
+            monkeypatch.setattr(Poly, name, refuse)
+        monkeypatch.setattr(poleint.integrate, "_pole_differences", refuse)
+        assert decomposes(self.DEGREE_FIVE, pf)
+        assert not decomposes(self.DEGREE_FIVE, ((0, pf[0][1] + 1), *pf[1:]))
 
     # poles 0 (first), a_3 (middle) and a_6 (last)
     @pytest.mark.parametrize("index", [0, 3, 6])
-    def test_reconstruction_sees_a_changed_coefficient(self, index):
+    def test_decomposition_sees_a_changed_coefficient(self, index):
         terms = list(partial_fractions(self.DEGREE_FIVE, self.SIX_ROOTS))
         pole, c = terms[index]
         terms[index] = (pole, c + 1)
-        assert reconstructed_numerator(terms) != self.DEGREE_FIVE
+        assert not decomposes(self.DEGREE_FIVE, terms)
+
+    # Against the reference rebuild sum_j c_j prod_(k != j) (z - p_k): the
+    # pointwise check gives its answer on partial_fractions' own terms and
+    # with one coefficient perturbed, by a random step or by a tiny one.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_decomposition_is_the_rebuilt_numerator_check(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            cfg = random_root_config(rng, rng.randint(1, 7), bound=rng.choice((9, 10**6)))
+            degree = rng.randint(-1, cfg.q)  # -1: the zero numerator
+            numerator = Poly(random_fraction(rng) for _ in range(degree + 1))
+            terms = list(partial_fractions(numerator, cfg))
+            cases = [terms]
+            for step in (random_fraction(rng), F(1, 2**64 + 1)):
+                index = rng.randrange(len(terms))
+                changed = list(terms)
+                changed[index] = (terms[index][0], terms[index][1] + step)
+                cases.append(changed)
+            for case in cases:
+                assert decomposes(numerator, case) == (
+                    reconstructed_numerator(case) == numerator)
+            assert decomposes(numerator, terms) and not decomposes(numerator, cases[1])
 
 
 class TestMoments:

@@ -38,6 +38,7 @@ from poleint.integrate import (
     _residue_moment,
     reduced_coefficients,
     residue_moments,
+    residue_scale,
     series_from_moments,
 )
 from poleint.polynomial import EXACT, Poly, format_quotient, format_rational
@@ -605,6 +606,50 @@ def test_limit_sizes_every_scale_before_the_first_row(monkeypatch):
     assert err == ("error: 81 moments at q = 1 could hold 67601724 bits, "
                    f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}\n")
     assert calls == []
+
+
+def test_limit_refuses_an_overflowing_radius_before_any_residue_kernel(monkeypatch):
+    # radius**q overflows at the walk's first point, z = radius: limit refuses
+    # with the walk's own message before the residue kernel runs on any scale
+    def refuse(*args):
+        raise AssertionError("ran the residue kernel")
+
+    _replace_everywhere(monkeypatch, residue_moments, refuse)
+    code, out, err = _run(["limit", "--roots=1,2/3,-5/7", "--radius=1e150"])
+    assert (code, out) == (1, "")
+    assert err == "error: radius**q must not overflow a double (q = 3)\n"
+
+
+def test_pfd_sizes_its_poles_before_any_pole_difference(monkeypatch):
+    # partial_fractions runs the residue route's size rule for q + 1 moments,
+    # after the parse and the degree check: the roots 1..1700 are refused, as
+    # integrate --terms 1701 refuses them, and 1..1600 are admitted
+    def refuse(*args):
+        raise AssertionError("took a pole difference")
+
+    monkeypatch.setattr(poleint.integrate, "_pole_differences", refuse)
+    roots = "--roots=" + ",".join(map(str, range(1, 1701)))
+    assert _run(["pfd", roots, "--num=z^"])[::2] == (
+        2, "parse error at offset 2: exponent must be a nonnegative integer literal\n")
+    # integrate --terms q+1 sizes the q + 2 moments m_0..m_(q+1)
+    for argv, count, bits in ((["pfd", roots], 1701, 69400812),
+                              (["integrate", roots, "--terms=1701"], 1702, 69441648)):
+        assert _run(argv) == (1, "", f"error: {count} moments at q = 1700 could hold "
+                              f"{bits} bits, above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}\n")
+    residue_scale(RootConfig(range(1, 1601)).roots, 1601)  # 61478412 bits
+    monkeypatch.setattr(poleint.symmetric, "MAX_EXPANSION_BITS", 0)  # refuse any size
+    assert _run(["pfd", "--roots=1,2", "--num=z^3"])[::2] == (
+        1, "error: numerator degree must be below denominator degree\n")
+
+
+def test_pfd_checks_its_terms_without_the_numerator_evaluation(monkeypatch):
+    # partial_fractions reads P(a_i) through Poly.__call__; decomposes
+    # evaluates P on its own, so terms off by P(a_i) + 1 fail its check
+    call = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda self, x: call(self, x) + 1)
+    code, out, err = _run(["pfd", "--roots", "1,2/3,-5/7", "--num", "z^2+1"])
+    assert (code, err) == (3, "")
+    assert '"reconstruction_ok": false' in out
 
 
 def test_no_golden_argv_builds_a_series(monkeypatch):
