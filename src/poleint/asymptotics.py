@@ -31,7 +31,7 @@ from .symmetric import ExactCheckError
 
 __all__ = ["scaling_limit_table"]
 
-MAX_HORNER_STEPS = 2**20  # scales x samples x N: 1 x 2^19 x 2 runs in 0.7 s, 15 MB
+MAX_HORNER_STEPS = 2**20  # each work count; 1 x 2^19 x 2 float steps: 0.7 s, 15 MB
 CHUNK = 4096  # points made at a time on the one walk of the circle
 
 
@@ -90,7 +90,8 @@ def scaling_limit_table(
 
     The radius must be finite and exceed every scaled root, its q-th power
     must not overflow a double, 1/(q z^q) and the tail on the circle must stay
-    within the double range, and scales x samples x N must not exceed
+    within the double range, and neither the float work, scales x samples x N,
+    nor the exact work, scales x (q+1) x (N+1) residue kernel steps, may exceed
     MAX_HORNER_STEPS; anything else raises ValueError.  A scale whose kernel on
     t a fails `residue_scale`, or a radius**q that overflows, raises before any row.
     """
@@ -116,6 +117,10 @@ def scaling_limit_table(
         raise ValueError(
             f"radius must exceed every scaled root magnitude (need > {bound})"
         )
+    if (steps := len(t_scales) * (q + 1) * (truncation + 1)) > MAX_HORNER_STEPS:
+        raise ValueError(f"{len(t_scales)} scales x {q + 1} poles x {truncation + 1} "
+                         f"moments = {steps} residue kernel steps, above "
+                         f"MAX_HORNER_STEPS = {MAX_HORNER_STEPS}")
     scaled = [tuple(t * a for a in cfg.roots) for t in t_scales]
     for roots in scaled:
         residue_scale(roots, truncation + 1)

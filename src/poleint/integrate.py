@@ -94,13 +94,21 @@ def partial_fractions(numerator: Poly, cfg: RootConfig) -> tuple[tuple[Rat, Rat]
 
 
 def decomposes(numerator: Poly, terms: tuple[tuple[Rat, Rat], ...]) -> bool:
-    """Whether `terms`, pairs (p_j, c_j) over distinct p_j more than deg numerator,
-    decompose numerator / prod_j (z - p_j): numerator - sum_j c_j prod_(k != j)
-    (z - p_k) has degree below the pole count, so it is 0 iff 0 at every p_j."""
-    poles = [p for p, _ in terms]
-    return all(c * math.prod(p - r for r in poles if r != p)
-               == sum(a * p**k for k, a in enumerate(numerator.coefficients))
-               for p, c in terms)
+    """Whether `terms`, pairs (p_j, c_j) over m distinct p_j = n_j/d_j, m > deg numerator,
+    decompose numerator = sum_i A_i z^i / L over prod_j (z - p_j), that is (README),
+    num(c_j) L prod_(k != j) (n_j d_k - n_k d_j) = den(c_j) prod_(k != j) d_k H_j."""
+    lcm = math.lcm(*(a.denominator for a in numerator.coefficients))
+    scaled = [a.numerator * (lcm // a.denominator) for a in numerator.coefficients]
+    poles = [(p.numerator, p.denominator) for p, _ in terms]
+    product = math.prod(d for _, d in poles)
+    for (n, d), (_, c) in zip(poles, terms):
+        h, w = 0, d ** (len(poles) - len(scaled))  # H_j = sum_i A_i n_j^i d_j^(m-1-i)
+        for a in reversed(scaled):  # by homogeneous Horner, w = d_j^(m-1-i)
+            h, w = h * n + a * w, w * d
+        if (c.numerator * lcm * math.prod(filter(None, (n * f - k * d for k, f in poles)))
+                != c.denominator * (product // d) * h):
+            return False
+    return True
 
 
 def residue_scale(roots: tuple[Rat, ...], count: int) -> tuple[int, list[int]]:

@@ -182,10 +182,6 @@ class Poly(Value):
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @classmethod
-    def zero(cls) -> Poly:
-        return cls(())
-
-    @classmethod
     def one(cls) -> Poly:
         return cls((1,))
 
@@ -212,12 +208,6 @@ class Poly(Value):
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def coefficient(self, n: int) -> Fraction:
-        """Coefficient of z^n (zero outside the stored range)."""
-        if 0 <= n < len(self.coefficients):
-            return self.coefficients[n]
-        return Fraction(0)
 
     def __add__(self, other: Poly) -> Poly:
         a, b = self.coefficients, other.coefficients

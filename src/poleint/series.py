@@ -85,13 +85,14 @@ class InvZSeries(Value):
         if lead != 1:
             numerator = numerator * (1 / lead)
             denominator = denominator * (1 / lead)
-        d = denominator.degree
+        d, p = denominator.degree, denominator.coefficients
+        padded = numerator.coefficients + (Fraction(0),) * (d - numerator.degree - 1)
         coeffs = [Fraction(0)] * (truncation + 1)
         for n in range(1, truncation + 1):
             m = n - 1
-            acc = numerator.coefficient(d - 1 - m)
+            acc = padded[d - 1 - m] if m < d else Fraction(0)
             for j in range(1, min(d, m) + 1):
-                acc -= denominator.coefficient(d - j) * coeffs[n - j]
+                acc -= p[d - j] * coeffs[n - j]
             coeffs[n] = acc
         return cls(truncation, tuple(coeffs))
 

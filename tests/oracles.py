@@ -11,6 +11,7 @@ import argparse
 import cmath
 import contextlib
 import io
+import json
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -191,11 +192,41 @@ def reconstructed_numerator(terms: Sequence[tuple[Rat, Rat]]) -> Poly:
     numerator whenever they decompose it.  The reference for
     `integrate.decomposes`: one pass of O(q^2) `Poly` operations, where
     `product` is prod (z - pole) over the poles seen so far."""
-    total, product = Poly.zero(), Poly.one()
+    total, product = Poly(), Poly.one()
     for pole, c in terms:
         factor = Poly((-pole, 1))
         total, product = total * factor + product * c, product * factor
     return total
+
+
+def decomposes_in_fractions(numerator: Poly, terms: Sequence[tuple[Rat, Rat]]) -> bool:
+    """c_j * prod_{k != j} (p_j - p_k) == numerator(p_j) at every pair (p_j, c_j),
+    in Fraction arithmetic on the poles themselves.  The reference for
+    `integrate.decomposes`, which tests the same identity cleared of
+    denominators, on integers."""
+    poles = [p for p, _ in terms]
+    return all(c * math.prod(p - r for r in poles if r != p)
+               == sum(a * p**k for k, a in enumerate(numerator.coefficients))
+               for p, c in terms)
+
+
+def check_pfd_document(roots: Sequence[Rat], numerator: Poly, stdout: str) -> None:
+    """Assert that stdout is `pfd`'s document for numerator / (z prod (z - a_j)):
+    the poles 0, a_1, ..., a_q in order, coefficients in lowest terms that
+    `reconstructed_numerator` turns back into the numerator, which pins each
+    one, as partial fractions are unique, and their sum.  The reference for
+    numerators with rational coefficients, which `bench/oracle.py`'s
+    `check_pfd` does not take."""
+    doc = json.loads(stdout)
+    assert (doc["q"], doc["roots"]) == (len(roots), [str(a) for a in roots])
+    assert doc["numerator"] == str(numerator)
+    poles, coefficients = [Fraction(0), *roots], [t["coefficient"] for t in doc["terms"]]
+    assert [t["pole"] for t in doc["terms"]] == [str(p) for p in poles]
+    terms = list(zip(poles, map(Fraction, coefficients)))
+    assert coefficients == [str(c) for _, c in terms]
+    assert reconstructed_numerator(terms) == numerator
+    assert doc["coefficient_sum"] == str(sum(c for _, c in terms))
+    assert doc["reconstruction_ok"] is True
 
 
 def is_squarefree(p: Poly) -> bool:

@@ -1,10 +1,12 @@
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -31,7 +33,7 @@ from poleint.symmetric import MAX_ELIMINATION_BITS, MAX_EXPANSION_BITS
 
 from conftest import PRIMES_30_BITS, SMALL_PRIMES, root_tuples
 from make_golden import GOLDEN
-from oracles import argparse_reading
+from oracles import argparse_reading, check_pfd_document
 
 HUGE = "1" + "0" * 400  # beyond the double range
 TINY = "1" + "0" * 77  # roots near 1e-77 put radius**4 below the normal range
@@ -1097,11 +1099,12 @@ def test_closed_stdout_exits_1_without_traceback(num):
 
 
 # Texts of at most 10 characters over those the CLI's inputs are made of,
-# plus two non-ASCII digits.  Each is either a well-formed string (a list of
-# numbers, a monomial, a factored denominator), so that the fuzz reaches the
-# computation behind the parser, or a free one.  Flag values are passed as
-# --flag=value, the one spelling in which argparse, the reader's oracle, reads
-# every text as a value, one starting with '-' included.
+# plus two non-ASCII digits, or well-formed strings of at most 30 (lists of
+# numbers, numerators of up to three terms, factored denominators in any
+# factor order), so that the fuzz reaches the computation behind the parser.
+# Flag values are passed as --flag=value, the one spelling in which argparse,
+# the reader's oracle, reads every text as a value, one starting with '-'
+# included.
 _FUZZ_FREE = st.text(alphabet="0123456789/+-*^() z,\u00b2\u0661", max_size=10)
 _FUZZ_POSITIVE = st.builds(
     "{}{}".format, st.integers(1, 9), st.sampled_from(["", "/2", "/3", "/7"])
@@ -1110,9 +1113,13 @@ _FUZZ_NUMBER = _FUZZ_POSITIVE | _FUZZ_POSITIVE.map("-{}".format)
 _FUZZ_LIST = st.lists(_FUZZ_NUMBER, min_size=1, max_size=4, unique=True).map(",".join)
 _FUZZ_SCALES = st.lists(_FUZZ_POSITIVE, min_size=1, max_size=4).map(",".join)
 _FUZZ_TERM = st.builds("{}*z^{}".format, _FUZZ_NUMBER, st.integers(0, 3))
-_FUZZ_DEN = st.lists(_FUZZ_NUMBER, min_size=1, max_size=2).map(
-    lambda roots: "*".join(["z"] + [f"(z-{r})".replace("--", "+") for r in roots])
-)
+_FUZZ_NUM = st.lists(_FUZZ_TERM, min_size=1, max_size=3).map(
+    lambda terms: "+".join(terms).replace("+-", "-"))
+_FUZZ_FACTOR = st.builds("(z-{})".format, _FUZZ_NUMBER) | st.builds(
+    "(z-{}^2)".format, st.integers(1, 3))
+_FUZZ_DEN = st.lists(_FUZZ_FACTOR, max_size=3).flatmap(
+    lambda factors: st.permutations(["z", *factors])).map(
+    lambda factors: "*".join(factors).replace("--", "+"))
 
 
 # A value of exactly "--" is a usage error, which argparse's versions read
@@ -1121,23 +1128,28 @@ _DOUBLE_DASH = st.just("--")
 
 
 def _fuzz_text(well_formed):
-    short = well_formed.filter(lambda text: len(text) <= 10)
-    return short | _FUZZ_FREE | _DOUBLE_DASH
+    """The well-formed texts, and those or any free text or "--"."""
+    short = well_formed.filter(lambda text: len(text) <= 30)
+    return short, short | _FUZZ_FREE | _DOUBLE_DASH
 
 
-_FUZZ_INT = st.integers(-2, 30) | _DOUBLE_DASH
+_FUZZ_INT = st.integers(-2, 30), st.integers(-2, 30) | _DOUBLE_DASH
+# Around the roots' and scales' magnitudes (at most 9 each, so at most 81 for
+# t a), the overflow of radius**q and the double range's ends.
 _FUZZ_RADIUS = st.sampled_from(
-    ["10", "1e150", "1e200", "1e300", "3", "0", "-5", "inf", "nan", "1e-300", "--"]
+    ["10", "1e150", "1e200", "1e300", "3", "0", "-5", "inf", "nan", "1e-300", "--",
+     "1", "2", "9", "81", "81.000001", "1e154", "1e-160", "5e-324", "-0",
+     "1.7976931348623157e308"]
 )
 _FUZZ_ROOTS = {"--roots": _fuzz_text(_FUZZ_LIST), "--den": _fuzz_text(_FUZZ_DEN)}
 _FUZZ_FLAGS = {
     "integrate": (("--terms", _FUZZ_INT),),
-    "pfd": (("--num", _fuzz_text(_FUZZ_TERM)),),
+    "pfd": (("--num", _fuzz_text(_FUZZ_NUM)),),
     "identities": (("--max-k", _FUZZ_INT),),
     "vandermonde": (("--degree", _FUZZ_INT),),
     "limit": (
         ("--scales", _fuzz_text(_FUZZ_SCALES)),
-        ("--radius", _FUZZ_RADIUS),
+        ("--radius", (_FUZZ_RADIUS, _FUZZ_RADIUS)),
         ("--samples", _FUZZ_INT),
         ("--terms", _FUZZ_INT),
         ("--max-l", _FUZZ_INT),
@@ -1145,30 +1157,96 @@ _FUZZ_FLAGS = {
 }
 
 
+# Half the requests draw well-formed values alone, so that most of them run;
+# the other half also draw free texts and "--".
 @st.composite
 def _cli_argv(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    pick = 0 if draw(st.booleans()) else 1
     if command == "vandermonde":
-        argv = [command, f"--points={draw(_FUZZ_ROOTS['--roots'])}"]
+        argv = [command, f"--points={draw(_FUZZ_ROOTS['--roots'][pick])}"]
     else:
         root_flag = draw(st.sampled_from(sorted(_FUZZ_ROOTS)))
-        argv = [command, f"{root_flag}={draw(_FUZZ_ROOTS[root_flag])}"]
+        argv = [command, f"{root_flag}={draw(_FUZZ_ROOTS[root_flag][pick])}"]
     for flag, values in _FUZZ_FLAGS[command]:
-        # --radius is always drawn: its default, 10, is one of its values
-        value = draw(values if flag == "--radius" else st.none() | values)
+        # --radius is always drawn: its default, 10, is one of its values; and
+        # integrate's required --terms, whose absence the spellings below draw
+        values = values[pick]
+        always = flag == "--radius" or command == "integrate"
+        value = draw(values if always else st.none() | values)
         if value is not None:
             argv.append(f"{flag}={value}")
     return argv
 
 
+def _load_bench_oracle():
+    """`bench/oracle.py`, loaded by path: the checkers the benchmark runs on
+    each output it reads, which import nothing of the package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_ORACLE = _load_bench_oracle()
+
+
+def _check_output(args, out):
+    """Check an exit-0 stdout against the oracles.  Lists of numbers are read
+    by `Fraction`, which reads every literal `parse_rational` takes; the
+    other inputs by the package's parser."""
+    def numbers(text):
+        return [Fraction(x) for x in text.split(",")]
+
+    if args.command == "vandermonde":
+        BENCH_ORACLE.check_vandermonde(numbers(args.points), args.degree, out)
+        return
+    roots = (numbers(args.roots) if args.roots is not None
+             else poleint.cli._root_config(args).roots)
+    if args.command == "integrate":
+        BENCH_ORACLE.check_integrate(roots, args.terms, out)
+    elif args.command == "identities":
+        max_k = len(roots) + 10 if args.max_k is None else args.max_k
+        BENCH_ORACLE.check_identities(roots, max_k, out)
+    elif args.command == "limit":
+        BENCH_ORACLE.check_limit(roots, numbers(args.scales), args.terms, args.max_l, out)
+    else:
+        numerator = parse_poly(args.num)
+        if all(c.denominator == 1 for c in numerator.coefficients):
+            BENCH_ORACLE.check_pfd(roots, [int(c) for c in numerator.coefficients], out)
+        else:  # check_pfd takes integer coefficients alone
+            check_pfd_document(roots, numerator, out)
+
+
+def _one_error_line(text):
+    return text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n")
+
+
 def _fuzzed_main(argv):
-    """main's exit code on argv, which the reader reads as argparse does; a
-    usage error exits 2 with nothing on stdout and its text on stderr."""
+    """main's outcome on argv, which the reader reads as argparse does.  A
+    usage error exits 2 with nothing on stdout and its text on stderr.  Exit 0
+    prints what the oracles print, with no nan or inf, and nothing on stderr.
+    Exit 1 prints one error line alone.  Exit 3 prints one error line alone,
+    or a failing check's whole output and nothing on stderr."""
     reading = _read_as_argparse_reads(argv)
     code, out, err = run_main(argv)
     if isinstance(reading, tuple):
         assert (code, out, err) == (poleint.cli.EXIT_USAGE, "", reading[1] + "\n")
     assert code in {0, 1, 2, 3}
+    if code == 0:
+        words = set(re.findall(r"[a-z]+", out.lower()))
+        assert err == "" and not words & {"nan", "inf", "infinity"}, argv
+        _check_output(reading, out)
+    elif code == 1:
+        assert out == "" and _one_error_line(err), argv
+    elif code == 2:
+        assert out == "" and err.endswith("\n"), argv
+    elif out == "":
+        assert _one_error_line(err), argv
+    else:
+        failed = ('"paths_agree": false', '"reconstruction_ok": false', "pass=false")
+        assert err == "" and any(text in out for text in failed), argv
 
 
 # Derandomized and without an example database, so every run of the suite

@@ -20,8 +20,8 @@ from poleint import (
 )
 
 from conftest import nonzero_rationals, random_fraction, random_root_config, root_configs
-from oracles import (closed_form, closed_form_coefficient, derivative, is_squarefree,
-                     reconstructed_numerator, valuation)
+from oracles import (closed_form, closed_form_coefficient, decomposes_in_fractions,
+                     derivative, is_squarefree, reconstructed_numerator, valuation)
 
 
 class TestRootConfig:
@@ -94,7 +94,7 @@ class TestPartialFractions:
             raise AssertionError("called a Poly method or the pole differences")
 
         for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "__call__",
-                     "__eq__", "coefficient", "derivative", "from_roots"):
+                     "__eq__", "derivative", "from_roots"):
             monkeypatch.setattr(Poly, name, refuse)
         monkeypatch.setattr(poleint.integrate, "_pole_differences", refuse)
         assert decomposes(self.DEGREE_FIVE, pf)
@@ -129,6 +129,29 @@ class TestPartialFractions:
                 assert decomposes(numerator, case) == (
                     reconstructed_numerator(case) == numerator)
             assert decomposes(numerator, terms) and not decomposes(numerator, cases[1])
+
+    # Against the same pointwise identity in Fractions on the poles: the check
+    # on integers gives its answer on partial_fractions' own terms, with one
+    # coefficient moved, and against a numerator with one coefficient moved.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decomposition_is_the_fraction_check(self, seed):
+        rng = random.Random(1000 + seed)
+        for _ in range(50):
+            cfg = random_root_config(rng, rng.randint(1, 8), bound=rng.choice((9, 10**6)))
+            degree = rng.randint(-1, cfg.q)  # -1: the zero numerator
+            coefficients = [random_fraction(rng) for _ in range(degree + 1)]
+            numerator = Poly(coefficients)
+            terms = list(partial_fractions(numerator, cfg))
+            index = rng.randrange(len(terms))
+            moved = list(terms)
+            moved[index] = (terms[index][0],
+                            terms[index][1] + rng.choice((random_fraction(rng), F(1, 3**41))))
+            if coefficients:
+                coefficients[rng.randrange(len(coefficients))] += F(1, 2**64 + 1)
+            for candidate, case in ((numerator, terms), (numerator, moved),
+                                    (Poly(coefficients), terms)):
+                assert decomposes(candidate, case) == decomposes_in_fractions(candidate, case)
+            assert decomposes(numerator, terms) and not decomposes(numerator, moved)
 
 
 class TestMoments:

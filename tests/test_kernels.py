@@ -620,6 +620,35 @@ def test_limit_refuses_an_overflowing_radius_before_any_residue_kernel(monkeypat
     assert err == "error: radius**q must not overflow a double (q = 3)\n"
 
 
+def test_limit_counts_its_residue_kernel_steps_before_any_kernel(monkeypatch):
+    # scales x (q+1) x (N+1) answers to MAX_HORNER_STEPS once the radius is
+    # checked, before any scale is sized and before either kernel runs: 2000
+    # scales of the roots 1..50 at N = 51 are refused, and a radius below a
+    # scaled root keeps its own message
+    def refuse(*args):
+        raise AssertionError("sized a scale or ran a kernel")
+
+    for original in (residue_moments, residue_scale, integer_expansion):
+        _replace_everywhere(monkeypatch, original, refuse)
+    argv = ["limit", "--roots=" + ",".join(map(str, range(1, 51))), "--terms=51",
+            "--samples=1", "--scales=" + ",".join(f"1/{k}" for k in range(1, 2001))]
+    assert _run([*argv, "--radius=1e4"]) == (
+        1, "", "error: 2000 scales x 51 poles x 52 moments = 5304000 residue kernel "
+        "steps, above MAX_HORNER_STEPS = 1048576\n")
+    assert _run([*argv, "--radius=50"]) == (
+        1, "", "error: radius must exceed every scaled root magnitude (need > 50.0)\n")
+
+
+def test_limit_runs_at_its_residue_kernel_step_bound(monkeypatch):
+    # 2 scales x 3 poles x 6 moments = 36 steps run at a bound of 36, not at 35
+    argv = ["limit", "--roots=1,2", "--terms=5", "--samples=1", "--scales=1,1/2"]
+    monkeypatch.setattr(poleint.asymptotics, "MAX_HORNER_STEPS", 36)
+    assert _run(argv)[::2] == (0, "")
+    monkeypatch.setattr(poleint.asymptotics, "MAX_HORNER_STEPS", 35)
+    assert _run(argv) == (1, "", "error: 2 scales x 3 poles x 6 moments = 36 residue "
+                          "kernel steps, above MAX_HORNER_STEPS = 35\n")
+
+
 def test_pfd_sizes_its_poles_before_any_pole_difference(monkeypatch):
     # partial_fractions runs the residue route's size rule for q + 1 moments,
     # after the parse and the degree check: the roots 1..1700 are refused, as

@@ -30,7 +30,7 @@ class TestConstruction:
         assert P(0, 0).is_zero
 
     def test_zero_degree_is_minus_one(self):
-        assert Poly.zero().degree == -1
+        assert Poly().degree == -1
         assert Poly.one().degree == 0
         assert Poly.z().degree == 1
 
@@ -49,7 +49,7 @@ class TestArithmeticFixtures:
 
     def test_add_identity(self):
         p = P(3, -2, 1)
-        assert p + Poly.zero() == p
+        assert p + Poly() == p
 
     def test_add_renormalizes_leading_cancellation(self):
         # z^2 + (-z^2 + z) = z
@@ -82,7 +82,7 @@ class TestDerivativeAndEval:
         assert P(0, 2, -3, 1).derivative() == P(2, -6, 3)
 
     def test_derivative_constant(self):
-        assert P(5).derivative() == Poly.zero()
+        assert P(5).derivative() == Poly()
 
     def test_derivative_of_z_is_one(self):
         assert Poly.z().derivative() == Poly.one()
@@ -120,7 +120,7 @@ class TestGcdAndSquarefree:
 
     def test_gcd_both_zero_raises(self):
         with pytest.raises(ValueError):
-            gcd(Poly.zero(), Poly.zero())
+            gcd(Poly(), Poly())
 
     def test_gcd_is_monic(self):
         assert gcd(P(-2, 2), P(-4, 4)) == P(-1, 1)
@@ -132,7 +132,7 @@ class TestGcdAndSquarefree:
 
     def test_squarefree_zero_raises(self):
         with pytest.raises(ValueError):
-            is_squarefree(Poly.zero())
+            is_squarefree(Poly())
 
 
 class TestRingProperties:

@@ -223,7 +223,7 @@ class TestFromRational:
 
     def test_zero_denominator_error(self):
         with pytest.raises(ValueError, match="nonzero"):
-            InvZSeries.from_rational(Poly.one(), Poly.zero(), 4)
+            InvZSeries.from_rational(Poly.one(), Poly(), 4)
 
     def test_non_monic_denominator_normalized(self):
         lhs = InvZSeries.from_rational(Poly.one(), Poly((0, 2)), 4)

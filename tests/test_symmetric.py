@@ -63,7 +63,7 @@ class TestElementary:
         e = elementary(roots)
         p = Poly.from_roots(roots)
         for k in range(len(roots) + 1):
-            assert p.coefficient(len(roots) - k) == (-1) ** k * e[k]
+            assert p.coefficients[len(roots) - k] == (-1) ** k * e[k]
 
 
 class TestCompleteHomogeneous:

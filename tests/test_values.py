@@ -144,7 +144,7 @@ def test_positional_and_keyword_construction(cls, names, args, other, text):
 
 
 def test_poly_default_is_zero():
-    assert Poly() == Poly.zero() == Poly(())
+    assert Poly() == Poly(()) == Poly([0, 0])
     assert Poly().coefficients == ()
 
 
