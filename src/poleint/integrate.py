@@ -82,15 +82,21 @@ def _pole_differences(roots: tuple[Rat, ...]) -> tuple:
 def partial_fractions(numerator: Poly, cfg: RootConfig) -> tuple[tuple[Rat, Rat], ...]:
     """Pairs (pole, coefficient) of numerator/Q over the poles 0, a_1, ..., a_q:
     Q is monic with simple roots, so the coefficient at a_i = n_i/d_i is
-    numerator(a_i) / Q'(a_i) = numerator(a_i) d_i^(q-1) P / Delta_i."""
+    numerator(a_i) / Q'(a_i) = H_i d_i^q P / (L d_i^(e+1) Delta_i) for numerator =
+    sum_j A_j z^j / L of degree e, with H_i = sum_j A_j n_i^j d_i^(e-j) on integers."""
     if numerator.degree > cfg.q:
         raise ValueError("numerator degree must be below denominator degree")
     residue_scale(cfg.roots, cfg.q + 1)  # the residue route's size rule, q + 1 moments
+    lcm = math.lcm(*(a.denominator for a in numerator.coefficients))
+    scaled = [a.numerator * (lcm // a.denominator) for a in numerator.coefficients]
     poles, p, deltas = _pole_differences(cfg.roots)
-    return tuple(
-        (a, numerator(a) * Fraction(e ** (cfg.q - 1) * p, x))
-        for a, (_, e), x in zip((Fraction(0), *cfg.roots), poles, deltas)
-    )
+    terms = []
+    for a, (n, d), x in zip((Fraction(0), *cfg.roots), poles, deltas):
+        h, w = 0, 1  # H_i by homogeneous Horner; w ends at d_i^(e+1), 1 if numerator = 0
+        for c in reversed(scaled):
+            h, w = h * n + c * w, w * d
+        terms.append((a, Fraction(h * d ** cfg.q * p, lcm * w * x)))
+    return tuple(terms)
 
 
 def decomposes(numerator: Poly, terms: tuple[tuple[Rat, Rat], ...]) -> bool:

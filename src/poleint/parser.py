@@ -218,7 +218,7 @@ class _Parser:
             self.depth -= 1
             return inner
         if kind == "z":
-            return Poly.z()
+            return Poly((0, 1))
         if kind != "int":
             raise PolyParseError(f"unexpected token {value!r}", offset)
         # consume "/ int" only when it really is a rational literal
@@ -231,8 +231,8 @@ class _Parser:
             _, denom, dpos = self._next()
             if denom == 0:
                 raise PolyParseError("denominator must be nonzero", dpos)
-            return Poly.constant(Fraction(value, denom))
-        return Poly.constant(Fraction(value))
+            return Poly((Fraction(value, denom),))
+        return Poly((Fraction(value),))
 
 
 def parse_poly(text: str) -> Poly:

@@ -182,21 +182,9 @@ class Poly(Value):
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @classmethod
-    def one(cls) -> Poly:
-        return cls((1,))
-
-    @classmethod
-    def z(cls) -> Poly:
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, value: Rat | int | str) -> Poly:
-        return cls((value,))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[Rat | int | str]) -> Poly:
         """Monic polynomial with exactly the given roots."""
-        p = cls.one()
+        p = cls((1,))
         for r in roots:
             p = p * cls((-as_rat(r), Fraction(1)))
         return p
@@ -239,7 +227,7 @@ class Poly(Value):
     def __pow__(self, n: int) -> Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Poly.one()
+        result = Poly((1,))
         base = self
         while n:
             if n & 1:

@@ -25,6 +25,7 @@ from poleint import (
     partial_fractions,
 )
 from poleint.cli import _ROOT_GROUP, _SUBCOMMANDS
+from poleint.integrate import _pole_differences
 from poleint.polynomial import as_rat
 
 DIRECT_ENUMERATION_BUDGET = 10**6
@@ -192,11 +193,23 @@ def reconstructed_numerator(terms: Sequence[tuple[Rat, Rat]]) -> Poly:
     numerator whenever they decompose it.  The reference for
     `integrate.decomposes`: one pass of O(q^2) `Poly` operations, where
     `product` is prod (z - pole) over the poles seen so far."""
-    total, product = Poly(), Poly.one()
+    total, product = Poly(), Poly((1,))
     for pole, c in terms:
         factor = Poly((-pole, 1))
         total, product = total * factor + product * c, product * factor
     return total
+
+
+def partial_fractions_by_evaluation(numerator: Poly,
+                                    cfg: RootConfig) -> tuple[tuple[Rat, Rat], ...]:
+    """numerator(a_i) d_i^(q-1) P / Delta_i at each pole a_i = n_i/d_i, 0/1 first,
+    with numerator(a_i) by `Poly.__call__`, a Horner in Fractions.  The reference
+    for `integrate.partial_fractions`, which evaluates the numerator on integers."""
+    poles, p, deltas = _pole_differences(cfg.roots)
+    return tuple(
+        (a, numerator(a) * Fraction(e ** (cfg.q - 1) * p, x))
+        for a, (_, e), x in zip((Fraction(0), *cfg.roots), poles, deltas)
+    )
 
 
 def decomposes_in_fractions(numerator: Poly, terms: Sequence[tuple[Rat, Rat]]) -> bool:
@@ -329,7 +342,7 @@ def as_series(terms: Sequence[tuple[Rat, Rat]], truncation: int) -> InvZSeries:
 def log_potential(cfg: RootConfig, z: complex) -> complex:
     """sum_p (1/Q'(p)) log(z - p) over the poles p of 1/Q, 0 included, in
     double precision on the principal branch; z must avoid the poles."""
-    terms = partial_fractions(Poly.one(), cfg)
+    terms = partial_fractions(Poly((1,)), cfg)
     return sum(float(c) * cmath.log(z - p) for p, c in terms)
 
 

@@ -119,7 +119,7 @@ def test_criterion_4_defining_contract(corpus_results):
     ok = True
     for cfg, ref, chk in corpus_results:
         q_poly = Poly.from_roots([0, *cfg.roots])
-        f = InvZSeries.from_rational(Poly.one(), q_poly, N_CORPUS + 1)
+        f = InvZSeries.from_rational(Poly((1,)), q_poly, N_CORPUS + 1)
         ok &= derivative(InvZSeries(N_CORPUS, ref)) == f
         ok &= derivative(InvZSeries(N_CORPUS, chk)) == f
     _report("criterion 4 (derivative of g reproduces 1/Q exactly)", ok)

@@ -30,7 +30,7 @@ def _float_eval(poly, z):
 
 def _charges(cfg):
     """(pole, 1/Q'(pole)) for every pole of 1/Q, 0 included."""
-    return partial_fractions(Poly.one(), cfg)
+    return partial_fractions(Poly((1,)), cfg)
 
 
 class TestChargeSystem:

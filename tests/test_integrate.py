@@ -21,7 +21,8 @@ from poleint import (
 
 from conftest import nonzero_rationals, random_fraction, random_root_config, root_configs
 from oracles import (closed_form, closed_form_coefficient, decomposes_in_fractions,
-                     derivative, is_squarefree, reconstructed_numerator, valuation)
+                     derivative, is_squarefree, partial_fractions_by_evaluation,
+                     reconstructed_numerator, valuation)
 
 
 class TestRootConfig:
@@ -49,16 +50,16 @@ class TestRootConfig:
 
 class TestPartialFractions:
     def test_pair_fixture(self):
-        pf = partial_fractions(Poly.one(), RootConfig((1, 2)))
+        pf = partial_fractions(Poly((1,)), RootConfig((1, 2)))
         assert pf == ((0, F(1, 2)), (1, -1), (2, F(1, 2)))
 
     def test_single_root_dipole_pair(self):
         a = F(5, 7)
-        pf = partial_fractions(Poly.one(), RootConfig((a,)))
+        pf = partial_fractions(Poly((1,)), RootConfig((a,)))
         assert pf == ((0, -1 / a), (a, 1 / a))
 
     def test_numerator_z_kills_pole_at_zero(self):
-        pf = partial_fractions(Poly.z(), RootConfig((1, 2)))
+        pf = partial_fractions(Poly((0, 1)), RootConfig((1, 2)))
         assert pf == ((0, 0), (1, -1), (2, 1))
 
     def test_degree_too_large(self):
@@ -66,13 +67,13 @@ class TestPartialFractions:
             partial_fractions(Poly((0, 0, 0, 1)), RootConfig((1, 2)))
 
     def test_result_is_a_tuple_of_pairs(self):
-        pf = partial_fractions(Poly.one(), RootConfig((1, F(-1, 2))))
+        pf = partial_fractions(Poly((1,)), RootConfig((1, F(-1, 2))))
         assert type(pf) is tuple
         assert [(type(pair), len(pair)) for pair in pf] == [(tuple, 2)] * 3
         assert all(type(x) is F for pair in pf for x in pair)
 
     def test_unit_numerator_coefficients_sum_to_zero(self):
-        pf = partial_fractions(Poly.one(), RootConfig((F(3, 5), -2, 7)))
+        pf = partial_fractions(Poly((1,)), RootConfig((F(3, 5), -2, 7)))
         assert sum(c for _, c in pf) == 0
 
     @given(root_configs, st.lists(nonzero_rationals, max_size=6))
@@ -133,6 +134,8 @@ class TestPartialFractions:
     # Against the same pointwise identity in Fractions on the poles: the check
     # on integers gives its answer on partial_fractions' own terms, with one
     # coefficient moved, and against a numerator with one coefficient moved.
+    # partial_fractions, which evaluates each numerator on integers, gives the
+    # terms of the Fraction Horner reference for both numerators.
     @pytest.mark.parametrize("seed", range(4))
     def test_decomposition_is_the_fraction_check(self, seed):
         rng = random.Random(1000 + seed)
@@ -151,6 +154,8 @@ class TestPartialFractions:
             for candidate, case in ((numerator, terms), (numerator, moved),
                                     (Poly(coefficients), terms)):
                 assert decomposes(candidate, case) == decomposes_in_fractions(candidate, case)
+                assert partial_fractions(candidate, cfg) == (
+                    partial_fractions_by_evaluation(candidate, cfg))
             assert decomposes(numerator, terms) and not decomposes(numerator, moved)
 
 
@@ -244,7 +249,7 @@ class TestIntegration:
         n = cfg.q + 6
         g = integrate_via_expansion(cfg, n)
         q_poly = Poly.from_roots([0, *cfg.roots])
-        f = InvZSeries.from_rational(Poly.one(), q_poly, n + 1)
+        f = InvZSeries.from_rational(Poly((1,)), q_poly, n + 1)
         assert derivative(InvZSeries(n, g)).agrees_with(f)
 
     @given(root_configs)

@@ -539,7 +539,7 @@ def test_a_mismatch_runs_the_residue_kernel_once(monkeypatch, l):
         assert counts == [10]
 
 
-@pytest.mark.parametrize(
+_ROUTE_ROOTS = pytest.mark.parametrize(
     "roots",
     [
         (1, F(2, 3), F(-5, 7)),
@@ -549,6 +549,9 @@ def test_a_mismatch_runs_the_residue_kernel_once(monkeypatch, l):
     ],
     ids=["small", "30-bit"],
 )
+
+
+@_ROUTE_ROOTS
 def test_the_residue_route_reads_only_the_residues(monkeypatch, roots):
     # The partial-fraction route, moment and partial_fractions take D off the
     # pole denominators: with the scaling step and the expansion kernel both
@@ -562,13 +565,37 @@ def test_the_residue_route_reads_only_the_residues(monkeypatch, roots):
         return (
             integrate_via_partial_fractions(cfg, 9),
             [moment(cfg, k) for k in range(10)],
-            partial_fractions(Poly.one(), cfg),
+            partial_fractions(Poly((1,)), cfg),
         )
 
     want = residue_side()
     for original in (scale_to_integers, integer_expansion):
         _replace_everywhere(monkeypatch, original, refuse)
     assert residue_side() == want
+
+
+@_ROUTE_ROOTS
+def test_the_expansion_route_reads_only_the_expansion(monkeypatch, roots):
+    # The mirror guard: the expansion route, its kernel and complete_homogeneous
+    # take D off the scaling step alone, so with the pole differences, the
+    # residue scaling and the residue kernel all refusing, each returns what
+    # it returned before.
+    cfg = RootConfig(roots)
+
+    def refuse(*args):
+        raise AssertionError("the expansion route reached the residue side")
+
+    def expansion_side():
+        return (
+            integrate_via_expansion(cfg, 9),
+            integer_expansion(cfg.roots, 10),
+            [complete_homogeneous(cfg.roots, l) for l in range(6)],
+        )
+
+    want = expansion_side()
+    for original in (_pole_differences, residue_scale, residue_moments):
+        _replace_everywhere(monkeypatch, original, refuse)
+    assert expansion_side() == want
 
 
 def test_limit_runs_the_scaling_step_once(monkeypatch):
@@ -672,10 +699,13 @@ def test_pfd_sizes_its_poles_before_any_pole_difference(monkeypatch):
 
 
 def test_pfd_checks_its_terms_without_the_numerator_evaluation(monkeypatch):
-    # partial_fractions reads P(a_i) through Poly.__call__; decomposes
-    # evaluates P on its own, so terms off by P(a_i) + 1 fail its check
-    call = Poly.__call__
-    monkeypatch.setattr(Poly, "__call__", lambda self, x: call(self, x) + 1)
+    # decomposes evaluates P on its own, not through partial_fractions' Horner:
+    # terms with one coefficient moved by 1 fail its check
+    def moved(numerator, cfg):
+        (pole, c), *rest = partial_fractions(numerator, cfg)
+        return (pole, c + 1), *rest
+
+    _replace_everywhere(monkeypatch, partial_fractions, moved)
     code, out, err = _run(["pfd", "--roots", "1,2/3,-5/7", "--num", "z^2+1"])
     assert (code, err) == (3, "")
     assert '"reconstruction_ok": false' in out

@@ -97,7 +97,7 @@ class TestParsePoly:
         assert parse_poly("z*(z-1/2)") == Poly((0, F(-1, 2), 1))
 
     def test_whitespace_allowed(self):
-        assert parse_poly(" z * ( z - 1 ) ") == Poly((-1, 1)) * Poly.z()
+        assert parse_poly(" z * ( z - 1 ) ") == Poly((-1, 1)) * Poly((0, 1))
 
     def test_unary_minus(self):
         assert parse_poly("-z") == Poly((0, -1))
@@ -157,8 +157,8 @@ class TestParsePoly:
         assert parse_poly(str(p)) == p
 
     def test_degree_max_degree_parses(self):
-        assert parse_poly(f"z^{MAX_DEGREE}") == Poly.z() ** MAX_DEGREE
-        assert parse_poly(f"z^600*z^{MAX_DEGREE - 600}") == Poly.z() ** MAX_DEGREE
+        assert parse_poly(f"z^{MAX_DEGREE}") == Poly((0, 1)) ** MAX_DEGREE
+        assert parse_poly(f"z^600*z^{MAX_DEGREE - 600}") == Poly((0, 1)) ** MAX_DEGREE
 
     def test_power_bits_boundary(self):
         # 2 has 2 bits and degree 0: e * (2 + 1) is the size the bound reads
@@ -210,7 +210,7 @@ class TestParsePoly:
 
     def test_nesting_50_deep_parses(self):
         # 50 parentheses around 50 unary minuses: 100 levels, the most allowed
-        assert parse_poly("(" * 50 + "-" * 50 + "z" + ")" * 50) == Poly.z()
+        assert parse_poly("(" * 50 + "-" * 50 + "z" + ")" * 50) == Poly((0, 1))
 
 
 class TestFactoredDenominator:
