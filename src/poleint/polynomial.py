@@ -193,10 +193,6 @@ class Poly(Value):
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
     def __add__(self, other: Poly) -> Poly:
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
@@ -212,10 +208,7 @@ class Poly(Value):
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
-    def __mul__(self, other: Poly | Rat | int | str) -> Poly:
-        if not isinstance(other, Poly):
-            c = as_rat(other)
-            return Poly(tuple(c * a for a in self.coefficients))
+    def __mul__(self, other: Poly) -> Poly:
         out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
             if a == 0:
@@ -248,7 +241,7 @@ class Poly(Value):
         return acc
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.coefficients:
             return "0"
         parts: list[str] = []
         for i in range(self.degree, -1, -1):

@@ -77,16 +77,14 @@ class InvZSeries(Value):
         denominator * f = numerator, obtained by long division in powers of
         1/z using only the polynomial coefficients.
         """
-        if denominator.is_zero:
+        if not denominator.coefficients:
             raise ValueError("denominator must be nonzero")
         if numerator.degree >= denominator.degree:
             raise ValueError("numerator degree must be below denominator degree")
-        lead = denominator.coefficients[-1]
-        if lead != 1:
-            numerator = numerator * (1 / lead)
-            denominator = denominator * (1 / lead)
-        d, p = denominator.degree, denominator.coefficients
-        padded = numerator.coefficients + (Fraction(0),) * (d - numerator.degree - 1)
+        lead, d = denominator.coefficients[-1], denominator.degree
+        p = [c / lead for c in denominator.coefficients]
+        padded = [c / lead for c in numerator.coefficients]
+        padded += [Fraction(0)] * (d - len(padded))
         coeffs = [Fraction(0)] * (truncation + 1)
         for n in range(1, truncation + 1):
             m = n - 1

@@ -13,7 +13,7 @@ rationals = st.fractions(
 nonzero_rationals = rationals.filter(lambda x: x != 0)
 
 polys = st.lists(rationals, max_size=9).map(Poly)
-nonzero_polys = polys.filter(lambda p: not p.is_zero)
+nonzero_polys = polys.filter(lambda p: p.coefficients)
 
 root_tuples = st.lists(
     nonzero_rationals, min_size=1, max_size=5, unique=True

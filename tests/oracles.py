@@ -150,7 +150,7 @@ def closed_form_coefficient(cfg: RootConfig, l: int) -> Fraction:
 
 def poly_divmod(p: Poly, d: Poly) -> tuple[Poly, Poly]:
     """Exact quotient and remainder with deg(remainder) < deg(divisor)."""
-    if d.is_zero:
+    if not d.coefficients:
         raise ZeroDivisionError("polynomial division by zero")
     quot = [Fraction(0)] * max(p.degree - d.degree + 1, 0)
     rem = list(p.coefficients)
@@ -173,17 +173,18 @@ def poly_mod(p: Poly, d: Poly) -> Poly:
 
 
 def monic(p: Poly) -> Poly:
-    if p.is_zero:
+    if not p.coefficients:
         raise ValueError("the zero polynomial has no monic form")
-    return p * (1 / p.coefficients[-1])
+    lead = p.coefficients[-1]
+    return Poly(c / lead for c in p.coefficients)
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor by the Euclidean algorithm."""
-    if p.is_zero and q.is_zero:
+    if not p.coefficients and not q.coefficients:
         raise ValueError("gcd of two zero polynomials is undefined")
     a, b = p, q
-    while not b.is_zero:
+    while b.coefficients:
         a, b = b, poly_mod(a, b)
     return monic(a)
 
@@ -196,7 +197,7 @@ def reconstructed_numerator(terms: Sequence[tuple[Rat, Rat]]) -> Poly:
     total, product = Poly(), Poly((1,))
     for pole, c in terms:
         factor = Poly((-pole, 1))
-        total, product = total * factor + product * c, product * factor
+        total, product = total * factor + product * Poly((c,)), product * factor
     return total
 
 
@@ -244,7 +245,7 @@ def check_pfd_document(roots: Sequence[Rat], numerator: Poly, stdout: str) -> No
 
 def is_squarefree(p: Poly) -> bool:
     """True iff p has no repeated roots, i.e. gcd(p, p') is a nonzero constant."""
-    if p.is_zero:
+    if not p.coefficients:
         raise ValueError("square-freeness of the zero polynomial is undefined")
     return gcd(p, p.derivative()).degree == 0
 

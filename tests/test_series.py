@@ -228,6 +228,8 @@ class TestFromRational:
     def test_non_monic_denominator_normalized(self):
         lhs = InvZSeries.from_rational(Poly((1,)), Poly((0, 2)), 4)
         assert lhs == S(0, F(1, 2), 0, 0, 0)
+        lhs = InvZSeries.from_rational(Poly((1, 3)), Poly((0, 0, 2)), 4)
+        assert lhs == S(0, F(3, 2), F(1, 2), 0, 0)
 
     @given(st.lists(nonzero_rationals, min_size=1, max_size=4, unique=True))
     def test_matches_partial_fraction_sum(self, roots):
