@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto library entry points: `_SUBCOMMANDS` declares
 each once, its handler, help line and flags, and `poleint --help` lists them.
 Only `vandermonde` adds math of its own, prod * h_l; every size rule is the
-library's.
+library's, and `vandermonde --degree` runs the expansion rule and the matrix's
+elimination rule before either kernel.
 
 Exact values are printed as reduced "p/q" strings (denominator omitted when
 it is 1); the only floating-point outputs are the sup errors of `limit`,
@@ -51,8 +52,9 @@ from .parser import (
     parse_rational,
 )
 from .polynomial import EXACT, format_quotient
-from .symmetric import (ExactCheckError, bordered_determinants, complete_homogeneous,
-                        vandermonde_matrix, vandermonde_product)
+from .symmetric import (ExactCheckError, bordered_determinants, check_moment_size,
+                        complete_homogeneous, scale_to_integers, vandermonde_matrix,
+                        vandermonde_product)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -230,8 +232,11 @@ def _cmd_vandermonde(args: SimpleNamespace) -> int:
     generalized = () if args.degree is None else (args.degree,)
     if any(l < 1 for l in generalized):
         raise ValueError("degree must be a positive integer")
-    rhs = [complete_homogeneous(points, l) for l in generalized]  # sized before x^(n-1+l)
-    det, *lhs = bordered_determinants(vandermonde_matrix(points, 0, *generalized))
+    for l in generalized:  # both sides' size rules before either kernel
+        check_moment_size(len(points), len(points) + 1 + l, *scale_to_integers(points))
+    matrix = vandermonde_matrix(points, 0, *generalized)
+    rhs = [complete_homogeneous(points, l) for l in generalized]
+    det, *lhs = bordered_determinants(matrix)
     prod = vandermonde_product(points)
     checks = [("check=determinant_vs_product", det, prod)]
     checks += [(f"check=generalized_degree_{l}", x, prod * h)

@@ -55,8 +55,8 @@ class RootConfig(Value):
 
     __slots__ = ("roots",)
 
-    def __post_init__(self) -> None:
-        roots = tuple(as_rat(r) for r in self.roots)
+    def __init__(self, roots: tuple[Rat | int | str, ...]) -> None:
+        roots = tuple(as_rat(r) for r in roots)
         object.__setattr__(self, "roots", roots)
         if not roots:
             raise ValueError("at least one nonzero root is required")

@@ -124,26 +124,15 @@ def format_rational(value: Fraction) -> str:
 
 
 class Value:
-    """Immutable record of the fields named in a subclass's `__slots__`, built by
-    position or keyword, then normalized and checked by `__post_init__`.  Values
-    compare, hash, print, pickle and pattern-match by field, in field order."""
+    """Immutable record of the fields named in a subclass's `__slots__`.  Each
+    subclass binds, normalizes and checks its fields in its own `__init__`, by
+    `object.__setattr__`.  Values compare, hash, print, pickle and pattern-match
+    by field, in field order."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls.__slots__
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        names = self.__match_args__
-        values = {**dict(zip(names, args)), **kwargs}
-        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
-            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
-        for name in names:
-            object.__setattr__(self, name, values[name])
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

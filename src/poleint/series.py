@@ -36,14 +36,13 @@ class InvZSeries(Value):
 
     __slots__ = ("truncation", "coefficients")
 
-    def __post_init__(self) -> None:
-        if self.truncation < 0:
+    def __init__(self, truncation: int, coefficients: tuple[Rat | int | str, ...]) -> None:
+        if truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        coeffs = tuple(as_rat(c) for c in self.coefficients)
-        if len(coeffs) != self.truncation + 1:
-            raise ValueError(
-                f"expected {self.truncation + 1} coefficients, got {len(coeffs)}"
-            )
+        coeffs = tuple(as_rat(c) for c in coefficients)
+        if len(coeffs) != truncation + 1:
+            raise ValueError(f"expected {truncation + 1} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "coefficients", coeffs)
 
     # -- constructors --------------------------------------------------

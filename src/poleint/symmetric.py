@@ -105,6 +105,10 @@ class SymmetricTable(Value):
 
     __slots__ = ("q", "depth", "e", "h")
 
+    def __init__(self, q: int, depth: int, e: tuple, h: tuple) -> None:
+        for name, value in zip(self.__slots__, (q, depth, e, h)):
+            object.__setattr__(self, name, value)
+
     @classmethod
     def build(cls, values: Sequence[Rat | int | str], depth: int) -> SymmetricTable:
         if depth < 0:

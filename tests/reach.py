@@ -13,7 +13,8 @@ was never called: module functions, methods, the functions under
 `functools.cache`, `classmethod`, `staticmethod` and `property`, and the named
 functions nested in any of these.  `cli.entry`, which ends the process, is
 listed too: each spawned `python -m poleint` runs it, the in-process replay
-never does.  The script is not a test module, so pytest does not collect it.
+never does.  The script is not a test module, so pytest does not collect it;
+`tests/test_traced_entries.py` runs it and checks what it prints.
 """
 
 from __future__ import annotations

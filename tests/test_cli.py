@@ -416,6 +416,21 @@ class TestVandermondeCommand:
         assert err == (f"error: {count} moments at q = 2 could hold {bits} bits, "
                        f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}\n")
 
+    def test_layout_above_the_elimination_bound_is_refused_before_the_expansion(
+            self, capsys, monkeypatch):
+        # 1400 points with --degree 1 pass the expansion rule but not the
+        # matrix's; they once ran the h_1 kernel for 0.5 s before the refusal
+        def refuse(*args):
+            raise AssertionError("built an expansion or an elimination")
+
+        monkeypatch.setattr(poleint.cli, "bordered_determinants", refuse)
+        monkeypatch.setattr(poleint.symmetric, "_shared_factor", refuse)
+        points = ",".join(map(str, range(1, 1401)))
+        code, out, err = run_cli(capsys, "vandermonde", f"--points={points}", "--degree=1")
+        assert (code, out) == (1, "")
+        assert err == ("error: 1400 x 1401 powers could hold 30205560000 bits, "
+                       f"above MAX_ELIMINATION_BITS = {MAX_ELIMINATION_BITS}\n")
+
     # 1000 takes x^1001 past the parser's MAX_DEGREE, a bound on expressions:
     # the points' powers answer to the kernel's and the elimination's rules
     @pytest.mark.parametrize("degree", [999, 1000])

@@ -715,13 +715,13 @@ def test_no_golden_argv_builds_a_series(monkeypatch):
     # Every route returns a plain tuple of coefficients: replayed in process,
     # with every output still its golden bytes, no argv constructs an InvZSeries.
     built = []
-    post_init = InvZSeries.__post_init__
+    init = InvZSeries.__init__
 
-    def counted(self):
-        built.append(self.truncation)
-        post_init(self)
+    def counted(self, truncation, coefficients):
+        built.append(truncation)
+        init(self, truncation, coefficients)
 
-    monkeypatch.setattr(InvZSeries, "__post_init__", counted)
+    monkeypatch.setattr(InvZSeries, "__init__", counted)
     cases = json.loads(GOLDEN.read_text())["cases"]
     assert [case["argv"] for case in cases if outcome(case["argv"]) != case] == []
     assert built == []

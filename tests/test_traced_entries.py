@@ -55,3 +55,31 @@ def test_cli_import_loads_every_entry_module():
     loaded = set(proc.stdout.split())
     needed = {f"poleint.{dotted.split('.')[0]}" for dotted in _tracer_entries()}
     assert needed <= loaded, sorted(needed - loaded)
+
+
+# `tests/reach.py` prints every package function that no golden argv and no
+# benchmark request calls.  Beyond the tracer's pins, only these may stay
+# unreached: the record protocol of `Value`, the constructors of the two
+# test-only records, and `cli.entry`, which the in-process replay cannot run.
+UNREACHED_BEYOND_THE_PINS = {
+    "polynomial.Value.__eq__",
+    "polynomial.Value.__hash__",
+    "polynomial.Value.__repr__",
+    "polynomial.Value.__reduce__",
+    "polynomial.Value.__setattr__",
+    "polynomial.Value.__delattr__",
+    "polynomial.Value._values",
+    "series.InvZSeries.__init__",
+    "symmetric.SymmetricTable.__init__",
+    "cli.entry",
+}
+
+
+def test_every_unreached_function_is_pinned_or_listed():
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("reach.py"))],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) - set(_tracer_entries()) == UNREACHED_BEYOND_THE_PINS

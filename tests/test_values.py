@@ -198,7 +198,7 @@ def test_types_do_not_compare_across_classes():
     assert RootConfig(values).roots == Poly(values).coefficients
 
 
-class TestPostInitStillRuns:
+class TestConstructorsNormalize:
     def test_string_roots_become_fractions(self):
         cfg = RootConfig(("1/2", "3"))
         assert cfg.roots == (F(1, 2), F(3))
