@@ -19,9 +19,10 @@ field is an int, a bool or a string of digits, "-" and "/".
 or first usage error that `main` prints: the CLI words both itself, so they
 depend on neither the interpreter's version nor the terminal's width.  No
 subcommand imports `json`: `integrate` and `pfd` each print one f-string.
-`entry` owns the process: it flushes stdout and stderr and ends at `os._exit`
-with `main`'s code, so no `atexit` handler or finalizer runs after it.  Tools
-that wrap the module, such as cProfile or coverage, call `main`.
+`entry` owns the process: it flushes stdout and stderr, reaps the residue
+helper that a request above the gate forked (`poleint.helper`), and ends at
+`os._exit` with `main`'s code, so no `atexit` handler or finalizer runs after
+it.  Tools that wrap the module, such as cProfile or coverage, call `main`.
 
 Exit codes: 0 success, 1 domain error (invalid roots and similar),
 2 usage or parse error, 3 any exact identity check failed.
@@ -169,7 +170,8 @@ def _cmd_integrate(args: SimpleNamespace) -> int:
     rows = ",".join(f'\n    {{\n      "n": {n},\n      "value": "{v}"\n    }}'
                     for n, v in enumerate(["0", *values]))
     valuation = next(n for n, (num, _, _) in enumerate(reduced, 1) if num)
-    # json.dumps(doc, indent=2) of the document, whose strings need no escaping
+    # json.dumps(doc, indent=2) of the document, whose strings need no escaping;
+    # agree() comes last, once every part is built, and raises before any print
     print(f"""{{
   "q": {cfg.q},
   "roots": [{roots}
@@ -179,9 +181,9 @@ def _cmd_integrate(args: SimpleNamespace) -> int:
   "coefficients": [{rows}
   ],
   "valuation": {valuation},
-  "paths_agree": {"true" if agree else "false"}
+  "paths_agree": {"true" if (agreed := agree()) else "false"}
 }}""")
-    return EXIT_OK if agree else EXIT_CHECK_FAILED
+    return EXIT_OK if agreed else EXIT_CHECK_FAILED
 
 
 def _cmd_pfd(args: SimpleNamespace) -> int:
@@ -325,4 +327,6 @@ def entry() -> None:
         sys.stderr.flush()
     except BrokenPipeError:
         code = 1  # the reader closed stdout early (signal docs, "Note on SIGPIPE")
+    if helper := sys.modules.get("poleint.helper"):  # loaded above the gate
+        helper.stop()
     os._exit(code)  # skips teardown, so nothing writes to the closed pipe again

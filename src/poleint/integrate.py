@@ -43,7 +43,8 @@ import math
 from fractions import Fraction
 
 from .polynomial import Poly, Rat, Value, as_rat
-from .symmetric import ExactCheckError, check_moment_size, integer_expansion
+from .symmetric import (HELPER_BITS, ExactCheckError, check_moment_size, integer_expansion,
+                        scale_to_integers)
 
 __all__ = ["RootConfig", "check_moment_identities", "decomposes",
            "integrate_via_expansion", "integrate_via_partial_fractions", "moment",
@@ -185,11 +186,22 @@ def series_from_moments(moments: list[int], d: int, q: int) -> tuple[Fraction, .
 
 
 def cross_checked(cfg: RootConfig, truncation: int) -> tuple:
-    """For N > q, as the caller checks: D, the `reduced_coefficients` b_1..b_N and
-    paths_agree, iff both kernels give the same integer moments."""
-    d, _, moments = integer_expansion(cfg.roots, truncation + 1)
-    _, residues = residue_moments(cfg.roots, truncation + 1)
-    return d, reduced_coefficients(moments, d, cfg.q), residues == moments
+    """For N > q, as the caller checks: D, the `reduced_coefficients` b_1..b_N
+    and agree(), to call once: whether both kernels give the same integer
+    moments.  Above HELPER_BITS the residue kernel runs in `helper` meanwhile."""
+    count, sent = truncation + 1, False
+    if check_moment_size(cfg.q, count, *scale_to_integers(cfg.roots)) > HELPER_BITS:
+        from . import helper  # loaded by the first request above the gate
+        sent = helper.submit(cfg.roots, count)
+    try:
+        d, _, moments = integer_expansion(cfg.roots, count)
+        reduced = reduced_coefficients(moments, d, cfg.q)
+    except BaseException:
+        if sent:  # the reply in flight goes with the helper: no later request reads it
+            helper.stop()
+        raise
+    return d, reduced, lambda: (
+        sent and helper.reply() or residue_moments(cfg.roots, count))[1] == moments
 
 
 def moment(cfg: RootConfig, k: int) -> Fraction:

@@ -35,6 +35,7 @@ __all__ = ["ExactCheckError", "SymmetricTable", "complete_homogeneous", "determi
 
 MAX_ELIMINATION_BITS = 2**26  # 8 MiB: points 1..68 are eliminated, 1..69 refused
 MAX_EXPANSION_BITS = 2**26  # 8 MiB: 32 30-bit roots expand to 129 moments at 33.5M
+HELPER_BITS = 2**19  # `integrate` runs the residue kernel in `helper` above it (README)
 
 
 class ExactCheckError(ArithmeticError):
@@ -62,16 +63,17 @@ def _shared_factor(c: Sequence[int]) -> int:
     return math.lcm(*map(math.gcd, pre, suf)) or 1
 
 
-def check_moment_size(q: int, count: int, d: int, c: Sequence[int]) -> None:
+def check_moment_size(q: int, count: int, d: int, c: Sequence[int]) -> int:
     """The size rule of both routes to m_0..m_(count-1)(c), c = D * a for q roots:
     as e_i(c) < 2^q max|c_j|^i and h_l(c) < 2^(q+l) max|c_j|^l, (q^2 + count^2) *
     (bits(max|c_j|) + bits(D)) bounds the bits of P, the moments and their D^l.
-    Above MAX_EXPANSION_BITS it raises ValueError; the caller runs it before any
-    product."""
+    It returns that figure, and above MAX_EXPANSION_BITS raises ValueError; the
+    caller runs it before any product."""
     height = max(map(abs, c), default=0).bit_length() + d.bit_length()
     if (bits := (q * q + count * count) * height) > MAX_EXPANSION_BITS:
         raise ValueError(f"{count} moments at q = {q} could hold {bits} bits, "
                          f"above MAX_EXPANSION_BITS = {MAX_EXPANSION_BITS}")
+    return bits
 
 
 def integer_expansion(values: Sequence[Rat | int | str], count: int) -> tuple:

@@ -1,9 +1,11 @@
+import os
 import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 
-from poleint import Poly, RootConfig
+from poleint import Poly, RootConfig, helper
 
 # Small exact rationals keep property-test arithmetic fast while still
 # exercising reduction and sign handling.
@@ -19,6 +21,11 @@ root_tuples = st.lists(
     nonzero_rationals, min_size=1, max_size=5, unique=True
 ).map(tuple)
 root_configs = root_tuples.map(RootConfig)
+
+# `integrate` runs its residue kernel in a forked helper above the gate only
+# where there is os.fork and a second CPU; elsewhere it runs in process.
+HELPER_CAN_RUN = hasattr(os, "fork") and len(
+    os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()) > 1
 
 # Denominators of the seeded root families: small primes, and 30-bit primes,
 # the denominator size of the integrate-tall workload.
@@ -38,3 +45,11 @@ def random_root_config(rng: random.Random, q: int, bound: int = 1000) -> RootCon
     while len(roots) < q:
         roots.add(random_fraction(rng, bound))
     return RootConfig(tuple(roots))
+
+
+@pytest.fixture(autouse=True)
+def reap_the_residue_helper():
+    """Reap the residue helper after each test, so that the next test's
+    monkeypatches reach a freshly forked one."""
+    yield
+    helper.stop()

@@ -961,13 +961,15 @@ def test_entry_exits_with_mains_code():
 
 
 # Every `python -m poleint` run pays for the modules its import loads: the
-# first three once took longer to import than the checks the CLI runs, and
-# json and argparse are loaded by no request.  -S keeps site-packages, which
-# may load typing first, out of the child.
+# first three once took longer to import than the checks the CLI runs, json
+# and argparse are loaded by no request, and pickle and the residue helper
+# only by a request above the gate.  -S keeps site-packages, which may load
+# typing first, out of the child.
 def test_cli_import_loads_no_argparse_dataclasses_inspect_typing_or_json():
     code = (
         "import sys; before = set(sys.modules); import poleint.cli; "
-        "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing', 'json'}"
+        "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing', 'json', 'pickle',"
+        " 'poleint.helper'}"
         " & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 
 import poleint.asymptotics
 import poleint.cli
+import poleint.helper
 import poleint.integrate
 import poleint.symmetric
 from poleint import (
@@ -46,7 +47,7 @@ from poleint.series import InvZSeries
 from poleint.symmetric import (MAX_EXPANSION_BITS, check_moment_size, integer_expansion,
                                scale_to_integers)
 
-from conftest import PRIMES_30_BITS, SMALL_PRIMES, rationals
+from conftest import HELPER_CAN_RUN, PRIMES_30_BITS, SMALL_PRIMES, rationals
 from make_golden import GOLDEN, outcome
 from oracles import closed_form, moments_direct, symmetric_recurrence
 
@@ -111,8 +112,8 @@ def test_kernels_match_fraction_oracles(roots, extra):
     assert series == integrate_via_partial_fractions(cfg, n)
     assert series == (0,) * q + closed_form(cfg, n - q)
 
-    checked = cross_checked(cfg, n)
-    assert checked == (d, reduced_coefficients(moments, d, q), True)
+    *checked, agree = cross_checked(cfg, n)
+    assert (*checked, agree()) == (d, reduced_coefficients(moments, d, q), True)
     assert tuple(F(num, s * d**k) for num, s, k in checked[1]) == (
         integrate_via_partial_fractions(cfg, n)[1:]
     )
@@ -458,6 +459,9 @@ def test_one_vandermonde_request_runs_one_elimination(monkeypatch, argv):
 # -- route independence -------------------------------------------------------
 
 ARGV = ["integrate", "--roots", "1,2/3,-5/7", "--terms", "9"]  # q = 3
+# the same roots above HELPER_BITS, (3^2 + 401^2) * 10 bits: the residue
+# kernel runs in the helper
+HELPER_ARGV = ["integrate", "--roots", "1,2/3,-5/7", "--terms", "400"]
 
 
 def _replace_everywhere(monkeypatch, original, replacement):
@@ -503,12 +507,15 @@ def _perturb_residues(l):
 def test_a_perturbed_kernel_breaks_route_agreement(monkeypatch, perturb, l):
     # One route's kernel is off by one in h_l.  If the other route read the
     # same kernel, the two would still agree and this test would fail.
+    # The helper is forked after the patch, so it runs the patched kernel.
     original, kernel = perturb(l)
     _replace_everywhere(monkeypatch, original, kernel)
-    code, out, err = _run(ARGV)
-    assert code == 3 and err == ""
-    assert '"paths_agree": false' in out
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    for argv in (ARGV, HELPER_ARGV):
+        code, out, err = _run(argv)
+        assert code == 3 and err == ""
+        assert '"paths_agree": false' in out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert (poleint.helper._helper is None) == (argv is ARGV or not HELPER_CAN_RUN)
     cfg = RootConfig((1, F(2, 3), F(-5, 7)))
     assert integrate_via_expansion(cfg, 9) != integrate_via_partial_fractions(cfg, 9)
     # The identity check reads the same two kernels, one per column, so the

@@ -60,7 +60,8 @@ def test_cli_import_loads_every_entry_module():
 # `tests/reach.py` prints every package function that no golden argv and no
 # benchmark request calls.  Beyond the tracer's pins, only these may stay
 # unreached: the record protocol of `Value`, the constructors of the two
-# test-only records, and `cli.entry`, which the in-process replay cannot run.
+# test-only records, `cli.entry`, which the in-process replay cannot run, and
+# the two ends of the residue helper's life, which no in-process call sees.
 UNREACHED_BEYOND_THE_PINS = {
     "polynomial.Value.__eq__",
     "polynomial.Value.__hash__",
@@ -72,6 +73,8 @@ UNREACHED_BEYOND_THE_PINS = {
     "series.InvZSeries.__init__",
     "symmetric.SymmetricTable.__init__",
     "cli.entry",
+    "helper._serve",  # the helper's loop runs in the forked child alone
+    "helper.stop",  # the reaper runs at exit, after the replay has reported
 }
 
 
